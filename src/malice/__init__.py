@@ -23,7 +23,7 @@ from .errors import (
     NonPositiveM,
     ValidationError,
 )
-from .families import SweepRow, com_sweep, network_demo, pigou, random_instance, tight
+from .families import SweepRow, com_sweep, network, network_demo, pigou, random_instance, tight
 from .flows import WaterLevel, flow_cost, induced_optimum, system_optimum, wardrop_flow, waterfill
 from .game import (
     BestResponseResult,
@@ -92,6 +92,7 @@ __all__ = [
     "mal_best_response",
     "mal_soc_value",
     "minimax_gap",
+    "network",
     "network_demo",
     "parse_instance",
     "pigou",

@@ -10,12 +10,13 @@ verification failure.
 """
 
 import argparse
+import dataclasses
 import math
 import sys
 import time
 
 from .errors import CertificateFailure, ValidationError
-from .families import com_sweep, pigou, random_instance, tight
+from .families import SweepRow, com_sweep, network, pigou, random_instance, tight
 from .flows import flow_cost, system_optimum, wardrop_flow
 from .game import com_report, pure_equilibrium, scale_strategy
 from .model import (
@@ -25,16 +26,15 @@ from .model import (
     emit_instance,
     instance_digest,
     parse_instance,
-    validate,
     _fmt_float,
 )
-from .oracle import GridSpec, mal_soc_value, soc_mal_value
+from .oracle import GridSpec, minimax_gap
 
 EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_CERTIFICATE = 3
 
-CSV_HEADER = "alpha,eq_value,com,scale_com,bound_43,bound_scale"
+MAX_ALPHA_POINTS = 100_000  # largest --alphas grid; each point is one equilibrium solve
 
 
 def _load_instance(path: str) -> Instance:
@@ -87,9 +87,7 @@ def _cmd_equilibrium(args) -> int:
 
 def _cmd_com(args) -> int:
     inst = _load_instance(args.instance)
-    report = com_report(inst, args.alpha)
-    payload = {"command": "com"}
-    payload.update(report.as_dict())
+    payload = {"command": "com", **dataclasses.asdict(com_report(inst, args.alpha))}
     print(dumps(_finish(payload, inst)))
     return EXIT_OK
 
@@ -113,11 +111,9 @@ def _cmd_verify(args) -> int:
     inst = _load_instance(args.instance)
     grid = GridSpec(args.grid)
     started = time.perf_counter()
-    upper = soc_mal_value(inst, args.alpha, grid)
-    lower = mal_soc_value(inst, args.alpha, grid)
+    gap, (lower, upper) = minimax_gap(inst, args.alpha, grid)
     elapsed = time.perf_counter() - started
     _, certificate = pure_equilibrium(inst, args.alpha)
-    gap = upper - lower
     contains = lower - 1e-9 <= certificate.value <= upper + 1e-9
     ok = gap >= -1e-9 and contains
     payload = {
@@ -144,10 +140,7 @@ def _cmd_gen(args) -> int:
     elif family.startswith("tight:"):
         inst = tight(float(family.split(":", 1)[1]))
     elif family.startswith("network:"):
-        count = int(family.split(":", 1)[1])
-        if count < 1:
-            raise ValidationError(f"network family needs at least one link, got {count}")
-        inst = validate([(1.0, 0.0)] * count)
+        inst = network(int(family.split(":", 1)[1]))
     elif family == "random":
         inst = random_instance(args.seed, args.m)
     else:
@@ -168,26 +161,26 @@ def _parse_alpha_grid(text: str) -> list[float]:
         start, stop, step = (float(p) for p in parts)
         if not all(math.isfinite(v) for v in (start, stop, step)) or step <= 0.0:
             raise ValidationError(f"alpha grid must have a positive finite step, got {text!r}")
-        count = int(round((stop - start) / step))
-        values = [start + i * step for i in range(count + 1)]
-        return [v for v in values if v <= stop + 1e-9]
+        # clamped, so that an overlong grid is rejected before its list is built
+        span = min(max((stop - start) / step, -1.0), MAX_ALPHA_POINTS)
+        count = int(round(span)) + 1
+        if count > MAX_ALPHA_POINTS:
+            raise ValidationError(f"alpha grid {text!r} has more than {MAX_ALPHA_POINTS} points")
+        values = [start + i * step for i in range(count)]
+        values = [v for v in values if v <= stop + 1e-9]
+        if not values:
+            raise ValidationError(f"alpha grid {text!r} is empty")
+        return values
     return [float(text)]
 
 
 def _cmd_sweep(args) -> int:
     inst = _load_instance(args.instance)
     alphas = _parse_alpha_grid(args.alphas)
-    rows = com_sweep(inst, alphas)
+    rows = [dataclasses.asdict(row) for row in com_sweep(inst, alphas)]
     if args.csv:
-        lines = [CSV_HEADER]
-        for row in rows:
-            lines.append(
-                ",".join(
-                    _fmt_float(v)
-                    for v in (row.alpha, row.eq_value, row.com,
-                              row.scale_com, row.bound_43, row.bound_scale)
-                )
-            )
+        lines = [",".join(field.name for field in dataclasses.fields(SweepRow))]
+        lines += [",".join(_fmt_float(v) for v in row.values()) for row in rows]
         text = "\n".join(lines) + "\n"
         if args.csv == "-":
             sys.stdout.write(text)
@@ -195,21 +188,7 @@ def _cmd_sweep(args) -> int:
             with open(args.csv, "w", encoding="utf-8") as handle:
                 handle.write(text)
     else:
-        payload = {
-            "command": "sweep",
-            "rows": [
-                {
-                    "alpha": row.alpha,
-                    "eq_value": row.eq_value,
-                    "com": row.com,
-                    "scale_com": row.scale_com,
-                    "bound_43": row.bound_43,
-                    "bound_scale": row.bound_scale,
-                }
-                for row in rows
-            ],
-        }
-        print(dumps(_finish(payload, inst)))
+        print(dumps(_finish({"command": "sweep", "rows": rows}, inst)))
     return EXIT_OK
 
 

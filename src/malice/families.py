@@ -6,8 +6,10 @@ from dataclasses import dataclass
 
 from .errors import InvalidAlpha, InvalidM, InvalidRange, NonPositiveM
 from .flows import flow_cost, induced_optimum, system_optimum
-from .game import com_report
+from .game import _com_alpha, _com_at, _unit_solves
 from .model import Flow, Instance, cost, validate
+
+MAX_LINKS = 1_000_000  # largest generated instance; bounds the memory a size input can ask for
 
 
 def pigou() -> Instance:
@@ -21,6 +23,13 @@ def tight(M: float) -> Instance:
     if not math.isfinite(M) or M <= 0.0:
         raise NonPositiveM(f"slope parameter must be positive, got {M}")
     return validate([(0.0, 1.0), (M, 0.0)])
+
+
+def network(m: int) -> Instance:
+    """m parallel links of latency z: the parallel part of the network demonstrator."""
+    if not isinstance(m, int) or not 1 <= m <= MAX_LINKS:
+        raise InvalidM(f"link count must be an integer in [1, {MAX_LINKS}], got {m}")
+    return validate([(1.0, 0.0)] * m)
 
 
 NETWORK_DEMO_NOTE = (
@@ -39,12 +48,10 @@ def network_demo(m: int, alpha: float) -> tuple[float, dict]:
     even one extra path.  This is a lower bound only; no claim is made
     that the adversary's path strategy is optimal.
     """
-    if not isinstance(m, int) or m < 1:
-        raise InvalidM(f"link count must be a positive integer, got {m}")
+    inst = network(m)
     alpha = float(alpha)
     if not math.isfinite(alpha) or not 0.0 <= alpha < 1.0:
         raise InvalidAlpha(f"alpha must lie in [0, 1), got {alpha}")
-    inst = validate([(1.0, 0.0)] * m)
     loads = [alpha] * m
     total = 0.0
     for v in loads:
@@ -74,6 +81,8 @@ def random_instance(seed: int, m: int, coef_range: tuple[float, float] = (0.0, 1
     lo, hi = float(coef_range[0]), float(coef_range[1])
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo < 0.0 or hi < lo:
         raise InvalidRange(f"coefficient range must satisfy 0 <= lo <= hi, got ({lo}, {hi})")
+    if m > MAX_LINKS:
+        raise InvalidM(f"link count must be at most {MAX_LINKS}, got {m}")
     rng = random.Random(seed)
     links = []
     for _ in range(m):
@@ -103,15 +112,18 @@ def com_sweep(inst: Instance, alphas) -> list[SweepRow]:
     exposing where the 4/3 and 1 + alpha/2 bounds cross (alpha = 2/3).
     """
     rows = []
+    unit = None
     for alpha in alphas:
-        report = com_report(inst, alpha)
-        scale_com = report.scale_value / ((1.0 - alpha) * report.opt_cost_1)
+        alpha = _com_alpha(alpha)
+        if unit is None:
+            unit = _unit_solves(inst)
+        report = _com_at(inst, alpha, unit)
         rows.append(
             SweepRow(
-                alpha=report.alpha,
+                alpha=alpha,
                 eq_value=report.eq_value,
                 com=report.com,
-                scale_com=scale_com,
+                scale_com=report.scale_value / ((1.0 - alpha) * report.opt_cost_1),
                 bound_43=report.bound_43,
                 bound_scale=report.bound_scale,
             )

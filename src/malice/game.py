@@ -188,6 +188,12 @@ def scale_strategy(inst: Instance, alpha: float) -> BestResponseResult:
     """
     alpha = _check_alpha(alpha)
     ystar, _ = system_optimum(inst, 1.0)
+    return _scaled_optimum(inst, alpha, ystar, flow_cost(inst, ystar))
+
+
+def _scaled_optimum(inst: Instance, alpha: float, ystar: Flow,
+                    opt_cost: float) -> BestResponseResult:
+    """scale_strategy given the unit optimum ystar and its cost."""
     scaled_values = tuple((1.0 - alpha) * v for v in ystar.values)
     total = 0.0
     for v in scaled_values:
@@ -195,7 +201,6 @@ def scale_strategy(inst: Instance, alpha: float) -> BestResponseResult:
     y = Flow(scaled_values, total)
     br = mal_best_response(inst, y, alpha)
     value = br.value
-    opt_cost = flow_cost(inst, ystar)
     damage = [a * v for a, v in zip(inst.slopes, ystar.values)]
     t = 0
     for i in range(1, inst.m):
@@ -216,17 +221,31 @@ def com_report(inst: Instance, alpha: float) -> ComReport:
     Undefined at alpha = 1 (the ratio divides by the social mass) and on
     instances whose unit optimum cost is zero.
     """
+    return _com_at(inst, _com_alpha(alpha), _unit_solves(inst))
+
+
+def _com_alpha(alpha: float) -> float:
     alpha = _check_alpha(alpha)
     if alpha >= 1.0:
         raise InvalidAlpha("cost of malice is undefined at alpha = 1")
-    nash_flow, _ = wardrop_flow(inst, 1.0)
-    nash_cost_1 = flow_cost(inst, nash_flow)
-    opt_flow, _ = system_optimum(inst, 1.0)
-    opt_cost_1 = flow_cost(inst, opt_flow)
+    return alpha
+
+
+def _unit_solves(inst: Instance) -> tuple[float, Flow, float]:
+    """The alpha-free part of a report: (nash_cost_1, unit optimum y*, opt_cost_1)."""
+    nash_cost_1 = flow_cost(inst, wardrop_flow(inst, 1.0)[0])
+    ystar, _ = system_optimum(inst, 1.0)
+    opt_cost_1 = flow_cost(inst, ystar)
     if opt_cost_1 <= 0.0:
         raise DegenerateInstance("unit optimum cost is zero; cost of malice undefined")
+    return nash_cost_1, ystar, opt_cost_1
+
+
+def _com_at(inst: Instance, alpha: float, unit: tuple[float, Flow, float]) -> ComReport:
+    """The report at a checked alpha, given the instance's _unit_solves."""
+    nash_cost_1, ystar, opt_cost_1 = unit
     _, certificate = pure_equilibrium(inst, alpha)
-    scale = scale_strategy(inst, alpha)
+    scale = _scaled_optimum(inst, alpha, ystar, opt_cost_1)
     return ComReport(
         alpha=alpha,
         eq_value=certificate.value,

@@ -189,19 +189,6 @@ class ComReport:
     scale_value: float
     evasive_bound: float
 
-    def as_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "eq_value": self.eq_value,
-            "nash_cost_1": self.nash_cost_1,
-            "opt_cost_1": self.opt_cost_1,
-            "com": self.com,
-            "bound_43": self.bound_43,
-            "bound_scale": self.bound_scale,
-            "scale_value": self.scale_value,
-            "evasive_bound": self.evasive_bound,
-        }
-
 
 def cost(inst: Instance, x: Flow, y: Flow) -> float:
     """SOC's cost sum_k y_k * (a_k (x_k + y_k) + b_k) at the profile (x, y)."""

@@ -146,3 +146,16 @@ def random_simplex_point(rng: random.Random, m, mass):
     draws = [-math.log(1.0 - rng.random()) for _ in range(m)]
     total = sum(draws)
     return tuple(mass * d / total for d in draws)
+
+
+def count_waterfills(monkeypatch):
+    """Wrap `malice.flows.waterfill` for one test; the list gets one entry per call."""
+    calls = []
+    original = malice.flows.waterfill
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(malice.flows, "waterfill", counting)
+    return calls

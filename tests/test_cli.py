@@ -110,7 +110,7 @@ def test_verify_pigou(pigou_file, capsys):
 
 
 def test_verify_failure_is_exit_3(pigou_file, capsys, monkeypatch):
-    monkeypatch.setattr("malice.cli.soc_mal_value", lambda *args, **kwargs: -1.0)
+    monkeypatch.setattr("malice.oracle.soc_mal_value", lambda *args, **kwargs: -1.0)
     code = run(["verify", "--instance", pigou_file, "--alpha", "0.5", "--grid", "10"])
     assert code == 3
     doc = json.loads(capsys.readouterr().out)
@@ -151,6 +151,12 @@ def test_gen_unknown_family(capsys):
     assert run(["gen", "--family", "mystery"]) == 2
 
 
+def test_gen_caps_link_count(capsys):
+    assert run(["gen", "--family", "network:1000001"]) == 2
+    assert run(["gen", "--family", "random", "--m", "1000001"]) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_sweep_json(pigou_file, capsys):
     code, doc = _run_json(capsys, ["sweep", "--instance", pigou_file, "--alphas", "0:0.9:0.3"])
     assert code == 0
@@ -180,9 +186,23 @@ def test_sweep_csv_stdout(pigou_file, capsys):
     assert len(out.splitlines()) == 2
 
 
+def test_sweep_csv_matches_json_rows(tight_file, capsys):
+    argv = ["sweep", "--instance", tight_file, "--alphas", "0:0.9:0.15"]
+    _, doc = _run_json(capsys, argv)
+    assert run(argv + ["--csv", "-"]) == 0
+    header, *lines = capsys.readouterr().out.splitlines()
+    assert header.split(",") == list(doc["rows"][0])
+    assert [[float(v) for v in line.split(",")] for line in lines] == \
+        [list(row.values()) for row in doc["rows"]]
+
+
 def test_sweep_bad_grid_spec(pigou_file, capsys):
     assert run(["sweep", "--instance", pigou_file, "--alphas", "0:1", "--csv", "-"]) == 2
     assert run(["sweep", "--instance", pigou_file, "--alphas", "0:0.9:-0.1"]) == 2
+    # 100,001 points, one above the cap
+    assert run(["sweep", "--instance", pigou_file, "--alphas", "0:0.99:9.9e-6"]) == 2
+    assert run(["sweep", "--instance", pigou_file, "--alphas", "0:0.99:1e-320"]) == 2
+    assert run(["sweep", "--instance", pigou_file, "--alphas", "0.9:0:0.1"]) == 2
 
 
 def test_every_json_report_echoes_hash_and_tolerances(pigou_file, capsys):

@@ -1,12 +1,15 @@
 import pytest
 
 from malice import (
+    DegenerateInstance,
     InvalidAlpha,
     InvalidM,
     InvalidRange,
     NonPositiveM,
+    com_report,
     com_sweep,
     flow_cost,
+    network,
     network_demo,
     pigou,
     random_instance,
@@ -15,6 +18,8 @@ from malice import (
     validate,
     wardrop_flow,
 )
+
+from _support import count_waterfills
 
 
 def test_pigou_constructor():
@@ -35,6 +40,13 @@ def test_tight_constructor():
         tight(0)
     with pytest.raises(NonPositiveM):
         tight(-3)
+
+
+def test_network_constructor():
+    assert network(3).links == ((1.0, 0.0),) * 3
+    for m in (0, 2.5, 1_000_001):
+        with pytest.raises(InvalidM):
+            network(m)
 
 
 def test_network_demo_single_link():
@@ -100,6 +112,11 @@ def test_random_instance_forces_zeros():
     assert 80 <= zero_count <= 320
 
 
+def test_random_instance_caps_link_count():
+    with pytest.raises(InvalidM):
+        random_instance(seed=1, m=1_000_001)
+
+
 def test_random_instance_invalid_range():
     with pytest.raises(InvalidRange):
         random_instance(seed=1, m=2, coef_range=(-1.0, 5.0))
@@ -140,6 +157,31 @@ def test_bound_columns_cross_at_two_thirds():
 def test_sweep_rejects_bad_alpha():
     with pytest.raises(InvalidAlpha):
         com_sweep(pigou(), [0.5, 1.0])
+
+
+def test_sweep_rows_match_com_report():
+    alphas = [0.0, 0.25, 0.5, 0.9]
+    for inst in (pigou(), tight(1000), random_instance(seed=3, m=8)):
+        for row in com_sweep(inst, alphas):
+            report = com_report(inst, row.alpha)
+            assert (row.eq_value, row.com, row.bound_43, row.bound_scale) == (
+                report.eq_value, report.com, report.bound_43, report.bound_scale)
+            assert row.scale_com == report.scale_value / ((1 - row.alpha) * report.opt_cost_1)
+
+
+def test_sweep_solves_unit_flows_once(monkeypatch):
+    calls = count_waterfills(monkeypatch)
+    com_sweep(random_instance(seed=3, m=8), [0.1 * k for k in range(10)])
+    assert len(calls) == 2 + 2 * 10
+
+
+def test_sweep_degenerate_instance_keeps_error_order():
+    inst = validate([(0, 0), (0, 0)])
+    assert com_sweep(inst, []) == []
+    with pytest.raises(InvalidAlpha):
+        com_sweep(inst, [1.0])
+    with pytest.raises(DegenerateInstance):
+        com_sweep(inst, [0.5, 1.0])
 
 
 def test_generated_instances_validate():

@@ -26,6 +26,7 @@ from malice import (
 
 from _support import (
     BASE_SEED,
+    count_waterfills,
     grid_best_mal_value,
     grid_best_soc_value,
     random_simplex_point,
@@ -235,6 +236,13 @@ def test_com_report_alpha_zero_is_exactly_one():
     for inst in (pigou(), tight(10), random_instance(seed=5, m=4)):
         report = com_report(inst, 0.0)
         assert report.com == 1.0
+
+
+def test_com_report_solves_unit_optimum_once(monkeypatch):
+    # unit Wardrop, unit optimum, then the equilibrium's Wardrop and induced optimum
+    calls = count_waterfills(monkeypatch)
+    com_report(random_instance(seed=5, m=4), 0.5)
+    assert len(calls) == 4
 
 
 def test_com_report_rejections():
