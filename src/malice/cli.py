@@ -18,7 +18,7 @@ import time
 from .errors import CertificateFailure, ValidationError
 from .families import SweepRow, com_sweep, network, pigou, random_instance, tight
 from .flows import flow_cost, system_optimum, wardrop_flow
-from .game import com_report, pure_equilibrium, scale_strategy
+from .game import _check_alpha, _scaled_optimum, com_report, pure_equilibrium
 from .model import (
     TOLERANCES,
     Instance,
@@ -94,14 +94,16 @@ def _cmd_com(args) -> int:
 
 def _cmd_scale(args) -> int:
     inst = _load_instance(args.instance)
-    result = scale_strategy(inst, args.alpha)
-    opt_cost_1 = flow_cost(inst, system_optimum(inst, 1.0)[0])
+    alpha = _check_alpha(args.alpha)
+    ystar, _ = system_optimum(inst, 1.0)
+    opt_cost_1 = flow_cost(inst, ystar)
+    result = _scaled_optimum(inst, alpha, ystar, opt_cost_1)
     payload = {
         "command": "scale",
-        "alpha": args.alpha,
+        "alpha": alpha,
         "soc": list(result.flow.values),
         "value": result.value,
-        "upper_bound": (1.0 + args.alpha / 2.0) * (1.0 - args.alpha) * opt_cost_1,
+        "upper_bound": (1.0 + alpha / 2.0) * (1.0 - alpha) * opt_cost_1,
     }
     print(dumps(_finish(payload, inst)))
     return EXIT_OK

@@ -21,6 +21,14 @@ class NonFiniteCoefficient(ValidationError):
     """Latency coefficients must be finite."""
 
 
+class SubnormalSlope(ValidationError):
+    """A positive slope must be a normal float (at least sys.float_info.min).
+
+    The solvers divide by slopes; the reciprocal of a subnormal one
+    overflows to infinity.
+    """
+
+
 class DimensionMismatch(ValidationError):
     """A flow does not have one entry per link."""
 

@@ -21,6 +21,8 @@ marginal cost of link i at load z is 2 a_i z + b_i.
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DimensionMismatch, InvalidMass
 from .model import Flow, Instance
 
@@ -102,6 +104,63 @@ def waterfill(slopes, intercepts, mass) -> tuple[float, list[float]]:
     for i in ties:
         values[i] = share
     return level, values
+
+
+def waterfill_rows(slopes, intercepts, mass) -> tuple[np.ndarray, np.ndarray]:
+    """`waterfill` over a batch of intercept rows sharing slopes and mass.
+
+    slopes has shape (m,) and intercepts (B, m).  Returns (levels[B],
+    loads[B, m]).  Every row runs the floating-point operations of the
+    scalar kernel in the same order, so each row is bit-identical to
+    waterfill(slopes, row, mass).  The per-call overhead is far above the
+    scalar kernel's, so it pays only for many rows of few links.
+    """
+    slopes = np.asarray(slopes, dtype=np.float64)
+    intercepts = np.asarray(intercepts, dtype=np.float64)
+    rows, m = intercepts.shape
+    loads = np.zeros((rows, m))
+    if mass == 0.0:
+        return intercepts.min(axis=1), loads
+    flat = slopes == 0.0
+    cap = intercepts[:, flat].min(axis=1, initial=np.inf)
+    positive = np.flatnonzero(~flat)
+    # per row, the positive-slope links in increasing intercept order
+    rank = np.argsort(intercepts[:, positive], axis=1, kind="stable")
+    every = np.arange(rows)
+    inv_sum = np.zeros(rows)   # sum of 1/a over links below the level
+    off_sum = np.zeros(rows)   # sum of b/a over links below the level
+    filling = np.ones(rows, dtype=bool)
+    for k in range(len(positive)):
+        link = positive[rank[:, k]]
+        a = slopes[link]
+        t = intercepts[every, link]
+        if k:
+            # links with equal intercepts join together; a new intercept
+            # that the demand already reaches stops the fill for good
+            filling &= (t == previous) | ~((inv_sum > 0.0) & (inv_sum * t - off_sum >= mass))
+        np.add(inv_sum, 1.0 / a, out=inv_sum, where=filling)
+        np.add(off_sum, t / a, out=off_sum, where=filling)
+        previous = t
+    level = np.divide(mass + off_sum, inv_sum, out=np.full(rows, np.inf), where=inv_sum > 0.0)
+    pinned = level > cap
+    level = np.where(pinned, cap, level)
+    below = (intercepts < level[:, None]) & ~flat
+    np.subtract(level[:, None], intercepts, out=loads, where=below)
+    np.divide(loads, slopes, out=loads, where=below)
+    # a single loaded link carries the whole mass exactly
+    single = ~pinned & (below.sum(axis=1) == 1)
+    loads[single] = np.where(below[single], mass, 0.0)
+    if pinned.any():
+        # the zero-slope links tied at the level soak up, in equal shares,
+        # what the positive-slope links cannot absorb below it
+        held = loads[pinned]
+        placed = np.zeros(len(held))
+        for k in range(len(positive)):
+            placed += held[np.arange(len(held)), positive[rank[pinned, k]]]
+        rest = np.maximum(mass - placed, 0.0)
+        ties = flat & (intercepts[pinned] == level[pinned, None])
+        loads[pinned] = np.where(ties, (rest / ties.sum(axis=1))[:, None], held)
+    return level, loads
 
 
 def wardrop_flow(inst: Instance, beta: float) -> tuple[Flow, WaterLevel]:

@@ -20,6 +20,7 @@ across threads.
 import hashlib
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import (
@@ -30,6 +31,7 @@ from .errors import (
     InvalidMass,
     NegativeCoefficient,
     NonFiniteCoefficient,
+    SubnormalSlope,
     ValidationError,
 )
 
@@ -66,8 +68,13 @@ class Instance:
                 raise NonFiniteCoefficient(f"link ({a}, {b}) has a non-finite coefficient")
             if a < 0.0 or b < 0.0:
                 raise NegativeCoefficient(f"link ({a}, {b}) has a negative coefficient")
+            if 0.0 < a < sys.float_info.min:
+                raise SubnormalSlope(f"link ({a}, {b}) has a subnormal slope")
             clean.append((a, b))
         object.__setattr__(self, "links", tuple(clean))
+        # built once: the solvers read these on every call
+        object.__setattr__(self, "_slopes", tuple(a for a, _ in clean))
+        object.__setattr__(self, "_intercepts", tuple(b for _, b in clean))
 
     @property
     def m(self) -> int:
@@ -75,11 +82,11 @@ class Instance:
 
     @property
     def slopes(self) -> tuple[float, ...]:
-        return tuple(a for a, _ in self.links)
+        return self._slopes
 
     @property
     def intercepts(self) -> tuple[float, ...]:
-        return tuple(b for _, b in self.links)
+        return self._intercepts
 
 
 def validate(raw_links) -> Instance:

@@ -10,23 +10,30 @@ value with O(1/n) error:
 
 Their difference brackets the equilibrium value and shrinks as the
 resolution grows; doubling the resolution refines the grid in place, so
-the gap never widens.  Grid points are enumerated in lexicographic
-order and reductions use strict improvement, so ties resolve to the
-lexicographically smallest argument no matter how the evaluation is
-partitioned.
+the gap never widens.
+
+Grid points are enumerated in lexicographic order by stars and bars, in
+chunks of at most GRID_CHUNK_ROWS points, so memory stays bounded
+whatever the point cap.  Each chunk is evaluated in numpy at once: the
+adversary's closed form directly, SOC's water-fills through the batched
+kernel `waterfill_rows`, which is bit-identical to the scalar one row
+by row.  So each point's value, and each bound, is the float that a
+loop over single points would compute, however the grid is chunked.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import GridTooLarge, InvalidRange
-from .flows import waterfill
+from .flows import waterfill_rows
 from .game import _check_alpha
 from .model import Instance
 
 DEFAULT_POINT_CAP = 2_000_000
+GRID_CHUNK_ROWS = 2_048  # grid points per numpy pass: bounds working memory, keeps it in cache
 
 
 @dataclass(frozen=True)
@@ -47,14 +54,34 @@ class GridSpec:
         return math.comb(self.resolution + m - 1, m - 1)
 
 
+def _grid_chunks(n: int, m: int):
+    """Yield the compositions of n into m nonnegative parts, lexicographically,
+    as int64 arrays of at most GRID_CHUNK_ROWS rows.
+
+    Stars and bars: the m - 1 bar positions among n + m - 1 slots, taken in
+    lexicographic order, give the compositions in lexicographic order; the
+    parts are the gaps between consecutive bars, padded by a bar before
+    the first slot and one after the last.
+    """
+    bars = itertools.combinations(range(n + m - 1), m - 1)
+    left = math.comb(n + m - 1, m - 1)
+    while left:
+        rows = min(left, GRID_CHUNK_ROWS)
+        padded = np.empty((rows, m + 1), dtype=np.int64)
+        padded[:, 0] = -1
+        padded[:, m] = n + m - 1
+        padded[:, 1:m] = np.fromiter(
+            itertools.chain.from_iterable(itertools.islice(bars, rows)),
+            dtype=np.int64, count=rows * (m - 1),
+        ).reshape(rows, m - 1)
+        yield np.diff(padded, axis=1) - 1
+        left -= rows
+
+
 def simplex_grid(n: int, m: int):
     """Yield the compositions of n into m nonnegative parts, lexicographically."""
-    if m == 1:
-        yield (n,)
-        return
-    for head in range(n + 1):
-        for tail in simplex_grid(n - head, m - 1):
-            yield (head,) + tail
+    for chunk in _grid_chunks(n, m):
+        yield from map(tuple, chunk.tolist())
 
 
 def _checked_points(inst: Instance, grid: GridSpec) -> int:
@@ -74,19 +101,20 @@ def soc_mal_value(inst: Instance, alpha: float, grid: GridSpec) -> float:
     """
     alpha = _check_alpha(alpha)
     _checked_points(inst, grid)
-    n = grid.resolution
-    fractions = np.array(list(simplex_grid(n, inst.m)), dtype=np.float64) / n
-    y = (1.0 - alpha) * fractions
     a = np.array(inst.slopes)
     b = np.array(inst.intercepts)
-    # all adversarial mass lands on the link maximizing a_k y_k (first
-    # index on ties); replace that link's cost term accordingly
-    t = np.argmax(y * a, axis=1)
-    per_link = y * (y * a + b)
-    rows = np.arange(y.shape[0])
-    yt = y[rows, t]
-    values = per_link.sum(axis=1) - per_link[rows, t] + yt * (a[t] * (alpha + yt) + b[t])
-    return float(values.min())
+    best = math.inf
+    for parts in _grid_chunks(grid.resolution, inst.m):
+        y = (1.0 - alpha) * (parts / grid.resolution)
+        # all adversarial mass lands on the link maximizing a_k y_k (first
+        # index on ties); replace that link's cost term accordingly
+        t = np.argmax(y * a, axis=1)
+        per_link = y * (y * a + b)
+        rows = np.arange(y.shape[0])
+        yt = y[rows, t]
+        values = per_link.sum(axis=1) - per_link[rows, t] + yt * (a[t] * (alpha + yt) + b[t])
+        best = min(best, float(values.min()))
+    return best
 
 
 def mal_soc_value(inst: Instance, alpha: float, grid: GridSpec) -> float:
@@ -96,25 +124,18 @@ def mal_soc_value(inst: Instance, alpha: float, grid: GridSpec) -> float:
     """
     alpha = _check_alpha(alpha)
     _checked_points(inst, grid)
-    n = grid.resolution
-    m = inst.m
-    a = inst.slopes
-    b = inst.intercepts
-    doubled = tuple(2.0 * ai for ai in a)
-    beta = 1.0 - alpha
-    fractions = [k / n for k in range(n + 1)]
+    a = np.array(inst.slopes)
+    b = np.array(inst.intercepts)
+    doubled = 2.0 * a
     best = -math.inf
-    for comp in simplex_grid(n, m):
-        x = [alpha * fractions[k] for k in comp]
-        shifted = [a[i] * x[i] + b[i] for i in range(m)]
-        _, y = waterfill(doubled, shifted, beta)
-        value = 0.0
-        for i in range(m):
-            yi = y[i]
-            if yi != 0.0:
-                value += yi * (a[i] * (x[i] + yi) + b[i])
-        if value > best:
-            best = value
+    for parts in _grid_chunks(grid.resolution, inst.m):
+        x = alpha * (parts / grid.resolution)
+        _, y = waterfill_rows(doubled, a * x + b, 1.0 - alpha)
+        # summed link by link in index order, as a point-by-point loop would
+        values = np.zeros(len(y))
+        for i in range(inst.m):
+            values += y[:, i] * (a[i] * (x[:, i] + y[:, i]) + b[i])
+        best = max(best, float(values.max()))
     return best
 
 

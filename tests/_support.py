@@ -3,12 +3,14 @@ subprocess helpers for tests.
 
 Nothing here calls the closed-form solvers it is used to check: the
 water-fill reference bisects on the level, and the best-response
-references sweep dense grids.
+references sweep dense grids.  The oracle's references are its
+point-by-point forms, which the batched oracle must match exactly.
 """
 
 import math
 import os
 import random
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -149,7 +151,8 @@ def random_simplex_point(rng: random.Random, m, mass):
 
 
 def count_waterfills(monkeypatch):
-    """Wrap `malice.flows.waterfill` for one test; the list gets one entry per call."""
+    """Wrap the scalar `malice.flows.waterfill` for one test, wherever a
+    malice module binds it; the list gets one entry per call."""
     calls = []
     original = malice.flows.waterfill
 
@@ -157,5 +160,43 @@ def count_waterfills(monkeypatch):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(malice.flows, "waterfill", counting)
+    for name, module in list(sys.modules.items()):
+        if name == "malice" or name.startswith("malice."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
     return calls
+
+
+def reference_simplex_grid(n, m):
+    """The compositions of n into m nonnegative parts, by lexicographic recursion."""
+    if m == 1:
+        yield (n,)
+        return
+    for head in range(n + 1):
+        for tail in reference_simplex_grid(n - head, m - 1):
+            yield (head,) + tail
+
+
+def reference_mal_soc_value(inst, alpha, n):
+    """The oracle's lower bound point by point: one scalar water-fill per
+    gridded adversarial strategy, SOC's cost summed link by link."""
+    m = inst.m
+    a = inst.slopes
+    b = inst.intercepts
+    doubled = tuple(2.0 * ai for ai in a)
+    beta = 1.0 - alpha
+    fractions = [k / n for k in range(n + 1)]
+    best = -math.inf
+    for comp in reference_simplex_grid(n, m):
+        x = [alpha * fractions[k] for k in comp]
+        shifted = [a[i] * x[i] + b[i] for i in range(m)]
+        _, y = malice.flows.waterfill(doubled, shifted, beta)
+        value = 0.0
+        for i in range(m):
+            yi = y[i]
+            if yi != 0.0:
+                value += yi * (a[i] * (x[i] + yi) + b[i])
+        if value > best:
+            best = value
+    return best

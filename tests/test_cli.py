@@ -7,7 +7,7 @@ import pytest
 from malice import emit_instance, instance_digest, pigou, random_instance, tight
 from malice.cli import run
 
-from _support import child_env, describe_child
+from _support import child_env, count_waterfills, describe_child
 
 
 @pytest.fixture
@@ -95,6 +95,19 @@ def test_scale_report(pigou_file, capsys):
     assert code == 0
     assert doc["value"] <= doc["upper_bound"] + 1e-9
     assert doc["soc"] == [0.25, 0.25]
+
+
+def test_scale_solves_unit_optimum_once(tight_file, capsys, monkeypatch):
+    calls = count_waterfills(monkeypatch)
+    assert run(["scale", "--instance", tight_file, "--alpha", "0.3"]) == 0
+    assert len(calls) == 1
+
+
+def test_scale_rejects_alpha_before_solving(pigou_file, capsys, monkeypatch):
+    calls = count_waterfills(monkeypatch)
+    assert run(["scale", "--instance", pigou_file, "--alpha", "1.5"]) == 2
+    assert "alpha must lie in [0, 1]" in capsys.readouterr().err
+    assert calls == []
 
 
 def test_verify_pigou(pigou_file, capsys):
@@ -245,3 +258,18 @@ def test_subprocess_reports_are_byte_identical(tmp_path):
         assert second.returncode == 0, describe_child(second)
         assert first.stdout == second.stdout
         assert first.stdout  # nonempty report
+
+
+def test_subnormal_slope_is_exit_2(tmp_path):
+    path = tmp_path / "subnormal.json"
+    path.write_text('{"links": [{"a": 5e-324, "b": 1.0}]}\n')
+    for args in (
+        ["solve", "--instance", str(path), "--wardrop", "--mass", "1"],
+        ["com", "--instance", str(path), "--alpha", "0.5"],
+        ["verify", "--instance", str(path), "--alpha", "0.5", "--grid", "10"],
+    ):
+        proc = _cli(args, tmp_path)
+        assert proc.returncode == 2, describe_child(proc)
+        assert proc.stdout == b""
+        assert b"subnormal slope" in proc.stderr, describe_child(proc)
+        assert b"Traceback" not in proc.stderr

@@ -16,6 +16,8 @@ from malice import (
     tight,
     validate,
     wardrop_flow,
+    waterfill,
+    waterfill_rows,
 )
 
 from _support import (
@@ -204,3 +206,53 @@ def test_optimum_cost_scales_subadditively():
         for lam in (0.1, 0.25, 0.5, 0.75, 0.9):
             part = flow_cost(inst, system_optimum(inst, lam)[0])
             assert part <= lam * unit + 1e-9
+
+
+def _assert_rows_bitwise_equal_scalar(slopes, rows, mass):
+    levels, loads = waterfill_rows(slopes, np.array(rows, dtype=np.float64), mass)
+    assert loads.shape == (len(rows), len(slopes))
+    for row, level, load in zip(rows, levels.tolist(), loads.tolist()):
+        ref_level, ref_loads = waterfill(slopes, row, mass)
+        assert level.hex() == ref_level.hex(), (slopes, row, mass)
+        assert [v.hex() for v in load] == [v.hex() for v in ref_loads], (slopes, row, mass)
+
+
+def test_waterfill_rows_bitwise_equal_to_scalar_on_ensemble():
+    rng = random.Random(BASE_SEED + 11)
+    for m in range(1, 7):
+        for k in range(40):
+            slopes = random_instance(seed=BASE_SEED + 100 * m + k, m=m).slopes
+            rows = [list(random_instance(seed=BASE_SEED * 3 + 1000 * m + 40 * k + j, m=m).intercepts)
+                    for j in range(6)]
+            # intercepts from a small set, so that ties and equal levels occur
+            rows += [[float(rng.randint(0, 2)) for _ in range(m)] for _ in range(6)]
+            for mass in (0.0, 1e-9, rng.uniform(0.0, 1.0), 1.0, 50.0):
+                _assert_rows_bitwise_equal_scalar(slopes, rows, mass)
+
+
+def test_waterfill_rows_bitwise_equal_to_scalar_on_edge_cases():
+    cases = [
+        # zero-slope links tied at the pinned level share the rest equally
+        ((0.0, 0.0, 2.0), [[1.0, 1.0, 0.0], [1.0, 2.0, 0.0], [3.0, 3.0, 0.0]], 1.0),
+        # only zero-slope links: the level is the smallest of their intercepts
+        ((0.0, 0.0), [[3.0, 3.0], [2.0, 3.0]], 0.7),
+        # the positive-slope links fill to the pinned level and no further
+        ((0.0, 1.0, 1.0), [[0.5, 0.0, 0.0], [0.5, 0.0, 0.25], [0.0, 0.0, 0.0]], 2.0),
+        # rounding clamps the pinned rest at zero
+        ((1.3, 3.0, 0.0), [[0.2, 0.0, 1.1]], 1.058974358974359),
+        # rounding would stop the fill inside a group of tied intercepts
+        ((3.0, 0.3, 1.3, 1.3, 7.0), [[0.0, 1.0, 1.0, 1.0, 1.0]], 0.33333333333333337),
+        # zero intercepts everywhere
+        ((1.0, 2.0, 3.0), [[0.0, 0.0, 0.0]], 1.0),
+        # a single loaded link carries exactly the mass
+        ((1.0, 1.0, 3.0), [[0.0, 10.0, 20.0], [0.1, 0.0, 5.0]], 0.3),
+        # a zero mass loads nothing at the smallest intercept
+        ((1.0, 0.0, 2.0), [[2.0, 3.0, 1.0], [0.0, 0.0, 0.0]], 0.0),
+    ]
+    for slopes, rows, mass in cases:
+        _assert_rows_bitwise_equal_scalar(slopes, rows, mass)
+    levels, loads = waterfill_rows((0.0, 0.0, 2.0), np.array([[1.0, 1.0, 0.0]]), 1.0)
+    assert levels.tolist() == [1.0]
+    assert loads.tolist() == [[0.25, 0.25, 0.5]]
+    _, loads = waterfill_rows((1.0, 1.0, 3.0), np.array([[0.0, 10.0, 20.0]]), 0.3)
+    assert loads.tolist() == [[0.3, 0.0, 0.0]]

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import pytest
 
@@ -13,6 +14,7 @@ from malice import (
     NegativeCoefficient,
     NonFiniteCoefficient,
     Profile,
+    SubnormalSlope,
     ValidationError,
     cost,
     emit_instance,
@@ -34,6 +36,8 @@ def test_validate_well_formed():
     assert inst.m == 2
     assert inst.slopes == (1.0, 0.0)
     assert inst.intercepts == (0.0, 1.0)
+    assert repr(inst) == "Instance(links=((1.0, 0.0), (0.0, 1.0)))"
+    assert inst == validate([(1.0, 0.0), (0, 1)])
 
 
 def test_validate_empty():
@@ -53,6 +57,15 @@ def test_validate_non_finite():
         validate([(math.nan, 0)])
     with pytest.raises(NonFiniteCoefficient):
         validate([(1, math.inf)])
+
+
+def test_validate_subnormal_slope():
+    # the solvers divide by slopes; 1/5e-324 overflows
+    for links in ([(5e-324, 1.0)], [(5e-324, 0.0)], [(1, 0), (sys.float_info.min / 2, 3)]):
+        with pytest.raises(SubnormalSlope):
+            validate(links)
+    assert issubclass(SubnormalSlope, ValidationError)
+    assert validate([(sys.float_info.min, 1.0), (0.0, 5e-324)]).m == 2
 
 
 def test_cost_soc_on_constant_link():

@@ -11,14 +11,21 @@ from malice import (
     minimax_gap,
     pigou,
     pure_equilibrium,
+    random_instance,
     simplex_grid,
     soc_mal_value,
     system_optimum,
     tight,
     validate,
 )
+from malice.oracle import GRID_CHUNK_ROWS, _grid_chunks
 
-from _support import oracle_ensemble
+from _support import (
+    count_waterfills,
+    oracle_ensemble,
+    reference_mal_soc_value,
+    reference_simplex_grid,
+)
 
 
 def test_grid_spec_validation():
@@ -51,6 +58,19 @@ def test_simplex_grid_enumeration():
     assert points == sorted(points)
     assert all(sum(p) == 5 for p in points)
     assert list(simplex_grid(3, 1)) == [(3,)]
+
+
+def test_chunked_grid_matches_recursive_order():
+    for n, m in ((0, 1), (3, 1), (0, 3), (1, 2), (5, 3), (7, 4), (4, 6)):
+        expected = list(reference_simplex_grid(n, m))
+        assert list(simplex_grid(n, m)) == expected
+        assert [tuple(row) for chunk in _grid_chunks(n, m) for row in chunk.tolist()] == expected
+    # 80,601 points: more than one chunk, and the order holds across the seams
+    chunks = list(_grid_chunks(400, 3))
+    assert len(chunks) > 1
+    assert all(len(chunk) == GRID_CHUNK_ROWS for chunk in chunks[:-1])
+    assert 0 < len(chunks[-1]) <= GRID_CHUNK_ROWS
+    assert [tuple(row) for chunk in chunks for row in chunk.tolist()] == list(reference_simplex_grid(400, 3))
 
 
 def test_single_link_has_no_strategic_choice():
@@ -91,6 +111,27 @@ def test_no_adversary_lower_bound_is_exact():
     for inst in (pigou(), tight(10), validate([(2, 1), (1, 2), (3, 0)])):
         expected = flow_cost(inst, system_optimum(inst, 1.0)[0])
         assert mal_soc_value(inst, 0.0, GridSpec(5)) == expected
+
+
+def test_mal_soc_value_equals_point_by_point_reference():
+    cases = [(inst, alpha, n) for inst, alpha in oracle_ensemble(8) for n in (7, 40)]
+    cases += [
+        (random_instance(seed=31, m=1), 0.4, 9),
+        (random_instance(seed=32, m=4), 0.7, 12),
+        (random_instance(seed=0, m=3), 0.3, 12),           # sensitive to the order of summation
+        (validate([(0, 1), (0, 1), (2, 0)]), 0.3, 10),   # zero-slope ties
+        (validate([(1, 0), (1, 0), (1, 0)]), 0.5, 10),   # symmetric links
+        (tight(10), 0.0, 10),
+        (random_instance(seed=33, m=3), 0.6, 400),         # more than one chunk
+    ]
+    for inst, alpha, n in cases:
+        assert mal_soc_value(inst, alpha, GridSpec(n)) == reference_mal_soc_value(inst, alpha, n)
+
+
+def test_mal_soc_value_runs_no_scalar_waterfill(monkeypatch):
+    calls = count_waterfills(monkeypatch)
+    mal_soc_value(random_instance(seed=34, m=3), 0.5, GridSpec(30))
+    assert calls == []
 
 
 def test_weak_duality_convergence_and_bracketing():
