@@ -18,10 +18,11 @@ import time
 from .errors import CertificateFailure, ValidationError
 from .families import SweepRow, com_sweep, network, pigou, random_instance, tight
 from .flows import flow_cost, system_optimum, wardrop_flow
-from .game import _check_alpha, _scaled_optimum, com_report, pure_equilibrium
+from .game import _scaled_optimum, com_report, pure_equilibrium
 from .model import (
     TOLERANCES,
     Instance,
+    check_alpha,
     dumps,
     emit_instance,
     instance_digest,
@@ -94,7 +95,7 @@ def _cmd_com(args) -> int:
 
 def _cmd_scale(args) -> int:
     inst = _load_instance(args.instance)
-    alpha = _check_alpha(args.alpha)
+    alpha = check_alpha(args.alpha)
     ystar, _ = system_optimum(inst, 1.0)
     opt_cost_1 = flow_cost(inst, ystar)
     result = _scaled_optimum(inst, alpha, ystar, opt_cost_1)
@@ -200,33 +201,33 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Adversarial load balancing on parallel links with linear latencies.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    instance = argparse.ArgumentParser(add_help=False)
+    instance.add_argument("--instance", required=True)
+    alpha = argparse.ArgumentParser(add_help=False)
+    alpha.add_argument("--alpha", type=float, required=True)
 
-    solve = sub.add_parser("solve", help="Equalized-latency or minimum-cost flow")
-    solve.add_argument("--instance", required=True)
+    solve = sub.add_parser("solve", parents=[instance],
+                           help="Equalized-latency or minimum-cost flow")
     mode = solve.add_mutually_exclusive_group(required=True)
     mode.add_argument("--wardrop", action="store_true", help="equalize latencies")
     mode.add_argument("--optimum", action="store_true", help="minimize total cost")
     solve.add_argument("--mass", type=float, required=True)
     solve.set_defaults(handler=_cmd_solve)
 
-    equilibrium = sub.add_parser("equilibrium", help="Pure equilibrium profile and certificate")
-    equilibrium.add_argument("--instance", required=True)
-    equilibrium.add_argument("--alpha", type=float, required=True)
+    equilibrium = sub.add_parser("equilibrium", parents=[instance, alpha],
+                                 help="Pure equilibrium profile and certificate")
     equilibrium.set_defaults(handler=_cmd_equilibrium)
 
-    com = sub.add_parser("com", help="Cost-of-malice report with all bounds")
-    com.add_argument("--instance", required=True)
-    com.add_argument("--alpha", type=float, required=True)
+    com = sub.add_parser("com", parents=[instance, alpha],
+                         help="Cost-of-malice report with all bounds")
     com.set_defaults(handler=_cmd_com)
 
-    scale = sub.add_parser("scale", help="Scaled-optimum strategy and its value")
-    scale.add_argument("--instance", required=True)
-    scale.add_argument("--alpha", type=float, required=True)
+    scale = sub.add_parser("scale", parents=[instance, alpha],
+                           help="Scaled-optimum strategy and its value")
     scale.set_defaults(handler=_cmd_scale)
 
-    verify = sub.add_parser("verify", help="Brute-force bracket of the game value")
-    verify.add_argument("--instance", required=True)
-    verify.add_argument("--alpha", type=float, required=True)
+    verify = sub.add_parser("verify", parents=[instance, alpha],
+                            help="Brute-force bracket of the game value")
     verify.add_argument("--grid", type=int, required=True)
     verify.set_defaults(handler=_cmd_verify)
 
@@ -238,8 +239,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--out", default=None)
     gen.set_defaults(handler=_cmd_gen)
 
-    sweep = sub.add_parser("sweep", help="Cost-of-malice sweep over alphas")
-    sweep.add_argument("--instance", required=True)
+    sweep = sub.add_parser("sweep", parents=[instance], help="Cost-of-malice sweep over alphas")
     sweep.add_argument("--alphas", required=True, help="start:stop:step or a single value")
     sweep.add_argument("--csv", default=None, help="write CSV to this path ('-' for stdout)")
     sweep.set_defaults(handler=_cmd_sweep)

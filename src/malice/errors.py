@@ -50,7 +50,7 @@ class NonPositiveM(ValidationError):
 
 
 class InvalidM(ValidationError):
-    """The link count of the network demonstrator must be a positive integer."""
+    """A generated instance's link count is out of range (`network`, `random_instance`)."""
 
 
 class InvalidRange(ValidationError):

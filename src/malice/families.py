@@ -4,7 +4,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .errors import InvalidAlpha, InvalidM, InvalidRange, NonPositiveM
+from .errors import InvalidM, InvalidRange, NonPositiveM
 from .flows import flow_cost, induced_optimum, system_optimum
 from .game import _com_alpha, _com_at, _unit_solves
 from .model import Flow, Instance, cost, validate
@@ -49,9 +49,7 @@ def network_demo(m: int, alpha: float) -> tuple[float, dict]:
     that the adversary's path strategy is optimal.
     """
     inst = network(m)
-    alpha = float(alpha)
-    if not math.isfinite(alpha) or not 0.0 <= alpha < 1.0:
-        raise InvalidAlpha(f"alpha must lie in [0, 1), got {alpha}")
+    alpha = _com_alpha(alpha)
     loads = [alpha] * m
     total = 0.0
     for v in loads:

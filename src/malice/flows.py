@@ -23,8 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidMass
-from .model import Flow, Instance
+from .model import Flow, Instance, check_links, check_mass
 
 
 @dataclass(frozen=True)
@@ -33,13 +32,6 @@ class WaterLevel:
 
     level: float
     support: frozenset[int]
-
-
-def _check_mass(beta: float) -> float:
-    beta = float(beta)
-    if not math.isfinite(beta) or beta < 0.0:
-        raise InvalidMass(f"mass must be finite and nonnegative, got {beta}")
-    return beta
 
 
 def _positive_slope_level(order, slopes, intercepts, mass):
@@ -163,16 +155,21 @@ def waterfill_rows(slopes, intercepts, mass) -> tuple[np.ndarray, np.ndarray]:
     return level, loads
 
 
+def _solve(slopes, intercepts, beta) -> tuple[Flow, WaterLevel]:
+    """Water-fill mass beta over the given coefficients into a checked Flow."""
+    beta = check_mass(beta)
+    level, values = waterfill(slopes, intercepts, beta)
+    flow = Flow(tuple(values), beta)
+    return flow, WaterLevel(level, flow.support)
+
+
 def wardrop_flow(inst: Instance, beta: float) -> tuple[Flow, WaterLevel]:
     """Flow of mass beta equalizing latency over loaded links.
 
     Every loaded link i satisfies l_i(f_i) <= l_j(f_j) for all j, the
     outcome of infinitesimal selfish agents routing the mass themselves.
     """
-    beta = _check_mass(beta)
-    level, values = waterfill(inst.slopes, inst.intercepts, beta)
-    flow = Flow(tuple(values), beta)
-    return flow, WaterLevel(level, flow.support)
+    return _solve(inst.slopes, inst.intercepts, beta)
 
 
 def system_optimum(inst: Instance, beta: float) -> tuple[Flow, WaterLevel]:
@@ -182,11 +179,7 @@ def system_optimum(inst: Instance, beta: float) -> tuple[Flow, WaterLevel]:
     water-filling kernel on the doubled-slope coefficients.  The returned
     level is the common marginal cost of the loaded links.
     """
-    beta = _check_mass(beta)
-    doubled = tuple(2.0 * a for a in inst.slopes)
-    level, values = waterfill(doubled, inst.intercepts, beta)
-    flow = Flow(tuple(values), beta)
-    return flow, WaterLevel(level, flow.support)
+    return _solve(tuple(2.0 * a for a in inst.slopes), inst.intercepts, beta)
 
 
 def induced_optimum(inst: Instance, x: Flow, beta: float) -> tuple[Flow, WaterLevel]:
@@ -195,20 +188,15 @@ def induced_optimum(inst: Instance, x: Flow, beta: float) -> tuple[Flow, WaterLe
     With x fixed, link i behaves as slope a_i and intercept a_i x_i + b_i,
     so the optimum equalizes 2 a_i y_i + a_i x_i + b_i over loaded links.
     """
-    if len(x.values) != inst.m:
-        raise DimensionMismatch("flow must have one entry per link")
-    beta = _check_mass(beta)
+    check_links(inst, x)
     doubled = tuple(2.0 * a for a in inst.slopes)
     shifted = tuple(a * xi + b for (a, b), xi in zip(inst.links, x.values))
-    level, values = waterfill(doubled, shifted, beta)
-    flow = Flow(tuple(values), beta)
-    return flow, WaterLevel(level, flow.support)
+    return _solve(doubled, shifted, beta)
 
 
 def flow_cost(inst: Instance, f: Flow) -> float:
     """Total cost sum_k f_k * (a_k f_k + b_k) of a single flow."""
-    if len(f.values) != inst.m:
-        raise DimensionMismatch("flow must have one entry per link")
+    check_links(inst, f)
     total = 0.0
     for (a, b), v in zip(inst.links, f.values):
         total += v * (a * v + b)

@@ -8,15 +8,9 @@ latencies, and the two residual checks below certify mutual best
 response machine-checkably.
 """
 
-import math
 from dataclasses import dataclass
 
-from .errors import (
-    CertificateFailure,
-    DegenerateInstance,
-    DimensionMismatch,
-    InvalidAlpha,
-)
+from .errors import CertificateFailure, DegenerateInstance, InvalidAlpha
 from .flows import flow_cost, induced_optimum, system_optimum, wardrop_flow
 from .model import (
     CERT_FAIL_TOL,
@@ -26,6 +20,8 @@ from .model import (
     Flow,
     Instance,
     Profile,
+    check_alpha,
+    check_links,
     cost,
 )
 
@@ -39,11 +35,15 @@ class BestResponseResult:
     support_rule: str
 
 
-def _check_alpha(alpha: float) -> float:
-    alpha = float(alpha)
-    if not math.isfinite(alpha) or not 0.0 <= alpha <= 1.0:
-        raise InvalidAlpha(f"alpha must lie in [0, 1], got {alpha}")
-    return alpha
+def _most_damaging(inst: Instance, values) -> int:
+    """The lowest index maximizing a_k v_k."""
+    damage = [a * v for a, v in zip(inst.slopes, values)]
+    return damage.index(max(damage))
+
+
+def _soc_mass(x: Flow) -> float:
+    """SOC's share 1 - alpha against adversarial loads x, floored at zero."""
+    return max(1.0 - x.mass, 0.0)
 
 
 def mal_best_response(inst: Instance, y: Flow, alpha: float) -> BestResponseResult:
@@ -54,14 +54,9 @@ def mal_best_response(inst: Instance, y: Flow, alpha: float) -> BestResponseResu
     matter how the mass is spread over the maximizing links.  Ties break
     to the lowest index so results are reproducible.
     """
-    alpha = _check_alpha(alpha)
-    if len(y.values) != inst.m:
-        raise DimensionMismatch("flow must have one entry per link")
-    damage = [a * yi for a, yi in zip(inst.slopes, y.values)]
-    best = 0
-    for i in range(1, inst.m):
-        if damage[i] > damage[best]:
-            best = i
+    alpha = check_alpha(alpha)
+    check_links(inst, y)
+    best = _most_damaging(inst, y.values)
     values = [0.0] * inst.m
     values[best] = alpha
     x = Flow(tuple(values), alpha)
@@ -76,43 +71,38 @@ def soc_best_response(inst: Instance, x: Flow) -> BestResponseResult:
     """
     if x.mass > 1.0 + CHECK_TOL:
         raise InvalidAlpha(f"adversarial mass {x.mass} exceeds the unit total")
-    beta = 1.0 - x.mass
-    if beta < 0.0:
-        beta = 0.0
-    y, _ = induced_optimum(inst, x, beta)
+    y, _ = induced_optimum(inst, x, _soc_mass(x))
     return BestResponseResult(y, cost(inst, x, y), "induced-optimum")
 
 
-def check_mal_br(inst: Instance, x: Flow, y: Flow, tol: float = CHECK_TOL) -> float:
+def check_mal_br(inst: Instance, x: Flow, y: Flow) -> float:
     """Residual of the adversary's best-response condition.
 
     x is a best response to y iff every loaded link attains
     max_j a_j y_j; the residual is max_j a_j y_j minus the worst loaded
-    link's a_i y_i, and zero when x has no support above tol.
+    link's a_i y_i, and zero when x has no support above CHECK_TOL.
     """
-    if len(x.values) != inst.m or len(y.values) != inst.m:
-        raise DimensionMismatch("flows must have one entry per link")
+    check_links(inst, x, y)
     damage = [a * yi for a, yi in zip(inst.slopes, y.values)]
-    loaded = [damage[i] for i in range(inst.m) if x.values[i] > tol]
+    loaded = [damage[i] for i in range(inst.m) if x.values[i] > CHECK_TOL]
     if not loaded:
         return 0.0
     return max(damage) - min(loaded)
 
 
-def check_soc_br(inst: Instance, x: Flow, y: Flow, tol: float = CHECK_TOL) -> float:
+def check_soc_br(inst: Instance, x: Flow, y: Flow) -> float:
     """Residual of SOC's best-response condition under induced latencies.
 
     y is optimal iff every loaded link has minimal induced marginal cost
     2 a_i y_i + a_i x_i + b_i; the residual is the worst loaded marginal
     minus the smallest marginal anywhere, floored at zero.
     """
-    if len(x.values) != inst.m or len(y.values) != inst.m:
-        raise DimensionMismatch("flows must have one entry per link")
+    check_links(inst, x, y)
     marginal = [
         2.0 * a * yi + a * xi + b
         for (a, b), xi, yi in zip(inst.links, x.values, y.values)
     ]
-    loaded = [marginal[i] for i in range(inst.m) if y.values[i] > tol]
+    loaded = [marginal[i] for i in range(inst.m) if y.values[i] > CHECK_TOL]
     if not loaded:
         return 0.0
     residual = max(loaded) - min(marginal)
@@ -129,7 +119,7 @@ def pure_equilibrium(inst: Instance, alpha: float) -> tuple[Profile, Equilibrium
     certificate rather than assumed; the value is recomputed from the
     profile so certificate and value cannot drift apart.
     """
-    alpha = _check_alpha(alpha)
+    alpha = check_alpha(alpha)
     x, _ = wardrop_flow(inst, alpha)
     br = soc_best_response(inst, x)
     y = br.flow
@@ -152,10 +142,7 @@ def evasive_response(inst: Instance, x: Flow) -> BestResponseResult:
     SOC's mass (the skipped links freed at least that much room).  Every
     link used stays at total load at most s_i, hence at latency at most L.
     """
-    alpha = x.mass
-    beta = 1.0 - alpha
-    if beta < 0.0:
-        beta = 0.0
+    beta = _soc_mass(x)
     s, _ = wardrop_flow(inst, 1.0)
     values = [0.0] * inst.m
     remaining = beta
@@ -186,7 +173,7 @@ def scale_strategy(inst: Instance, alpha: float) -> BestResponseResult:
     with t the link maximizing a_k y*_k, and the two must agree; a
     disagreement signals a solver bug.
     """
-    alpha = _check_alpha(alpha)
+    alpha = check_alpha(alpha)
     ystar, _ = system_optimum(inst, 1.0)
     return _scaled_optimum(inst, alpha, ystar, flow_cost(inst, ystar))
 
@@ -201,12 +188,9 @@ def _scaled_optimum(inst: Instance, alpha: float, ystar: Flow,
     y = Flow(scaled_values, total)
     br = mal_best_response(inst, y, alpha)
     value = br.value
-    damage = [a * v for a, v in zip(inst.slopes, ystar.values)]
-    t = 0
-    for i in range(1, inst.m):
-        if damage[i] > damage[t]:
-            t = i
-    spread = damage[t] + sum(b * v for (_, b), v in zip(inst.links, ystar.values))
+    t = _most_damaging(inst, ystar.values)
+    spread = inst.slopes[t] * ystar.values[t]
+    spread += sum(b * v for (_, b), v in zip(inst.links, ystar.values))
     expansion = (1.0 - alpha) ** 2 * opt_cost + alpha * (1.0 - alpha) * spread
     if abs(value - expansion) > CERT_FAIL_TOL * max(1.0, abs(value)):
         raise CertificateFailure(
@@ -225,7 +209,8 @@ def com_report(inst: Instance, alpha: float) -> ComReport:
 
 
 def _com_alpha(alpha: float) -> float:
-    alpha = _check_alpha(alpha)
+    """alpha checked against [0, 1), the range where cost of malice is defined."""
+    alpha = check_alpha(alpha)
     if alpha >= 1.0:
         raise InvalidAlpha("cost of malice is undefined at alpha = 1")
     return alpha

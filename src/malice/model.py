@@ -51,6 +51,28 @@ TOLERANCES = {
 }
 
 
+def check_alpha(alpha: float) -> float:
+    """MAL's share of the unit total, as a float in [0, 1]."""
+    alpha = float(alpha)
+    if not math.isfinite(alpha) or not 0.0 <= alpha <= 1.0:
+        raise InvalidAlpha(f"alpha must lie in [0, 1], got {alpha}")
+    return alpha
+
+
+def check_mass(mass: float) -> float:
+    """A flow's declared mass, as a finite nonnegative float."""
+    mass = float(mass)
+    if not math.isfinite(mass) or mass < 0.0:
+        raise InvalidMass(f"mass must be finite and nonnegative, got {mass}")
+    return mass
+
+
+def check_sum(total: float, mass: float) -> None:
+    """Flow entries summing to total must match their mass within MASS_TOL * max(1, mass)."""
+    if not abs(total - mass) <= MASS_TOL * max(1.0, mass):  # a NaN total fails too
+        raise InvalidMass(f"flow entries sum to {total}, declared mass {mass}")
+
+
 @dataclass(frozen=True)
 class Instance:
     """m parallel links, each a (slope, intercept) pair of its latency."""
@@ -94,6 +116,14 @@ def validate(raw_links) -> Instance:
     return Instance(tuple((a, b) for a, b in raw_links))
 
 
+def check_links(inst: Instance, *flows) -> None:
+    """Reject any flow whose length differs from the instance's link count."""
+    m = len(inst.links)
+    for f in flows:
+        if len(f.values) != m:
+            raise DimensionMismatch("each flow must have one entry per link")
+
+
 @dataclass(frozen=True)
 class Flow:
     """A nonnegative allocation over links together with its declared mass.
@@ -107,9 +137,7 @@ class Flow:
     mass: float
 
     def __post_init__(self):
-        mass = float(self.mass)
-        if not math.isfinite(mass) or mass < 0.0:
-            raise InvalidMass(f"flow mass must be finite and nonnegative, got {mass}")
+        mass = check_mass(self.mass)
         clean = []
         for v in self.values:
             v = float(v)
@@ -121,8 +149,7 @@ class Flow:
         total = 0.0
         for v in clean:
             total += v
-        if abs(total - mass) > MASS_TOL * max(1.0, mass):
-            raise InvalidMass(f"flow entries sum to {total}, declared mass {mass}")
+        check_sum(total, mass)
         object.__setattr__(self, "values", tuple(clean))
         object.__setattr__(self, "mass", mass)
 
@@ -144,9 +171,7 @@ class Profile:
     alpha: float
 
     def __post_init__(self):
-        alpha = float(self.alpha)
-        if not math.isfinite(alpha) or not 0.0 <= alpha <= 1.0:
-            raise InvalidAlpha(f"alpha must lie in [0, 1], got {alpha}")
+        alpha = check_alpha(self.alpha)
         if len(self.mal.values) != len(self.soc.values):
             raise DimensionMismatch("profile flows must cover the same links")
         if abs(self.mal.mass - alpha) > MASS_TOL:
@@ -199,8 +224,7 @@ class ComReport:
 
 def cost(inst: Instance, x: Flow, y: Flow) -> float:
     """SOC's cost sum_k y_k * (a_k (x_k + y_k) + b_k) at the profile (x, y)."""
-    if len(x.values) != inst.m or len(y.values) != inst.m:
-        raise DimensionMismatch("flows must have one entry per link")
+    check_links(inst, x, y)
     total = 0.0
     for (a, b), xi, yi in zip(inst.links, x.values, y.values):
         total += yi * (a * (xi + yi) + b)
@@ -217,6 +241,8 @@ def cost(inst: Instance, x: Flow, y: Flow) -> float:
 
 
 def _fmt_float(x: float) -> str:
+    if not math.isfinite(x):
+        raise ValueError(f"cannot serialize the non-finite number {x}")
     return format(x, ".17g")
 
 

@@ -29,8 +29,7 @@ import numpy as np
 
 from .errors import GridTooLarge, InvalidRange
 from .flows import waterfill_rows
-from .game import _check_alpha
-from .model import Instance
+from .model import Instance, check_alpha, check_sum
 
 DEFAULT_POINT_CAP = 2_000_000
 GRID_CHUNK_ROWS = 2_048  # grid points per numpy pass: bounds working memory, keeps it in cache
@@ -84,14 +83,16 @@ def simplex_grid(n: int, m: int):
         yield from map(tuple, chunk.tolist())
 
 
-def _checked_points(inst: Instance, grid: GridSpec) -> int:
+def _checked_inputs(inst: Instance, alpha: float, grid: GridSpec):
+    """The checked alpha and the coefficients as arrays, once the grid fits its cap."""
+    alpha = check_alpha(alpha)
     count = grid.points(inst.m)
     if count > grid.max_points:
         raise GridTooLarge(
             f"{count} grid points on {inst.m} links at resolution {grid.resolution} "
             f"exceed the cap {grid.max_points}"
         )
-    return count
+    return alpha, np.array(inst.slopes), np.array(inst.intercepts)
 
 
 def soc_mal_value(inst: Instance, alpha: float, grid: GridSpec) -> float:
@@ -99,10 +100,7 @@ def soc_mal_value(inst: Instance, alpha: float, grid: GridSpec) -> float:
 
     An upper bound on the game value, tight to O(1/resolution).
     """
-    alpha = _check_alpha(alpha)
-    _checked_points(inst, grid)
-    a = np.array(inst.slopes)
-    b = np.array(inst.intercepts)
+    alpha, a, b = _checked_inputs(inst, alpha, grid)
     best = math.inf
     for parts in _grid_chunks(grid.resolution, inst.m):
         y = (1.0 - alpha) * (parts / grid.resolution)
@@ -120,21 +118,24 @@ def soc_mal_value(inst: Instance, alpha: float, grid: GridSpec) -> float:
 def mal_soc_value(inst: Instance, alpha: float, grid: GridSpec) -> float:
     """max over gridded adversarial strategies of SOC's exact best reply.
 
-    A lower bound on the game value, tight to O(1/resolution).
+    A lower bound on the game value, tight to O(1/resolution).  A reply
+    whose loads miss SOC's mass 1 - alpha raises InvalidMass, as a Flow
+    of those loads would, rather than enter the bound.
     """
-    alpha = _check_alpha(alpha)
-    _checked_points(inst, grid)
-    a = np.array(inst.slopes)
-    b = np.array(inst.intercepts)
+    alpha, a, b = _checked_inputs(inst, alpha, grid)
     doubled = 2.0 * a
+    beta = 1.0 - alpha
     best = -math.inf
     for parts in _grid_chunks(grid.resolution, inst.m):
         x = alpha * (parts / grid.resolution)
-        _, y = waterfill_rows(doubled, a * x + b, 1.0 - alpha)
-        # summed link by link in index order, as a point-by-point loop would
+        _, y = waterfill_rows(doubled, a * x + b, beta)
+        # summed link by link in index order, as a point-by-point loop and Flow would
         values = np.zeros(len(y))
+        totals = np.zeros(len(y))
         for i in range(inst.m):
             values += y[:, i] * (a[i] * (x[:, i] + y[:, i]) + b[i])
+            totals += y[:, i]
+        check_sum(float(totals[np.argmax(np.abs(totals - beta))]), beta)
         best = max(best, float(values.max()))
     return best
 

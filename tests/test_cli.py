@@ -273,3 +273,15 @@ def test_subnormal_slope_is_exit_2(tmp_path):
         assert proc.stdout == b""
         assert b"subnormal slope" in proc.stderr, describe_child(proc)
         assert b"Traceback" not in proc.stderr
+
+
+def test_non_finite_report_number_is_exit_2(tmp_path):
+    # the doubled slope overflows, so the optimum's level is infinite,
+    # which has no JSON form
+    path = tmp_path / "huge.json"
+    path.write_text('{"links": [{"a": 1e308, "b": 0}]}\n')
+    proc = _cli(["solve", "--instance", str(path), "--optimum", "--mass", "1"], tmp_path)
+    assert proc.returncode == 2, describe_child(proc)
+    assert proc.stdout == b""
+    assert b"Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1, describe_child(proc)

@@ -5,6 +5,7 @@ import pytest
 from malice import (
     GridSpec,
     GridTooLarge,
+    InvalidMass,
     InvalidRange,
     flow_cost,
     mal_soc_value,
@@ -111,6 +112,16 @@ def test_no_adversary_lower_bound_is_exact():
     for inst in (pigou(), tight(10), validate([(2, 1), (1, 2), (3, 0)])):
         expected = flow_cost(inst, system_optimum(inst, 1.0)[0])
         assert mal_soc_value(inst, 0.0, GridSpec(5)) == expected
+
+
+def test_lower_bound_rejects_replies_that_miss_their_mass():
+    # the water-fill level rounds back to the intercept and places nothing;
+    # the pure equilibrium rejects the instance the same way
+    inst = validate([(1e-17, 1.0)])
+    with pytest.raises(InvalidMass):
+        pure_equilibrium(inst, 0.5)
+    with pytest.raises(InvalidMass):
+        minimax_gap(inst, 0.5, GridSpec(10))
 
 
 def test_mal_soc_value_equals_point_by_point_reference():
