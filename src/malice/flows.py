@@ -4,8 +4,9 @@ Both solvers reduce to the same kernel: given per-link slopes and
 intercepts, raise a common level L and load every link whose intercept
 lies below it with (L - b_i) / a_i until the loads absorb the requested
 mass.  The level equation is piecewise linear and increasing in L, so it
-is solved in closed form segment by segment after sorting the intercepts
-(O(m log m)); no iteration and no tolerance enter the solve itself.
+is solved in closed form segment by segment, walking the links in
+increasing intercept order; no iteration and no tolerance enter the
+solve itself.
 
 Zero-slope links have unbounded capacity at their own intercept, so the
 level can never rise past the smallest zero-slope intercept.  When it
@@ -16,14 +17,25 @@ equal rule keeps results deterministic and symmetric.
 The equalized-latency solve uses the latency coefficients directly.  The
 minimum-cost solve is the same kernel on doubled slopes, because the
 marginal cost of link i at load z is 2 a_i z + b_i.
+
+One order serves every solve of an instance.  `Instance.order` holds its
+links sorted once by (intercept, index), and the kernel walks only the
+prefix of that order it needs: the links below the level, plus the one
+that stops the fill.  The loaded links are exactly that prefix, so a
+solve costs O(support) on top of allocating its result, not O(m log m).
+The intercepts a load x induces, a_i x_i + b_i, differ from b only on
+x's support (a_i * 0.0 + b_i == b_i), so `induced_optimum` merges x's
+support, sorted by its shifted intercepts, into the cached order instead
+of sorting all m links again.  Under MAL's Wardrop flow at level L the
+shifted intercept is max(b_i, L) up to rounding, so that support sits at
+the front of the merged order.
 """
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
-import numpy as np
-
-from .model import Flow, Instance, check_links, check_mass
+from .model import Flow, Instance, check_links, check_mass, intercept_order
 
 
 @dataclass(frozen=True)
@@ -34,44 +46,50 @@ class WaterLevel:
     support: frozenset[int]
 
 
-def _positive_slope_level(order, slopes, intercepts, mass):
-    """Level absorbing `mass` if only the positive-slope links existed."""
-    inv_sum = 0.0   # sum of 1/a over links below the level
-    off_sum = 0.0   # sum of b/a over links below the level
-    k = 0
-    n = len(order)
-    while k < n:
-        t = intercepts[order[k]]
-        if inv_sum > 0.0 and inv_sum * t - off_sum >= mass:
-            break
-        while k < n and intercepts[order[k]] == t:
-            i = order[k]
-            inv_sum += 1.0 / slopes[i]
-            off_sum += intercepts[i] / slopes[i]
-            k += 1
-    if inv_sum == 0.0:
-        return math.inf
-    return (mass + off_sum) / inv_sum
-
-
-def waterfill(slopes, intercepts, mass) -> tuple[float, list[float]]:
+def waterfill(slopes, intercepts, mass, order=None) -> tuple[float, list[float]]:
     """Low-level kernel: distribute `mass` across links at a common level.
 
     Returns (level, loads).  A zero mass returns the all-zero loading at
     level min(intercepts), the limit of the level from the right.
+
+    order is intercept_order(slopes, intercepts), sorted here when not
+    given.  Its first part, the positive-slope links, may be any iterable
+    in that order; it is walked once, and only as far as the fill needs.
     """
-    m = len(slopes)
-    values = [0.0] * m
+    values = [0.0] * len(slopes)
     if mass == 0.0:
         return min(intercepts), values
-    cap = math.inf
-    for a, b in zip(slopes, intercepts):
-        if a == 0.0 and b < cap:
-            cap = b
-    order = sorted((i for i in range(m) if slopes[i] > 0.0), key=lambda i: intercepts[i])
-    level = _positive_slope_level(order, slopes, intercepts, mass)
-    if level <= cap:
-        loaded = [i for i in order if intercepts[i] < level]
+    positive, flat = intercept_order(slopes, intercepts) if order is None else order
+    cap = intercepts[flat[0]] if len(flat) else math.inf
+    unvisited = iter(positive)
+    walked = []     # the links taken from it so far
+    inv_sum = 0.0   # sum of 1/a over links below the level
+    off_sum = 0.0   # sum of b/a over links below the level
+    group = None    # intercept of the links being joined
+    for i in unvisited:
+        walked.append(i)
+        t = intercepts[i]
+        if t != group:
+            # links with equal intercepts join together; a new intercept
+            # that the demand already reaches stops the fill
+            if inv_sum > 0.0 and inv_sum * t - off_sum >= mass:
+                break
+            group = t
+        a = slopes[i]
+        inv_sum += 1.0 / a
+        off_sum += t / a
+    level = (mass + off_sum) / inv_sum if inv_sum > 0.0 else math.inf
+    pinned = level > cap
+    if pinned:
+        level = cap
+    # the loaded links: every link of the order below the level, which
+    # rounding can put past the link that stopped the fill
+    loaded = []
+    for i in chain(walked, unvisited):
+        if not intercepts[i] < level:
+            break
+        loaded.append(i)
+    if not pinned:
         if len(loaded) == 1:
             # a single loaded link carries the whole mass exactly
             values[loaded[0]] = mass
@@ -81,24 +99,26 @@ def waterfill(slopes, intercepts, mass) -> tuple[float, list[float]]:
         return level, values
     # level pinned at the smallest zero-slope intercept; those links soak
     # up whatever the positive-slope links cannot absorb below it
-    level = cap
     placed = 0.0
-    for i in order:
-        if intercepts[i] < level:
-            v = (level - intercepts[i]) / slopes[i]
-            values[i] = v
-            placed += v
+    for i in loaded:
+        v = (level - intercepts[i]) / slopes[i]
+        values[i] = v
+        placed += v
     rest = mass - placed
     if rest < 0.0:
         rest = 0.0
-    ties = [i for i in range(m) if slopes[i] == 0.0 and intercepts[i] == cap]
+    ties = []
+    for i in flat:
+        if intercepts[i] != cap:
+            break
+        ties.append(i)
     share = rest / len(ties)
     for i in ties:
         values[i] = share
     return level, values
 
 
-def waterfill_rows(slopes, intercepts, mass) -> tuple[np.ndarray, np.ndarray]:
+def waterfill_rows(slopes, intercepts, mass) -> "tuple[np.ndarray, np.ndarray]":
     """`waterfill` over a batch of intercept rows sharing slopes and mass.
 
     slopes has shape (m,) and intercepts (B, m).  Returns (levels[B],
@@ -107,6 +127,8 @@ def waterfill_rows(slopes, intercepts, mass) -> tuple[np.ndarray, np.ndarray]:
     waterfill(slopes, row, mass).  The per-call overhead is far above the
     scalar kernel's, so it pays only for many rows of few links.
     """
+    import numpy as np  # only the batched kernel needs numpy; importing it costs more than a CLI run
+
     slopes = np.asarray(slopes, dtype=np.float64)
     intercepts = np.asarray(intercepts, dtype=np.float64)
     rows, m = intercepts.shape
@@ -155,11 +177,11 @@ def waterfill_rows(slopes, intercepts, mass) -> tuple[np.ndarray, np.ndarray]:
     return level, loads
 
 
-def _solve(slopes, intercepts, beta) -> tuple[Flow, WaterLevel]:
+def _solve(slopes, intercepts, beta, order=None) -> tuple[Flow, WaterLevel]:
     """Water-fill mass beta over the given coefficients into a checked Flow."""
     beta = check_mass(beta)
-    level, values = waterfill(slopes, intercepts, beta)
-    flow = Flow(tuple(values), beta)
+    level, values = waterfill(slopes, intercepts, beta, order)
+    flow = Flow(values, beta)
     return flow, WaterLevel(level, flow.support)
 
 
@@ -169,7 +191,7 @@ def wardrop_flow(inst: Instance, beta: float) -> tuple[Flow, WaterLevel]:
     Every loaded link i satisfies l_i(f_i) <= l_j(f_j) for all j, the
     outcome of infinitesimal selfish agents routing the mass themselves.
     """
-    return _solve(inst.slopes, inst.intercepts, beta)
+    return _solve(inst.slopes, inst.intercepts, beta, inst.order)
 
 
 def system_optimum(inst: Instance, beta: float) -> tuple[Flow, WaterLevel]:
@@ -179,7 +201,25 @@ def system_optimum(inst: Instance, beta: float) -> tuple[Flow, WaterLevel]:
     water-filling kernel on the doubled-slope coefficients.  The returned
     level is the common marginal cost of the loaded links.
     """
-    return _solve(tuple(2.0 * a for a in inst.slopes), inst.intercepts, beta)
+    return _solve(inst.doubled_slopes, inst.intercepts, beta, inst.order)
+
+
+def _merged(positive, moved, keys, skip):
+    """positive without the links where skip is nonzero, merged with moved;
+    both are in increasing (keys[i], i) order, and so is the result."""
+    pending = iter(moved)
+    k = next(pending, None)
+    for i in positive:
+        if skip[i]:
+            continue
+        t = keys[i]
+        while k is not None and (keys[k] < t or (keys[k] == t and k < i)):
+            yield k
+            k = next(pending, None)
+        yield i
+    if k is not None:
+        yield k
+        yield from pending
 
 
 def induced_optimum(inst: Instance, x: Flow, beta: float) -> tuple[Flow, WaterLevel]:
@@ -189,15 +229,34 @@ def induced_optimum(inst: Instance, x: Flow, beta: float) -> tuple[Flow, WaterLe
     so the optimum equalizes 2 a_i y_i + a_i x_i + b_i over loaded links.
     """
     check_links(inst, x)
-    doubled = tuple(2.0 * a for a in inst.slopes)
-    shifted = tuple(a * xi + b for (a, b), xi in zip(inst.links, x.values))
-    return _solve(doubled, shifted, beta)
+    order = inst.order
+    if order is None:
+        shifted = [a * xi + b for (a, b), xi in zip(inst.links, x.values)]
+        return _solve(inst.doubled_slopes, shifted, beta)
+    a = inst.slopes
+    xv = x.values
+    shifted = list(inst.intercepts)
+    for i in x.nonzero:
+        shifted[i] = a[i] * xv[i] + shifted[i]
+    # a zero-slope link keeps its intercept, so only positive slopes move
+    positive, flat = order
+    moved = sorted([i for i in x.nonzero if a[i] > 0.0], key=shifted.__getitem__)
+    order = (_merged(positive, moved, shifted, xv), flat)
+    return _solve(inst.doubled_slopes, shifted, beta, order)
 
 
 def flow_cost(inst: Instance, f: Flow) -> float:
-    """Total cost sum_k f_k * (a_k f_k + b_k) of a single flow."""
+    """Total cost sum_k f_k * (a_k f_k + b_k) of a single flow.
+
+    Summed in index order over f's nonzero entries; a zero entry's term
+    is exactly zero.
+    """
     check_links(inst, f)
+    links = inst.links
+    v = f.values
     total = 0.0
-    for (a, b), v in zip(inst.links, f.values):
-        total += v * (a * v + b)
+    for k in f.nonzero:
+        a, b = links[k]
+        vk = v[k]
+        total += vk * (a * vk + b)
     return total

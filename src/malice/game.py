@@ -35,10 +35,23 @@ class BestResponseResult:
     support_rule: str
 
 
-def _most_damaging(inst: Instance, values) -> int:
-    """The lowest index maximizing a_k v_k."""
-    damage = [a * v for a, v in zip(inst.slopes, values)]
-    return damage.index(max(damage))
+def _most_damaging(inst: Instance, f: Flow) -> int:
+    """The lowest index maximizing a_k f_k.
+
+    Only f's nonzero entries can do positive damage; when none does,
+    every link ties at zero and the full scan picks among them.
+    """
+    a = inst.slopes
+    v = f.values
+    best = -1
+    top = 0.0
+    for k in f.nonzero:
+        if a[k] * v[k] > top:
+            best, top = k, a[k] * v[k]
+    if best < 0:
+        damage = [ak * vk for ak, vk in zip(a, v)]
+        return damage.index(max(damage))
+    return best
 
 
 def _soc_mass(x: Flow) -> float:
@@ -56,10 +69,10 @@ def mal_best_response(inst: Instance, y: Flow, alpha: float) -> BestResponseResu
     """
     alpha = check_alpha(alpha)
     check_links(inst, y)
-    best = _most_damaging(inst, y.values)
+    best = _most_damaging(inst, y)
     values = [0.0] * inst.m
     values[best] = alpha
-    x = Flow(tuple(values), alpha)
+    x = Flow(values, alpha)
     return BestResponseResult(x, cost(inst, x, y), f"argmax:{best}")
 
 
@@ -83,11 +96,14 @@ def check_mal_br(inst: Instance, x: Flow, y: Flow) -> float:
     link's a_i y_i, and zero when x has no support above CHECK_TOL.
     """
     check_links(inst, x, y)
-    damage = [a * yi for a, yi in zip(inst.slopes, y.values)]
-    loaded = [damage[i] for i in range(inst.m) if x.values[i] > CHECK_TOL]
+    a = inst.slopes
+    xv = x.values
+    yv = y.values
+    loaded = [a[i] * yv[i] for i in x.nonzero if xv[i] > CHECK_TOL]
     if not loaded:
         return 0.0
-    return max(damage) - min(loaded)
+    t = _most_damaging(inst, y)
+    return a[t] * yv[t] - min(loaded)
 
 
 def check_soc_br(inst: Instance, x: Flow, y: Flow) -> float:
@@ -98,14 +114,29 @@ def check_soc_br(inst: Instance, x: Flow, y: Flow) -> float:
     minus the smallest marginal anywhere, floored at zero.
     """
     check_links(inst, x, y)
-    marginal = [
-        2.0 * a * yi + a * xi + b
-        for (a, b), xi, yi in zip(inst.links, x.values, y.values)
-    ]
-    loaded = [marginal[i] for i in range(inst.m) if y.values[i] > CHECK_TOL]
+    a = inst.slopes
+    b = inst.intercepts
+    xv = x.values
+    yv = y.values
+    loaded = [2.0 * a[i] * yv[i] + a[i] * xv[i] + b[i] for i in y.nonzero if yv[i] > CHECK_TOL]
     if not loaded:
         return 0.0
-    residual = max(loaded) - min(marginal)
+    order = inst.order
+    if order is None:
+        low = min([2.0 * ak * yk + ak * xk + bk for ak, bk, xk, yk in zip(a, b, xv, yv)])
+    else:
+        low = min(loaded)
+        # a marginal is never below its link's intercept, so only links
+        # with b_k < low can lower the minimum: a prefix of each part of
+        # the intercept order
+        for part in order:
+            for k in part:
+                if not b[k] < low:
+                    break
+                marginal = 2.0 * a[k] * yv[k] + a[k] * xv[k] + b[k]
+                if marginal < low:
+                    low = marginal
+    residual = max(loaded) - low
     return residual if residual > 0.0 else 0.0
 
 
@@ -142,6 +173,7 @@ def evasive_response(inst: Instance, x: Flow) -> BestResponseResult:
     SOC's mass (the skipped links freed at least that much room).  Every
     link used stays at total load at most s_i, hence at latency at most L.
     """
+    check_links(inst, x)
     beta = _soc_mass(x)
     s, _ = wardrop_flow(inst, 1.0)
     values = [0.0] * inst.m
@@ -181,16 +213,19 @@ def scale_strategy(inst: Instance, alpha: float) -> BestResponseResult:
 def _scaled_optimum(inst: Instance, alpha: float, ystar: Flow,
                     opt_cost: float) -> BestResponseResult:
     """scale_strategy given the unit optimum ystar and its cost."""
-    scaled_values = tuple((1.0 - alpha) * v for v in ystar.values)
+    scale = 1.0 - alpha
+    v = ystar.values
+    scaled = [0.0] * inst.m
     total = 0.0
-    for v in scaled_values:
-        total += v
-    y = Flow(scaled_values, total)
+    for k in ystar.nonzero:
+        scaled[k] = scale * v[k]
+        total += scaled[k]
+    y = Flow(scaled, total)
     br = mal_best_response(inst, y, alpha)
     value = br.value
-    t = _most_damaging(inst, ystar.values)
-    spread = inst.slopes[t] * ystar.values[t]
-    spread += sum(b * v for (_, b), v in zip(inst.links, ystar.values))
+    t = _most_damaging(inst, ystar)
+    spread = inst.slopes[t] * v[t]
+    spread += sum(inst.intercepts[k] * v[k] for k in ystar.nonzero)
     expansion = (1.0 - alpha) ** 2 * opt_cost + alpha * (1.0 - alpha) * spread
     if abs(value - expansion) > CERT_FAIL_TOL * max(1.0, abs(value)):
         raise CertificateFailure(

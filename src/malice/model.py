@@ -14,14 +14,20 @@ alpha = 0 and alpha = 1 need no special handling.
 
 Every type in this module is immutable after construction and every
 operation is a pure function, so everything here is safe to share
-across threads.
+across threads.  That includes what an Instance caches beside its
+fields (its slopes, intercepts, doubled slopes and intercept order) and
+what a Flow caches (the indices of its nonzero entries): each is built
+once in the constructor and never changed, and none of it enters repr,
+== or hash.
 """
 
 import hashlib
 import json
 import math
 import sys
+from array import array
 from dataclasses import dataclass
+from itertools import compress
 
 from .errors import (
     DimensionMismatch,
@@ -73,6 +79,20 @@ def check_sum(total: float, mass: float) -> None:
         raise InvalidMass(f"flow entries sum to {total}, declared mass {mass}")
 
 
+def _frozen(kind, items) -> memoryview:
+    """items packed in a read-only array of C type `kind`."""
+    return memoryview(array(kind, items)).toreadonly()
+
+
+def intercept_order(slopes, intercepts) -> tuple[memoryview, memoryview]:
+    """The positive-slope links and the zero-slope links, each as a read-only
+    array of link indices in increasing (intercept, index) order."""
+    key = intercepts.__getitem__
+    links = range(len(slopes))
+    return (_frozen("i", sorted([i for i in links if slopes[i] > 0.0], key=key)),
+            _frozen("i", sorted([i for i in links if slopes[i] == 0.0], key=key)))
+
+
 @dataclass(frozen=True)
 class Instance:
     """m parallel links, each a (slope, intercept) pair of its latency."""
@@ -83,6 +103,7 @@ class Instance:
         if len(self.links) == 0:
             raise EmptyInstance("an instance needs at least one link")
         clean = []
+        negative_zero = False
         for a, b in self.links:
             a = float(a)
             b = float(b)
@@ -92,11 +113,24 @@ class Instance:
                 raise NegativeCoefficient(f"link ({a}, {b}) has a negative coefficient")
             if 0.0 < a < sys.float_info.min:
                 raise SubnormalSlope(f"link ({a}, {b}) has a subnormal slope")
+            if b == 0.0 and math.copysign(1.0, b) < 0.0:
+                negative_zero = True
             clean.append((a, b))
         object.__setattr__(self, "links", tuple(clean))
         # built once: the solvers read these on every call
-        object.__setattr__(self, "_slopes", tuple(a for a, _ in clean))
-        object.__setattr__(self, "_intercepts", tuple(b for _, b in clean))
+        slopes = tuple(a for a, _ in clean)
+        intercepts = tuple(b for _, b in clean)
+        object.__setattr__(self, "_slopes", slopes)
+        object.__setattr__(self, "_intercepts", intercepts)
+        object.__setattr__(self, "_doubled", _frozen("d", [2.0 * a for a in slopes]))
+        # a * 0.0 + (-0.0) is +0.0, so a -0.0 intercept would not keep its sign
+        # in the intercepts a load induces; such instances go without an order
+        order = None if negative_zero else intercept_order(slopes, intercepts)
+        object.__setattr__(self, "_order", order)
+
+    def __reduce__(self):
+        # memoryviews cannot be pickled; the caches are rebuilt from the links
+        return type(self), (self.links,)
 
     @property
     def m(self) -> int:
@@ -109,6 +143,16 @@ class Instance:
     @property
     def intercepts(self) -> tuple[float, ...]:
         return self._intercepts
+
+    @property
+    def doubled_slopes(self) -> memoryview:
+        """2 a_i per link: the slopes of the marginal costs 2 a_i z + b_i."""
+        return self._doubled
+
+    @property
+    def order(self) -> tuple[memoryview, memoryview] | None:
+        """intercept_order of the links, or None when an intercept is -0.0."""
+        return self._order
 
 
 def validate(raw_links) -> Instance:
@@ -124,6 +168,35 @@ def check_links(inst: Instance, *flows) -> None:
             raise DimensionMismatch("each flow must have one entry per link")
 
 
+def _clamped(raw) -> tuple[float, ...]:
+    """Flow entries as floats, checked one by one; raises at the first bad entry."""
+    clean = []
+    for v in raw:
+        v = float(v)
+        if not math.isfinite(v):
+            raise InvalidFlow("flow entries must be finite")
+        if v < -ENTRY_CLAMP:
+            raise InvalidFlow(f"flow entry {v} below clamp tolerance {-ENTRY_CLAMP}")
+        clean.append(0.0 if v < 0.0 else v)
+    return tuple(clean)
+
+
+def _nonzero_entries(values):
+    """(indices, sum) of the nonzero entries of a tuple of floats, both in
+    index order, or None if a nonzero entry is negative or not finite."""
+    indices = []
+    total = 0.0
+    i = -1
+    find = values.index
+    for v in compress(values, values):
+        if not 0.0 < v < math.inf:
+            return None
+        total += v
+        i = find(v, i + 1)  # the entries in between are zeros
+        indices.append(i)
+    return tuple(indices), total
+
+
 @dataclass(frozen=True)
 class Flow:
     """A nonnegative allocation over links together with its declared mass.
@@ -131,6 +204,10 @@ class Flow:
     Entries in [-ENTRY_CLAMP, 0) are clamped to zero at construction;
     they are arithmetic noise from the closed-form solvers.  Anything
     more negative is an error.
+
+    A zero entry passes every check and adds exactly nothing to the sum,
+    so only the nonzero entries are looked at one by one; their indices
+    are kept as `nonzero`, which lets sums over a flow skip its zeros.
     """
 
     values: tuple[float, ...]
@@ -138,28 +215,34 @@ class Flow:
 
     def __post_init__(self):
         mass = check_mass(self.mass)
-        clean = []
-        for v in self.values:
-            v = float(v)
-            if not math.isfinite(v):
-                raise InvalidFlow("flow entries must be finite")
-            if v < -ENTRY_CLAMP:
-                raise InvalidFlow(f"flow entry {v} below clamp tolerance {-ENTRY_CLAMP}")
-            clean.append(0.0 if v < 0.0 else v)
-        total = 0.0
-        for v in clean:
-            total += v
+        raw = self.values if isinstance(self.values, (tuple, list)) else tuple(self.values)
+        try:
+            values = tuple(map(float, raw))
+            found = _nonzero_entries(values)
+        except (TypeError, ValueError):
+            found = None
+        if found is None:
+            # a bad or negative entry: check entry by entry, clamping noise
+            values = _clamped(raw)
+            found = _nonzero_entries(values)
+        nonzero, total = found
         check_sum(total, mass)
-        object.__setattr__(self, "values", tuple(clean))
+        object.__setattr__(self, "values", values)
         object.__setattr__(self, "mass", mass)
+        object.__setattr__(self, "_nonzero", nonzero)
 
     @classmethod
     def zero(cls, m: int) -> "Flow":
         return cls((0.0,) * m, 0.0)
 
     @property
+    def nonzero(self) -> tuple[int, ...]:
+        """Indices of the nonzero (hence positive) entries, in increasing order."""
+        return self._nonzero
+
+    @property
     def support(self) -> frozenset[int]:
-        return frozenset(i for i, v in enumerate(self.values) if v > 0.0)
+        return frozenset(self._nonzero)
 
 
 @dataclass(frozen=True)
@@ -223,11 +306,27 @@ class ComReport:
 
 
 def cost(inst: Instance, x: Flow, y: Flow) -> float:
-    """SOC's cost sum_k y_k * (a_k (x_k + y_k) + b_k) at the profile (x, y)."""
+    """SOC's cost sum_k y_k * (a_k (x_k + y_k) + b_k) at the profile (x, y).
+
+    Summed in index order over the links y loads.  Elsewhere a term is
+    0 * (a_k x_k + b_k): exactly zero, which leaves the sum as it is, or
+    NaN where a_k x_k + b_k overflows, which makes it NaN wherever it is
+    added; so those terms are added only where x loads the link.
+    """
     check_links(inst, x, y)
+    links = inst.links
+    xv = x.values
+    yv = y.values
     total = 0.0
-    for (a, b), xi, yi in zip(inst.links, x.values, y.values):
-        total += yi * (a * (xi + yi) + b)
+    for k in y.nonzero:
+        a, b = links[k]
+        yk = yv[k]
+        total += yk * (a * (xv[k] + yk) + b)
+    for k in x.nonzero:
+        yk = yv[k]
+        if not yk:
+            a, b = links[k]
+            total += yk * (a * (xv[k] + yk) + b)
     return total
 
 

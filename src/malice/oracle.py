@@ -19,13 +19,14 @@ adversary's closed form directly, SOC's water-fills through the batched
 kernel `waterfill_rows`, which is bit-identical to the scalar one row
 by row.  So each point's value, and each bound, is the float that a
 loop over single points would compute, however the grid is chunked.
+
+numpy is imported by the functions that use it, not by this module, so
+`import malice` and every CLI subcommand but `verify` run without it.
 """
 
 import itertools
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import GridTooLarge, InvalidRange
 from .flows import waterfill_rows
@@ -62,6 +63,8 @@ def _grid_chunks(n: int, m: int):
     parts are the gaps between consecutive bars, padded by a bar before
     the first slot and one after the last.
     """
+    import numpy as np
+
     bars = itertools.combinations(range(n + m - 1), m - 1)
     left = math.comb(n + m - 1, m - 1)
     while left:
@@ -85,6 +88,8 @@ def simplex_grid(n: int, m: int):
 
 def _checked_inputs(inst: Instance, alpha: float, grid: GridSpec):
     """The checked alpha and the coefficients as arrays, once the grid fits its cap."""
+    import numpy as np
+
     alpha = check_alpha(alpha)
     count = grid.points(inst.m)
     if count > grid.max_points:
@@ -100,6 +105,8 @@ def soc_mal_value(inst: Instance, alpha: float, grid: GridSpec) -> float:
 
     An upper bound on the game value, tight to O(1/resolution).
     """
+    import numpy as np
+
     alpha, a, b = _checked_inputs(inst, alpha, grid)
     best = math.inf
     for parts in _grid_chunks(grid.resolution, inst.m):
@@ -122,6 +129,8 @@ def mal_soc_value(inst: Instance, alpha: float, grid: GridSpec) -> float:
     whose loads miss SOC's mass 1 - alpha raises InvalidMass, as a Flow
     of those loads would, rather than enter the bound.
     """
+    import numpy as np
+
     alpha, a, b = _checked_inputs(inst, alpha, grid)
     doubled = 2.0 * a
     beta = 1.0 - alpha

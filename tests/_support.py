@@ -4,7 +4,10 @@ subprocess helpers for tests.
 Nothing here calls the closed-form solvers it is used to check: the
 water-fill reference bisects on the level, and the best-response
 references sweep dense grids.  The oracle's references are its
-point-by-point forms, which the batched oracle must match exactly.
+point-by-point forms, which the batched oracle must match exactly.  The
+dense references scan every link where the library looks only at the
+loaded ones or at a prefix of the cached intercept order; the library
+must match them bit for bit.
 """
 
 import math
@@ -59,6 +62,133 @@ def bisect_waterfill(slopes, intercepts, mass, iters=200):
         else:
             hi = mid
     return hi, fill(hi)
+
+
+def bits(value):
+    """value with every float, however nested in lists and tuples, as its
+    hex form, so that == compares floats bit for bit (signed zeros too)."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, (list, tuple)):
+        return [bits(v) for v in value]
+    return value
+
+
+def sorting_waterfill(slopes, intercepts, mass):
+    """The water-fill kernel with no cached order: it sorts the positive-slope
+    links itself and scans all m links for the cap, the loaded set and the
+    tied zero-slope links."""
+    m = len(slopes)
+    values = [0.0] * m
+    if mass == 0.0:
+        return min(intercepts), values
+    cap = math.inf
+    for a, b in zip(slopes, intercepts):
+        if a == 0.0 and b < cap:
+            cap = b
+    order = sorted((i for i in range(m) if slopes[i] > 0.0), key=lambda i: intercepts[i])
+    inv_sum = 0.0
+    off_sum = 0.0
+    k = 0
+    while k < len(order):
+        t = intercepts[order[k]]
+        if inv_sum > 0.0 and inv_sum * t - off_sum >= mass:
+            break
+        while k < len(order) and intercepts[order[k]] == t:
+            i = order[k]
+            inv_sum += 1.0 / slopes[i]
+            off_sum += intercepts[i] / slopes[i]
+            k += 1
+    level = math.inf if inv_sum == 0.0 else (mass + off_sum) / inv_sum
+    if level <= cap:
+        loaded = [i for i in order if intercepts[i] < level]
+        if len(loaded) == 1:
+            values[loaded[0]] = mass
+        else:
+            for i in loaded:
+                values[i] = (level - intercepts[i]) / slopes[i]
+        return level, values
+    placed = 0.0
+    for i in order:
+        if intercepts[i] < cap:
+            v = (cap - intercepts[i]) / slopes[i]
+            values[i] = v
+            placed += v
+    rest = max(mass - placed, 0.0)
+    ties = [i for i in range(m) if slopes[i] == 0.0 and intercepts[i] == cap]
+    for i in ties:
+        values[i] = rest / len(ties)
+    return cap, values
+
+
+def dense_induced_optimum(inst, x, beta):
+    """(level, loads) of induced_optimum, from all m shifted intercepts."""
+    doubled = tuple(2.0 * a for a in inst.slopes)
+    shifted = tuple(a * xi + b for (a, b), xi in zip(inst.links, x.values))
+    return sorting_waterfill(doubled, shifted, beta)
+
+
+def dense_cost(inst, x, y):
+    """model.cost summed over all m links in index order."""
+    total = 0.0
+    for (a, b), xi, yi in zip(inst.links, x.values, y.values):
+        total += yi * (a * (xi + yi) + b)
+    return total
+
+
+def dense_flow_cost(inst, f):
+    """flows.flow_cost summed over all m links in index order."""
+    total = 0.0
+    for (a, b), v in zip(inst.links, f.values):
+        total += v * (a * v + b)
+    return total
+
+
+def dense_most_damaging(inst, values):
+    """game._most_damaging from the damage of all m links."""
+    damage = [a * v for a, v in zip(inst.slopes, values)]
+    return damage.index(max(damage))
+
+
+def dense_check_mal_br(inst, x, y):
+    """game.check_mal_br from the damage of all m links."""
+    damage = [a * yi for a, yi in zip(inst.slopes, y.values)]
+    loaded = [damage[i] for i in range(inst.m) if x.values[i] > malice.model.CHECK_TOL]
+    return max(damage) - min(loaded) if loaded else 0.0
+
+
+def dense_check_soc_br(inst, x, y):
+    """game.check_soc_br from the marginal costs of all m links."""
+    marginal = [2.0 * a * yi + a * xi + b for (a, b), xi, yi in zip(inst.links, x.values, y.values)]
+    loaded = [marginal[i] for i in range(inst.m) if y.values[i] > malice.model.CHECK_TOL]
+    if not loaded:
+        return 0.0
+    residual = max(loaded) - min(marginal)
+    return residual if residual > 0.0 else 0.0
+
+
+def wide_ensemble(count, seed=0):
+    """Seeded instances of ROADMAP D0's wide range: 2 to 8 links, slopes and
+    intercepts log-uniform in [1e-6, 1e6]."""
+    rng = random.Random(seed)
+    return [
+        malice.validate([(10.0 ** rng.uniform(-6, 6), 10.0 ** rng.uniform(-6, 6))
+                         for _ in range(rng.randint(2, 8))])
+        for _ in range(count)
+    ]
+
+
+def random_sparse_flow(rng: random.Random, m, mass, k):
+    """A flow of the given mass on k random links (all m when k >= m), as a Flow."""
+    values = [0.0] * m
+    links = rng.sample(range(m), min(k, m))
+    draws = [rng.random() + 1e-3 for _ in links]
+    for i, d in zip(links, draws):
+        values[i] = mass * d / sum(draws)
+    total = 0.0
+    for v in values:
+        total += v
+    return malice.Flow(tuple(values), total)
 
 
 def reference_cost(links, values):

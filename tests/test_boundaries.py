@@ -30,6 +30,7 @@ from malice import (
     soc_best_response,
     soc_mal_value,
     system_optimum,
+    validate,
     wardrop_flow,
 )
 from malice.cli import _build_parser, run
@@ -77,6 +78,9 @@ SHORT_FLOW_ENTRIES = {
     "check_soc_br(x)": lambda: check_soc_br(INST, SHORT, Y),
     "check_soc_br(y)": lambda: check_soc_br(INST, X, SHORT),
     "Profile": lambda: Profile(SHORT, Flow((0.5, 0.0, 0.0), 0.5), 0.5),
+    "evasive_response": lambda: evasive_response(INST, SHORT),
+    # here the room loop reaches the missing third entry before any cost is taken
+    "evasive_response(room)": lambda: evasive_response(validate([(1, 0)] * 3), Flow((0.3, 0.3), 0.6)),
 }
 
 

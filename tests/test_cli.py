@@ -285,3 +285,34 @@ def test_non_finite_report_number_is_exit_2(tmp_path):
     assert proc.stdout == b""
     assert b"Traceback" not in proc.stderr
     assert len(proc.stderr.splitlines()) == 1, describe_child(proc)
+
+
+def test_no_subcommand_but_verify_imports_numpy(tmp_path, pigou_file):
+    # numpy is imported inside the oracle functions that need it, so that
+    # `import malice` and every other subcommand start without its cost
+    commands = [
+        ["gen", "--family", "pigou"],
+        ["solve", "--instance", pigou_file, "--wardrop", "--mass", "1"],
+        ["equilibrium", "--instance", pigou_file, "--alpha", "0.5"],
+        ["com", "--instance", pigou_file, "--alpha", "0.5"],
+        ["scale", "--instance", pigou_file, "--alpha", "0.5"],
+        ["sweep", "--instance", pigou_file, "--alphas", "0:0.5:0.25"],
+    ]
+    probe = f"""
+import runpy, sys
+import malice
+loaded = ["import malice"] if "numpy" in sys.modules else []
+for argv in {commands!r}:
+    sys.argv = ["malice", *argv]
+    try:
+        runpy.run_module("malice", run_name="__main__")
+    except SystemExit as exc:
+        if exc.code != 0:
+            raise
+    if "numpy" in sys.modules and not loaded:
+        loaded.append(argv[0])
+sys.exit("numpy loaded by " + loaded[0] if loaded else 0)
+"""
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, cwd=tmp_path, env=child_env())
+    assert proc.returncode == 0, describe_child(proc)
+    assert b'"links"' in proc.stdout

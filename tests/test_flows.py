@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -23,10 +24,15 @@ from malice import (
 from _support import (
     BASE_SEED,
     bisect_waterfill,
+    bits,
+    dense_induced_optimum,
     grid_best_soc_value,
     random_feasible,
+    random_sparse_flow,
     reference_cost,
+    sorting_waterfill,
     standard_ensemble,
+    wide_ensemble,
 )
 
 
@@ -256,3 +262,78 @@ def test_waterfill_rows_bitwise_equal_to_scalar_on_edge_cases():
     assert loads.tolist() == [[0.25, 0.25, 0.5]]
     _, loads = waterfill_rows((1.0, 1.0, 3.0), np.array([[0.0, 10.0, 20.0]]), 0.3)
     assert loads.tolist() == [[0.3, 0.0, 0.0]]
+
+
+def _order_cases():
+    """Instances for the cached-order tests: the standard ensemble, D0's wide
+    range, tied intercepts with zero slopes (pinned levels, tied caps) and
+    zero intercepts."""
+    rng = random.Random(BASE_SEED + 13)
+    cases = [inst for inst, _ in standard_ensemble(120)] + wide_ensemble(300)
+    for _ in range(120):
+        m = rng.randint(1, 8)
+        cases.append(validate([(rng.choice([0.0, 0.0, 1.0, 2.0, 0.5]), float(rng.randint(0, 2)))
+                               for _ in range(m)]))
+        cases.append(validate([(rng.uniform(0.1, 3.0), 0.0) for _ in range(m)]))
+    cases += [
+        validate([(0.0, 1.0), (0.0, 1.0), (2.0, 0.0), (1.0, 0.5)]),
+        validate([(0.0, 0.0), (0.0, 0.0)]),
+        validate([(3.0, 0.0), (0.3, 1.0), (1.3, 1.0), (1.3, 1.0), (7.0, 1.0)]),
+        validate([(1.0, 0.0), (1.0, -0.0), (0.0, 0.0), (0.0, -0.0)]),
+    ]
+    return cases
+
+
+def test_waterfill_with_cached_order_equals_sorting_kernel_bitwise():
+    rng = random.Random(BASE_SEED + 14)
+    cases = [(inst, mass) for inst in _order_cases() for mass in (1e-9, rng.uniform(0.0, 2.0), 1.0, 50.0)]
+    # the demand reaches the intercept of links 1 and 2, yet the level rounds
+    # past it, so both are loaded although the fill stopped at link 1
+    cases.append((validate([(5.921205860027916 / 2, 1.9698672070460033),
+                            (5.432005339714199 / 2, 1.9778602034046517),
+                            (1.0, 1.9778602034046517)]), 0.0013498933405789448))
+    for inst, mass in cases:
+        b = inst.intercepts
+        for slopes in (inst.slopes, tuple(inst.doubled_slopes)):
+            want = bits(sorting_waterfill(slopes, b, mass))
+            assert bits(waterfill(slopes, b, mass)) == want, (inst, mass)
+            if inst.order is not None:
+                assert bits(waterfill(slopes, b, mass, inst.order)) == want, (inst, mass)
+
+
+def test_induced_optimum_on_arbitrary_loads_equals_dense_solve_bitwise():
+    rng = random.Random(BASE_SEED + 15)
+    cases = []
+    for inst in _order_cases():
+        for k in (1, 2, inst.m):
+            alpha = rng.uniform(0.0, 1.0)
+            cases.append((inst, random_sparse_flow(rng, inst.m, alpha, k), 1.0 - alpha))
+    # x lifts links exactly onto other links' intercepts; a tie must keep
+    # index order, which sets the order of the kernel's sums
+    for _ in range(300):
+        m = rng.randint(2, 8)
+        b = [float(rng.randint(0, 3)) for _ in range(m)]
+        a = [rng.choice([0.5, 1.0, 2.0, rng.uniform(0.1, 3.0)]) for _ in range(m)]
+        values = [0.0] * m
+        for i in rng.sample(range(m), rng.randint(1, m - 1)):
+            if a[i] in (0.5, 1.0, 2.0) and b[i] < 3.0:
+                values[i] = (rng.choice([t for t in b if t > b[i]] or [3.0]) - b[i]) / a[i]
+        total = 0.0
+        for v in values:
+            total += v
+        inst, x = validate(zip(a, b)), Flow(values, total)
+        cases += [(inst, x, beta) for beta in (0.3, 2.0)]
+    # x on a zero-slope link leaves its intercept, and the pinned level, unchanged
+    inst = validate([(0.0, 1.0), (1.0, 0.0), (0.0, 1.0)])
+    cases += [(inst, Flow((0.3, 0.2, 0.0), 0.5), beta) for beta in (0.5, 3.0)]
+    for inst, x, beta in cases:
+        want_level, want_values = dense_induced_optimum(inst, x, beta)
+        try:
+            want = Flow(want_values, beta)
+        except InvalidMass as exc:  # D0's precision defect: both sides must reject alike
+            with pytest.raises(InvalidMass, match=re.escape(str(exc))):
+                induced_optimum(inst, x, beta)
+            continue
+        flow, level = induced_optimum(inst, x, beta)
+        assert bits((level.level, flow.values)) == bits((want_level, want.values)), (inst, x, beta)
+        assert level.support == want.support

@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from malice.game import _most_damaging
+
 from malice import (
     DegenerateInstance,
     Flow,
@@ -26,11 +28,19 @@ from malice import (
 
 from _support import (
     BASE_SEED,
+    bits,
     count_waterfills,
+    dense_check_mal_br,
+    dense_check_soc_br,
+    dense_cost,
+    dense_flow_cost,
+    dense_most_damaging,
     grid_best_mal_value,
     grid_best_soc_value,
     random_simplex_point,
+    random_sparse_flow,
     standard_ensemble,
+    wide_ensemble,
 )
 
 
@@ -280,3 +290,34 @@ def test_equilibrium_property_suite():
         assert eq <= (4 / 3) * (1 - alpha) * opt_cost + 1e-9
         assert eq <= scale_strategy(inst, alpha).value + 1e-9
         assert eq >= flow_cost(inst, system_optimum(inst, 1.0 - alpha)[0]) - 1e-9
+
+
+def test_sparse_sums_and_checks_equal_dense_references_bitwise():
+    rng = random.Random(BASE_SEED + 16)
+    insts = [inst for inst, _ in standard_ensemble(150)] + wide_ensemble(150) + [
+        validate([(0.0, 1.0), (0.0, 0.0), (2.0, 0.5)]),
+        validate([(1.0, -0.0), (2.0, 0.0), (0.0, -0.0)]),
+        validate([(1e308, 1e308), (1.0, 0.0)]),
+    ]
+    for inst in insts:
+        m = inst.m
+        flat = tuple(float(a == 0.0) for a in inst.slopes)
+        pairs = [(random_sparse_flow(rng, m, 0.4, k), random_sparse_flow(rng, m, 0.6, j))
+                 for k, j in ((1, 1), (1, m), (m, 2), (2, m))]
+        pairs.append((random_sparse_flow(rng, m, 0.4, 2), Flow.zero(m)))
+        if 0.0 < sum(flat) < m:
+            # y only on zero-slope links: every damage a_k y_k is zero
+            pairs.append((Flow(flat, sum(flat)), Flow(flat, sum(flat))))
+        for x, y in pairs:
+            assert bits(cost(inst, x, y)) == bits(dense_cost(inst, x, y)), (inst, x, y)
+            assert bits(flow_cost(inst, y)) == bits(dense_flow_cost(inst, y))
+            assert bits(check_mal_br(inst, x, y)) == bits(dense_check_mal_br(inst, x, y)), (inst, x, y)
+            assert bits(check_soc_br(inst, x, y)) == bits(dense_check_soc_br(inst, x, y)), (inst, x, y)
+            assert _most_damaging(inst, y) == dense_most_damaging(inst, y.values)
+    # every damage is zero and the largest is -0.0, on a link y does not load
+    inst = validate([(-0.0, 1.0), (0.0, 1.0)])
+    x = y = Flow((0.0, 1.0), 1.0)
+    assert bits(check_mal_br(inst, x, y)) == bits(dense_check_mal_br(inst, x, y)) == "-0x0.0p+0"
+    # a_0 x_0 + b_0 overflows where y is zero: the dense sum is NaN, and so is cost
+    inst = validate([(1e308, 1e308), (1.0, 0.0)])
+    assert bits(cost(inst, Flow((1.0, 0.0), 1.0), Flow((0.0, 1.0), 1.0))) == "nan"

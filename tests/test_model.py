@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 import sys
 
@@ -215,3 +217,41 @@ def test_instance_digest_depends_on_coefficients():
     assert d1 == d2
     assert d1 != d3
     assert len(d1) == 64
+
+
+def test_cached_order_stays_out_of_repr_eq_and_hash():
+    inst = validate([(2, 1), (0, 3), (1, 1), (0, 1)])
+    assert repr(inst) == "Instance(links=((2.0, 1.0), (0.0, 3.0), (1.0, 1.0), (0.0, 1.0)))"
+    assert hash(inst) == hash((inst.links,))
+    assert [list(part) for part in inst.order] == [[0, 2], [3, 1]]
+    assert list(inst.doubled_slopes) == [4.0, 0.0, 2.0, 0.0]
+    with pytest.raises(TypeError):
+        inst.order[0][0] = 2
+    for twin in (pickle.loads(pickle.dumps(inst)), copy.deepcopy(inst)):
+        assert twin == inst and [list(part) for part in twin.order] == [[0, 2], [3, 1]]
+    # a -0.0 intercept leaves the instance without an order, equal to its +0.0 twin
+    signed, plain = validate([(1, -0.0), (1, 0.0)]), validate([(1, 0.0), (1, 0.0)])
+    assert signed.order is None and plain.order is not None
+    assert signed == plain and hash(signed) == hash(plain)
+    f = Flow([0.0, 0.25, 0, 0.75], 1.0)
+    assert repr(f) == "Flow(values=(0.0, 0.25, 0.0, 0.75), mass=1.0)"
+    assert f == Flow((0.0, 0.25, 0.0, 0.75), 1.0) and hash(f) == hash((f.values, f.mass))
+    assert f.nonzero == (1, 3)
+
+
+@pytest.mark.parametrize("pad", [0, 1000])
+def test_flow_checks_short_and_long_flows_alike(pad):
+    zeros = (0.0,) * pad
+    f = Flow(zeros + (-1e-13, 0.5, "0.25", 0, -0.0) + zeros, 0.75)
+    assert [v.hex() for v in f.values] == [v.hex() for v in zeros + (0.0, 0.5, 0.25, 0.0, -0.0) + zeros]
+    assert f.nonzero == (pad + 1, pad + 2)
+    assert Flow(iter(zeros + (0.5,)), 0.5).nonzero == (pad,)
+    # the first bad entry, in index order, names the error
+    with pytest.raises(InvalidFlow, match="finite"):
+        Flow(zeros + (math.nan, "x"), 0.0)
+    with pytest.raises(ValueError, match="could not convert"):
+        Flow(zeros + ("x", math.nan), 0.0)
+    with pytest.raises(InvalidFlow, match="below clamp"):
+        Flow(zeros + (0.5, -1e-6, math.inf), 0.5)
+    with pytest.raises(InvalidMass, match="sum to inf"):
+        Flow(zeros + (1e308, 1e308), 1.0)
