@@ -16,9 +16,9 @@ import sys
 import time
 
 from .errors import CertificateFailure, ValidationError
-from .families import SweepRow, com_sweep, network, pigou, random_instance, tight
+from .families import network, pigou, random_instance, tight
 from .flows import flow_cost, system_optimum, wardrop_flow
-from .game import _scaled_optimum, com_report, pure_equilibrium
+from .game import SweepRow, com_report, com_sweep, pure_equilibrium, scaled_optimum
 from .model import (
     TOLERANCES,
     Instance,
@@ -27,7 +27,6 @@ from .model import (
     emit_instance,
     instance_digest,
     parse_instance,
-    _fmt_float,
 )
 from .oracle import GridSpec, minimax_gap
 
@@ -98,7 +97,7 @@ def _cmd_scale(args) -> int:
     alpha = check_alpha(args.alpha)
     ystar, _ = system_optimum(inst, 1.0)
     opt_cost_1 = flow_cost(inst, ystar)
-    result = _scaled_optimum(inst, alpha, ystar, opt_cost_1)
+    result = scaled_optimum(inst, alpha, ystar, opt_cost_1)
     payload = {
         "command": "scale",
         "alpha": alpha,
@@ -183,7 +182,7 @@ def _cmd_sweep(args) -> int:
     rows = [dataclasses.asdict(row) for row in com_sweep(inst, alphas)]
     if args.csv:
         lines = [",".join(field.name for field in dataclasses.fields(SweepRow))]
-        lines += [",".join(_fmt_float(v) for v in row.values()) for row in rows]
+        lines += [",".join(map(dumps, row.values())) for row in rows]
         text = "\n".join(lines) + "\n"
         if args.csv == "-":
             sys.stdout.write(text)

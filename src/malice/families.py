@@ -1,13 +1,12 @@
-"""Named instance families, random ensembles, and cost-of-malice sweeps."""
+"""Named instance families, random ensembles, and the network demonstrator."""
 
 import math
 import random
-from dataclasses import dataclass
 
 from .errors import InvalidM, InvalidRange, NonPositiveM
 from .flows import flow_cost, induced_optimum, system_optimum
-from .game import _com_alpha, _com_at, _unit_solves
-from .model import Flow, Instance, cost, validate
+from .game import com_sweep  # re-exported, so that families.com_sweep still names the sweep
+from .model import Flow, Instance, check_com_alpha, cost, validate
 
 MAX_LINKS = 1_000_000  # largest generated instance; bounds the memory a size input can ask for
 
@@ -49,7 +48,7 @@ def network_demo(m: int, alpha: float) -> tuple[float, dict]:
     that the adversary's path strategy is optimal.
     """
     inst = network(m)
-    alpha = _com_alpha(alpha)
+    alpha = check_com_alpha(alpha)
     loads = [alpha] * m
     total = 0.0
     for v in loads:
@@ -88,43 +87,3 @@ def random_instance(seed: int, m: int, coef_range: tuple[float, float] = (0.0, 1
         b = 0.0 if rng.random() < 0.1 else rng.uniform(lo, hi)
         links.append((a, b))
     return validate(links)
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    """One row of a cost-of-malice sweep over alpha."""
-
-    alpha: float
-    eq_value: float
-    com: float
-    scale_com: float
-    bound_43: float
-    bound_scale: float
-
-
-def com_sweep(inst: Instance, alphas) -> list[SweepRow]:
-    """Evaluate the cost-of-malice report on a grid of alphas.
-
-    Rows come back sorted by alpha.  The scale_com column divides the
-    scaled-optimum value by the same baseline as the equilibrium ratio,
-    exposing where the 4/3 and 1 + alpha/2 bounds cross (alpha = 2/3).
-    """
-    rows = []
-    unit = None
-    for alpha in alphas:
-        alpha = _com_alpha(alpha)
-        if unit is None:
-            unit = _unit_solves(inst)
-        report = _com_at(inst, alpha, unit)
-        rows.append(
-            SweepRow(
-                alpha=alpha,
-                eq_value=report.eq_value,
-                com=report.com,
-                scale_com=report.scale_value / ((1.0 - alpha) * report.opt_cost_1),
-                bound_43=report.bound_43,
-                bound_scale=report.bound_scale,
-            )
-        )
-    rows.sort(key=lambda row: row.alpha)
-    return rows

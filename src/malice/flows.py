@@ -18,13 +18,14 @@ The equalized-latency solve uses the latency coefficients directly.  The
 minimum-cost solve is the same kernel on doubled slopes, because the
 marginal cost of link i at load z is 2 a_i z + b_i.
 
-One order serves every solve of an instance.  `Instance.order` holds its
-links sorted once by (intercept, index), and the kernel walks only the
-prefix of that order it needs: the links below the level, plus the one
-that stops the fill.  The loaded links are exactly that prefix, so a
-solve costs O(support) on top of allocating its result, not O(m log m).
-The intercepts a load x induces, a_i x_i + b_i, differ from b only on
-x's support (a_i * 0.0 + b_i == b_i), so `induced_optimum` merges x's
+One order serves every solve of an instance.  `Instance.order` (never
+None) holds its links sorted once by (intercept, index), and the kernel
+walks only the prefix of that order it needs: the links below the level,
+plus the one that stops the fill.  The loaded links are exactly that
+prefix, so a solve costs O(support) on top of allocating its result, not
+O(m log m).  The intercepts a load x induces, a_i x_i + b_i, differ from
+b only on x's support (a_i * 0.0 + b_i is b_i bit for bit, as an
+instance holds no -0.0 intercept), so `induced_optimum` merges x's
 support, sorted by its shifted intercepts, into the cached order instead
 of sorting all m links again.  Under MAL's Wardrop flow at level L the
 shifted intercept is max(b_i, L) up to rounding, so that support sits at
@@ -177,7 +178,7 @@ def waterfill_rows(slopes, intercepts, mass) -> "tuple[np.ndarray, np.ndarray]":
     return level, loads
 
 
-def _solve(slopes, intercepts, beta, order=None) -> tuple[Flow, WaterLevel]:
+def _solve(slopes, intercepts, beta, order) -> tuple[Flow, WaterLevel]:
     """Water-fill mass beta over the given coefficients into a checked Flow."""
     beta = check_mass(beta)
     level, values = waterfill(slopes, intercepts, beta, order)
@@ -229,17 +230,13 @@ def induced_optimum(inst: Instance, x: Flow, beta: float) -> tuple[Flow, WaterLe
     so the optimum equalizes 2 a_i y_i + a_i x_i + b_i over loaded links.
     """
     check_links(inst, x)
-    order = inst.order
-    if order is None:
-        shifted = [a * xi + b for (a, b), xi in zip(inst.links, x.values)]
-        return _solve(inst.doubled_slopes, shifted, beta)
     a = inst.slopes
     xv = x.values
     shifted = list(inst.intercepts)
     for i in x.nonzero:
         shifted[i] = a[i] * xv[i] + shifted[i]
     # a zero-slope link keeps its intercept, so only positive slopes move
-    positive, flat = order
+    positive, flat = inst.order
     moved = sorted([i for i in x.nonzero if a[i] > 0.0], key=shifted.__getitem__)
     order = (_merged(positive, moved, shifted, xv), flat)
     return _solve(inst.doubled_slopes, shifted, beta, order)

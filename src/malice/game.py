@@ -1,4 +1,4 @@
-"""Best responses, pure equilibria, and cost-of-malice reports.
+"""Best responses, pure equilibria, and cost-of-malice reports and sweeps.
 
 The zero-sum game: MAL routes mass alpha to maximize SOC's cost, SOC
 routes mass 1 - alpha to minimize it.  On linear latencies the game has
@@ -21,6 +21,7 @@ from .model import (
     Instance,
     Profile,
     check_alpha,
+    check_com_alpha,
     check_links,
     cost,
 )
@@ -28,29 +29,25 @@ from .model import (
 
 @dataclass(frozen=True)
 class BestResponseResult:
-    """A strategy, its cost to SOC, and a tag describing how it was built."""
+    """A strategy and its cost to SOC."""
 
     flow: Flow
     value: float
-    support_rule: str
 
 
 def _most_damaging(inst: Instance, f: Flow) -> int:
     """The lowest index maximizing a_k f_k.
 
     Only f's nonzero entries can do positive damage; when none does,
-    every link ties at zero and the full scan picks among them.
+    every link ties at zero and link 0 is the lowest index.
     """
     a = inst.slopes
     v = f.values
-    best = -1
+    best = 0
     top = 0.0
     for k in f.nonzero:
         if a[k] * v[k] > top:
             best, top = k, a[k] * v[k]
-    if best < 0:
-        damage = [ak * vk for ak, vk in zip(a, v)]
-        return damage.index(max(damage))
     return best
 
 
@@ -73,7 +70,7 @@ def mal_best_response(inst: Instance, y: Flow, alpha: float) -> BestResponseResu
     values = [0.0] * inst.m
     values[best] = alpha
     x = Flow(values, alpha)
-    return BestResponseResult(x, cost(inst, x, y), f"argmax:{best}")
+    return BestResponseResult(x, cost(inst, x, y))
 
 
 def soc_best_response(inst: Instance, x: Flow) -> BestResponseResult:
@@ -85,7 +82,7 @@ def soc_best_response(inst: Instance, x: Flow) -> BestResponseResult:
     if x.mass > 1.0 + CHECK_TOL:
         raise InvalidAlpha(f"adversarial mass {x.mass} exceeds the unit total")
     y, _ = induced_optimum(inst, x, _soc_mass(x))
-    return BestResponseResult(y, cost(inst, x, y), "induced-optimum")
+    return BestResponseResult(y, cost(inst, x, y))
 
 
 def check_mal_br(inst: Instance, x: Flow, y: Flow) -> float:
@@ -121,21 +118,17 @@ def check_soc_br(inst: Instance, x: Flow, y: Flow) -> float:
     loaded = [2.0 * a[i] * yv[i] + a[i] * xv[i] + b[i] for i in y.nonzero if yv[i] > CHECK_TOL]
     if not loaded:
         return 0.0
-    order = inst.order
-    if order is None:
-        low = min([2.0 * ak * yk + ak * xk + bk for ak, bk, xk, yk in zip(a, b, xv, yv)])
-    else:
-        low = min(loaded)
-        # a marginal is never below its link's intercept, so only links
-        # with b_k < low can lower the minimum: a prefix of each part of
-        # the intercept order
-        for part in order:
-            for k in part:
-                if not b[k] < low:
-                    break
-                marginal = 2.0 * a[k] * yv[k] + a[k] * xv[k] + b[k]
-                if marginal < low:
-                    low = marginal
+    low = min(loaded)
+    # a marginal is never below its link's intercept, so only links with
+    # b_k < low can lower the minimum: a prefix of each part of the
+    # intercept order
+    for part in inst.order:
+        for k in part:
+            if not b[k] < low:
+                break
+            marginal = 2.0 * a[k] * yv[k] + a[k] * xv[k] + b[k]
+            if marginal < low:
+                low = marginal
     residual = max(loaded) - low
     return residual if residual > 0.0 else 0.0
 
@@ -192,7 +185,7 @@ def evasive_response(inst: Instance, x: Flow) -> BestResponseResult:
     if remaining > 0.0 and last is not None:
         values[last] += remaining  # float residue; the room slack absorbs it
     y = Flow(tuple(values), beta)
-    return BestResponseResult(y, cost(inst, x, y), "greedy-fill")
+    return BestResponseResult(y, cost(inst, x, y))
 
 
 def scale_strategy(inst: Instance, alpha: float) -> BestResponseResult:
@@ -207,12 +200,13 @@ def scale_strategy(inst: Instance, alpha: float) -> BestResponseResult:
     """
     alpha = check_alpha(alpha)
     ystar, _ = system_optimum(inst, 1.0)
-    return _scaled_optimum(inst, alpha, ystar, flow_cost(inst, ystar))
+    return scaled_optimum(inst, alpha, ystar, flow_cost(inst, ystar))
 
 
-def _scaled_optimum(inst: Instance, alpha: float, ystar: Flow,
-                    opt_cost: float) -> BestResponseResult:
-    """scale_strategy given the unit optimum ystar and its cost."""
+def scaled_optimum(inst: Instance, alpha: float, ystar: Flow,
+                   opt_cost: float) -> BestResponseResult:
+    """scale_strategy at a checked alpha, given the unit optimum
+    ystar = system_optimum(inst, 1.0) and its cost opt_cost."""
     scale = 1.0 - alpha
     v = ystar.values
     scaled = [0.0] * inst.m
@@ -231,7 +225,7 @@ def _scaled_optimum(inst: Instance, alpha: float, ystar: Flow,
         raise CertificateFailure(
             f"scaled-optimum value {value} disagrees with its expansion {expansion}"
         )
-    return BestResponseResult(y, value, "scaled-optimum")
+    return BestResponseResult(y, value)
 
 
 def com_report(inst: Instance, alpha: float) -> ComReport:
@@ -240,15 +234,7 @@ def com_report(inst: Instance, alpha: float) -> ComReport:
     Undefined at alpha = 1 (the ratio divides by the social mass) and on
     instances whose unit optimum cost is zero.
     """
-    return _com_at(inst, _com_alpha(alpha), _unit_solves(inst))
-
-
-def _com_alpha(alpha: float) -> float:
-    """alpha checked against [0, 1), the range where cost of malice is defined."""
-    alpha = check_alpha(alpha)
-    if alpha >= 1.0:
-        raise InvalidAlpha("cost of malice is undefined at alpha = 1")
-    return alpha
+    return _com_at(inst, check_com_alpha(alpha), _unit_solves(inst))
 
 
 def _unit_solves(inst: Instance) -> tuple[float, Flow, float]:
@@ -265,7 +251,7 @@ def _com_at(inst: Instance, alpha: float, unit: tuple[float, Flow, float]) -> Co
     """The report at a checked alpha, given the instance's _unit_solves."""
     nash_cost_1, ystar, opt_cost_1 = unit
     _, certificate = pure_equilibrium(inst, alpha)
-    scale = _scaled_optimum(inst, alpha, ystar, opt_cost_1)
+    scale = scaled_optimum(inst, alpha, ystar, opt_cost_1)
     return ComReport(
         alpha=alpha,
         eq_value=certificate.value,
@@ -277,3 +263,43 @@ def _com_at(inst: Instance, alpha: float, unit: tuple[float, Flow, float]) -> Co
         scale_value=scale.value,
         evasive_bound=(1.0 - alpha) * nash_cost_1,
     )
+
+
+@dataclass(frozen=True)
+class SweepRow:
+    """One row of a cost-of-malice sweep over alpha."""
+
+    alpha: float
+    eq_value: float
+    com: float
+    scale_com: float
+    bound_43: float
+    bound_scale: float
+
+
+def com_sweep(inst: Instance, alphas) -> list[SweepRow]:
+    """Evaluate the cost-of-malice report on a grid of alphas.
+
+    Rows come back sorted by alpha.  The scale_com column divides the
+    scaled-optimum value by the same baseline as the equilibrium ratio,
+    exposing where the 4/3 and 1 + alpha/2 bounds cross (alpha = 2/3).
+    """
+    rows = []
+    unit = None
+    for alpha in alphas:
+        alpha = check_com_alpha(alpha)
+        if unit is None:
+            unit = _unit_solves(inst)
+        report = _com_at(inst, alpha, unit)
+        rows.append(
+            SweepRow(
+                alpha=alpha,
+                eq_value=report.eq_value,
+                com=report.com,
+                scale_com=report.scale_value / ((1.0 - alpha) * report.opt_cost_1),
+                bound_43=report.bound_43,
+                bound_scale=report.bound_scale,
+            )
+        )
+    rows.sort(key=lambda row: row.alpha)
+    return rows

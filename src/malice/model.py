@@ -18,7 +18,8 @@ across threads.  That includes what an Instance caches beside its
 fields (its slopes, intercepts, doubled slopes and intercept order) and
 what a Flow caches (the indices of its nonzero entries): each is built
 once in the constructor and never changed, and none of it enters repr,
-== or hash.
+== or hash.  An instance stores a -0.0 coefficient as +0.0, so its
+intercept order is never None and equal instances serialize alike.
 """
 
 import hashlib
@@ -65,6 +66,14 @@ def check_alpha(alpha: float) -> float:
     return alpha
 
 
+def check_com_alpha(alpha: float) -> float:
+    """alpha checked against [0, 1), the range where cost of malice is defined."""
+    alpha = check_alpha(alpha)
+    if alpha >= 1.0:
+        raise InvalidAlpha("cost of malice is undefined at alpha = 1")
+    return alpha
+
+
 def check_mass(mass: float) -> float:
     """A flow's declared mass, as a finite nonnegative float."""
     mass = float(mass)
@@ -103,18 +112,17 @@ class Instance:
         if len(self.links) == 0:
             raise EmptyInstance("an instance needs at least one link")
         clean = []
-        negative_zero = False
         for a, b in self.links:
-            a = float(a)
-            b = float(b)
+            # + 0.0 turns a -0.0 coefficient into +0.0 and leaves every other
+            # float as it is, so no signed zero reaches the solvers or the output
+            a = float(a) + 0.0
+            b = float(b) + 0.0
             if not (math.isfinite(a) and math.isfinite(b)):
                 raise NonFiniteCoefficient(f"link ({a}, {b}) has a non-finite coefficient")
             if a < 0.0 or b < 0.0:
                 raise NegativeCoefficient(f"link ({a}, {b}) has a negative coefficient")
             if 0.0 < a < sys.float_info.min:
                 raise SubnormalSlope(f"link ({a}, {b}) has a subnormal slope")
-            if b == 0.0 and math.copysign(1.0, b) < 0.0:
-                negative_zero = True
             clean.append((a, b))
         object.__setattr__(self, "links", tuple(clean))
         # built once: the solvers read these on every call
@@ -123,10 +131,7 @@ class Instance:
         object.__setattr__(self, "_slopes", slopes)
         object.__setattr__(self, "_intercepts", intercepts)
         object.__setattr__(self, "_doubled", _frozen("d", [2.0 * a for a in slopes]))
-        # a * 0.0 + (-0.0) is +0.0, so a -0.0 intercept would not keep its sign
-        # in the intercepts a load induces; such instances go without an order
-        order = None if negative_zero else intercept_order(slopes, intercepts)
-        object.__setattr__(self, "_order", order)
+        object.__setattr__(self, "_order", intercept_order(slopes, intercepts))
 
     def __reduce__(self):
         # memoryviews cannot be pickled; the caches are rebuilt from the links
@@ -150,8 +155,8 @@ class Instance:
         return self._doubled
 
     @property
-    def order(self) -> tuple[memoryview, memoryview] | None:
-        """intercept_order of the links, or None when an intercept is -0.0."""
+    def order(self) -> tuple[memoryview, memoryview]:
+        """intercept_order of the links."""
         return self._order
 
 
@@ -231,10 +236,6 @@ class Flow:
         object.__setattr__(self, "mass", mass)
         object.__setattr__(self, "_nonzero", nonzero)
 
-    @classmethod
-    def zero(cls, m: int) -> "Flow":
-        return cls((0.0,) * m, 0.0)
-
     @property
     def nonzero(self) -> tuple[int, ...]:
         """Indices of the nonzero (hence positive) entries, in increasing order."""
@@ -278,9 +279,6 @@ class EquilibriumCertificate:
     mal_residual: float
     soc_residual: float
     value: float
-
-    def valid_at(self, tol: float) -> bool:
-        return self.mal_residual <= tol and self.soc_residual <= tol
 
 
 @dataclass(frozen=True)
@@ -339,12 +337,6 @@ def cost(inst: Instance, x: Flow, y: Flow) -> float:
 # produce byte-identical documents.
 
 
-def _fmt_float(x: float) -> str:
-    if not math.isfinite(x):
-        raise ValueError(f"cannot serialize the non-finite number {x}")
-    return format(x, ".17g")
-
-
 def dumps(payload) -> str:
     """Deterministic JSON: insertion key order, floats at 17 significant digits."""
     pieces: list[str] = []
@@ -360,7 +352,9 @@ def _render(value, out, depth):
     elif value is False:
         out.append("false")
     elif isinstance(value, float):
-        out.append(_fmt_float(value))
+        if not math.isfinite(value):
+            raise ValueError(f"cannot serialize the non-finite number {value}")
+        out.append(format(value, ".17g"))
     elif isinstance(value, int):
         out.append(str(value))
     elif isinstance(value, str):

@@ -103,12 +103,13 @@ def test_optimum_single_link():
 
 def test_induced_zero_shift_matches_optimum():
     rng = random.Random(BASE_SEED + 3)
-    for k in range(30):
-        inst = random_instance(seed=2000 + k, m=rng.randint(1, 6))
-        beta = rng.uniform(0, 1)
-        direct, _ = system_optimum(inst, beta)
-        shifted, _ = induced_optimum(inst, Flow.zero(inst.m), beta)
-        assert shifted.values == direct.values
+    cases = [(random_instance(seed=2000 + k, m=rng.randint(1, 6)), rng.uniform(0, 1)) for k in range(30)]
+    # a -0.0 intercept is stored as +0.0, so the level pinned at it is +0.0 both ways
+    cases.append((validate([(0.0, -0.0), (1.0, 5.0)]), 0.5))
+    for inst, beta in cases:
+        direct, level = system_optimum(inst, beta)
+        shifted, shifted_level = induced_optimum(inst, Flow((0.0,) * inst.m, 0.0), beta)
+        assert bits((shifted.values, shifted_level.level)) == bits((direct.values, level.level)), inst
 
 
 def test_induced_tight():
@@ -132,7 +133,7 @@ def test_flow_cost_examples():
     inst = pigou()
     assert flow_cost(inst, wardrop_flow(inst, 1.0)[0]) == 1.0
     assert flow_cost(inst, system_optimum(inst, 1.0)[0]) == 0.75
-    assert flow_cost(inst, Flow.zero(2)) == 0.0
+    assert flow_cost(inst, Flow((0.0, 0.0), 0.0)) == 0.0
 
 
 def test_feasibility_and_level_consistency():
@@ -297,8 +298,7 @@ def test_waterfill_with_cached_order_equals_sorting_kernel_bitwise():
         for slopes in (inst.slopes, tuple(inst.doubled_slopes)):
             want = bits(sorting_waterfill(slopes, b, mass))
             assert bits(waterfill(slopes, b, mass)) == want, (inst, mass)
-            if inst.order is not None:
-                assert bits(waterfill(slopes, b, mass, inst.order)) == want, (inst, mass)
+            assert bits(waterfill(slopes, b, mass, inst.order)) == want, (inst, mass)
 
 
 def test_induced_optimum_on_arbitrary_loads_equals_dense_solve_bitwise():

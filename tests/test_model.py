@@ -128,7 +128,7 @@ def test_cost_zero_adversary_equals_flow_cost_bitwise():
         inst = random_instance(seed=1000 + k, m=rng.randint(1, 8))
         yv = tuple(rng.uniform(0, 1) for _ in range(inst.m))
         y = Flow(yv, sum(yv))
-        assert cost(inst, Flow.zero(inst.m), y) == flow_cost(inst, y)
+        assert cost(inst, Flow((0.0,) * inst.m, 0.0), y) == flow_cost(inst, y)
 
 
 def test_flow_clamps_tiny_negative():
@@ -154,7 +154,7 @@ def test_flow_rejects_bad_mass():
 
 
 def test_zero_flow():
-    f = Flow.zero(3)
+    f = Flow((0.0,) * 3, 0.0)
     assert f.values == (0.0, 0.0, 0.0)
     assert f.mass == 0.0
     assert f.support == frozenset()
@@ -229,14 +229,24 @@ def test_cached_order_stays_out_of_repr_eq_and_hash():
         inst.order[0][0] = 2
     for twin in (pickle.loads(pickle.dumps(inst)), copy.deepcopy(inst)):
         assert twin == inst and [list(part) for part in twin.order] == [[0, 2], [3, 1]]
-    # a -0.0 intercept leaves the instance without an order, equal to its +0.0 twin
+    # a -0.0 intercept is stored as +0.0, so the instance has its +0.0 twin's order
     signed, plain = validate([(1, -0.0), (1, 0.0)]), validate([(1, 0.0), (1, 0.0)])
-    assert signed.order is None and plain.order is not None
+    assert [b.hex() for b in signed.intercepts] == ["0x0.0p+0"] * 2
+    assert [list(part) for part in signed.order] == [list(part) for part in plain.order] == [[0, 1], []]
     assert signed == plain and hash(signed) == hash(plain)
     f = Flow([0.0, 0.25, 0, 0.75], 1.0)
     assert repr(f) == "Flow(values=(0.0, 0.25, 0.0, 0.75), mass=1.0)"
     assert f == Flow((0.0, 0.25, 0.0, 0.75), 1.0) and hash(f) == hash((f.values, f.mass))
     assert f.nonzero == (1, 3)
+
+
+def test_signed_zero_coefficients_serialize_as_positive_zeros():
+    signed = validate([(-0.0, -0.0), (1, 0.0)])
+    plain = validate([(0.0, 0.0), (1, 0.0)])
+    parsed = parse_instance('{"links": [{"a": -0.0, "b": -0.0}, {"a": 1, "b": 0}]}')
+    for inst in (signed, parsed):
+        assert emit_instance(inst) == emit_instance(plain)
+        assert instance_digest(inst) == instance_digest(plain)
 
 
 @pytest.mark.parametrize("pad", [0, 1000])
