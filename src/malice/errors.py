@@ -54,7 +54,7 @@ class InvalidM(ValidationError):
 
 
 class InvalidRange(ValidationError):
-    """A coefficient range or grid parameter is malformed."""
+    """A grid resolution is not a positive integer."""
 
 
 class DegenerateInstance(ValidationError):
@@ -62,7 +62,7 @@ class DegenerateInstance(ValidationError):
 
 
 class GridTooLarge(ValidationError):
-    """The discretized strategy simplex exceeds the configured point cap."""
+    """The discretized strategy simplex, or its resolution, exceeds the point cap."""
 
 
 class CertificateFailure(MaliceError):

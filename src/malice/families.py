@@ -3,7 +3,7 @@
 import math
 import random
 
-from .errors import InvalidM, InvalidRange, NonPositiveM
+from .errors import InvalidM, NonPositiveM
 from .flows import flow_cost, induced_optimum, system_optimum
 from .game import com_sweep  # re-exported, so that families.com_sweep still names the sweep
 from .model import Flow, Instance, check_com_alpha, cost, validate
@@ -72,18 +72,16 @@ def network_demo(m: int, alpha: float) -> tuple[float, dict]:
     return bound, report
 
 
-def random_instance(seed: int, m: int, coef_range: tuple[float, float] = (0.0, 10.0)) -> Instance:
-    """Deterministic random instance; each coefficient is exactly zero with
-    probability 0.1 to exercise the zero-slope and zero-intercept paths."""
-    lo, hi = float(coef_range[0]), float(coef_range[1])
-    if not (math.isfinite(lo) and math.isfinite(hi)) or lo < 0.0 or hi < lo:
-        raise InvalidRange(f"coefficient range must satisfy 0 <= lo <= hi, got ({lo}, {hi})")
+def random_instance(seed: int, m: int) -> Instance:
+    """Deterministic random instance with coefficients in [0, 10]; each is
+    exactly zero with probability 0.1 to exercise the zero-slope and
+    zero-intercept paths."""
     if m > MAX_LINKS:
         raise InvalidM(f"link count must be at most {MAX_LINKS}, got {m}")
     rng = random.Random(seed)
     links = []
     for _ in range(m):
-        a = 0.0 if rng.random() < 0.1 else rng.uniform(lo, hi)
-        b = 0.0 if rng.random() < 0.1 else rng.uniform(lo, hi)
+        a = 0.0 if rng.random() < 0.1 else rng.uniform(0.0, 10.0)
+        b = 0.0 if rng.random() < 0.1 else rng.uniform(0.0, 10.0)
         links.append((a, b))
     return validate(links)

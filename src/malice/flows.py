@@ -90,21 +90,18 @@ def waterfill(slopes, intercepts, mass, order=None) -> tuple[float, list[float]]
         if not intercepts[i] < level:
             break
         loaded.append(i)
-    if not pinned:
-        if len(loaded) == 1:
-            # a single loaded link carries the whole mass exactly
-            values[loaded[0]] = mass
-        else:
-            for i in loaded:
-                values[i] = (level - intercepts[i]) / slopes[i]
-        return level, values
-    # level pinned at the smallest zero-slope intercept; those links soak
-    # up whatever the positive-slope links cannot absorb below it
     placed = 0.0
     for i in loaded:
         v = (level - intercepts[i]) / slopes[i]
         values[i] = v
         placed += v
+    if not pinned:
+        if len(loaded) == 1:
+            # a single loaded link carries the whole mass exactly
+            values[loaded[0]] = mass
+        return level, values
+    # level pinned at the smallest zero-slope intercept; those links soak
+    # up whatever the positive-slope links cannot absorb below it
     rest = mass - placed
     if rest < 0.0:
         rest = 0.0

@@ -115,8 +115,12 @@ class Instance:
         for a, b in self.links:
             # + 0.0 turns a -0.0 coefficient into +0.0 and leaves every other
             # float as it is, so no signed zero reaches the solvers or the output
-            a = float(a) + 0.0
-            b = float(b) + 0.0
+            try:
+                a = float(a) + 0.0
+                b = float(b) + 0.0
+            except OverflowError:  # an integer too large for a float
+                raise NonFiniteCoefficient(
+                    f"link {len(clean)} has a coefficient too large for a float") from None
             if not (math.isfinite(a) and math.isfinite(b)):
                 raise NonFiniteCoefficient(f"link ({a}, {b}) has a non-finite coefficient")
             if a < 0.0 or b < 0.0:
@@ -177,7 +181,10 @@ def _clamped(raw) -> tuple[float, ...]:
     """Flow entries as floats, checked one by one; raises at the first bad entry."""
     clean = []
     for v in raw:
-        v = float(v)
+        try:
+            v = float(v)
+        except OverflowError:  # an integer too large for a float
+            v = math.inf
         if not math.isfinite(v):
             raise InvalidFlow("flow entries must be finite")
         if v < -ENTRY_CLAMP:
@@ -224,7 +231,7 @@ class Flow:
         try:
             values = tuple(map(float, raw))
             found = _nonzero_entries(values)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             found = None
         if found is None:
             # a bad or negative entry: check entry by entry, clamping noise
@@ -339,61 +346,31 @@ def cost(inst: Instance, x: Flow, y: Flow) -> float:
 
 def dumps(payload) -> str:
     """Deterministic JSON: insertion key order, floats at 17 significant digits."""
-    pieces: list[str] = []
-    _render(payload, pieces, 0)
-    return "".join(pieces)
+    return _render(payload, 0)
 
 
-def _render(value, out, depth):
-    if value is None:
-        out.append("null")
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
-    elif isinstance(value, float):
+def _render(value, depth) -> str:
+    if isinstance(value, float):
         if not math.isfinite(value):
             raise ValueError(f"cannot serialize the non-finite number {value}")
-        out.append(format(value, ".17g"))
-    elif isinstance(value, int):
-        out.append(str(value))
-    elif isinstance(value, str):
-        out.append(json.dumps(value))
-    elif isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        inner = "  " * (depth + 1)
-        out.append("{\n")
-        for idx, (key, item) in enumerate(value.items()):
-            out.append(inner)
-            out.append(json.dumps(str(key)))
-            out.append(": ")
-            _render(item, out, depth + 1)
-            out.append(",\n" if idx + 1 < len(value) else "\n")
-        out.append("  " * depth + "}")
+        return format(value, ".17g")
+    if value is None or isinstance(value, (int, str)):  # bools included
+        return json.dumps(value)
+    if isinstance(value, dict):
+        items = [f"{json.dumps(str(key))}: {_render(item, depth + 1)}" for key, item in value.items()]
+        brackets = "{}"
     elif isinstance(value, (list, tuple)):
-        items = list(value)
-        if not items:
-            out.append("[]")
-            return
-        if all(isinstance(v, (int, float, str)) and not isinstance(v, bool) for v in items):
-            out.append("[")
-            for idx, item in enumerate(items):
-                _render(item, out, depth)
-                if idx + 1 < len(items):
-                    out.append(", ")
-            out.append("]")
-        else:
-            inner = "  " * (depth + 1)
-            out.append("[\n")
-            for idx, item in enumerate(items):
-                out.append(inner)
-                _render(item, out, depth + 1)
-                out.append(",\n" if idx + 1 < len(items) else "\n")
-            out.append("  " * depth + "]")
+        if all(isinstance(v, (int, float, str)) and not isinstance(v, bool) for v in value):
+            # an array of numbers and strings stays on one line
+            return "[" + ", ".join(_render(v, depth) for v in value) + "]"
+        items = [_render(item, depth + 1) for item in value]
+        brackets = "[]"
     else:
         raise TypeError(f"cannot serialize {type(value).__name__}")
+    if not items:
+        return brackets
+    indent = "\n" + "  " * (depth + 1)
+    return brackets[0] + indent + ("," + indent).join(items) + "\n" + "  " * depth + brackets[1]
 
 
 def emit_instance(inst: Instance) -> str:
@@ -407,6 +384,8 @@ def parse_instance(text: str) -> Instance:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"instance document is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ValidationError("instance document is nested too deeply to parse") from None
     if not isinstance(doc, dict) or "links" not in doc:
         raise ValidationError("instance document must be an object with a 'links' array")
     raw = doc["links"]
@@ -420,7 +399,7 @@ def parse_instance(text: str) -> Instance:
         if isinstance(a, bool) or isinstance(b, bool) \
                 or not isinstance(a, (int, float)) or not isinstance(b, (int, float)):
             raise ValidationError("link coefficients must be numbers")
-        links.append((float(a), float(b)))
+        links.append((a, b))
     return validate(links)
 
 

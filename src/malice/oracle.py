@@ -41,13 +41,10 @@ class GridSpec:
     """Each player's simplex discretized into multiples of mass/resolution."""
 
     resolution: int
-    max_points: int = DEFAULT_POINT_CAP
 
     def __post_init__(self):
         if not isinstance(self.resolution, int) or self.resolution < 1:
             raise InvalidRange(f"grid resolution must be a positive integer, got {self.resolution}")
-        if not isinstance(self.max_points, int) or self.max_points < 1:
-            raise InvalidRange(f"grid point cap must be a positive integer, got {self.max_points}")
 
     def points(self, m: int) -> int:
         """Number of grid points on an m-link simplex."""
@@ -92,10 +89,12 @@ def _checked_inputs(inst: Instance, alpha: float, grid: GridSpec):
 
     alpha = check_alpha(alpha)
     count = grid.points(inst.m)
-    if count > grid.max_points:
+    # one link has a single grid point at any resolution, but enumerating it
+    # walks a range as long as the resolution, so the cap bounds both
+    if max(count, grid.resolution) > DEFAULT_POINT_CAP:
         raise GridTooLarge(
             f"{count} grid points on {inst.m} links at resolution {grid.resolution} "
-            f"exceed the cap {grid.max_points}"
+            f"exceed the cap {DEFAULT_POINT_CAP}"
         )
     return alpha, np.array(inst.slopes), np.array(inst.intercepts)
 

@@ -287,6 +287,27 @@ def test_non_finite_report_number_is_exit_2(tmp_path):
     assert len(proc.stderr.splitlines()) == 1, describe_child(proc)
 
 
+def test_oversized_inputs_are_exit_2(tmp_path):
+    # a coefficient too large for a float, a document too deep for the JSON
+    # parser, and a one-link grid of one point at a resolution past the cap
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"links": [{"a": 1' + "0" * 400 + ', "b": 0}]}\n')
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000 + "\n")
+    one = tmp_path / "one.json"
+    one.write_text('{"links": [{"a": 1, "b": 0}]}\n')
+    for args in (
+        ["solve", "--instance", str(huge), "--wardrop", "--mass", "1"],
+        ["solve", "--instance", str(deep), "--wardrop", "--mass", "1"],
+        ["verify", "--instance", str(one), "--alpha", "0.5", "--grid", str(10**20)],
+    ):
+        proc = _cli(args, tmp_path)
+        assert proc.returncode == 2, describe_child(proc)
+        assert proc.stdout == b""
+        assert b"Traceback" not in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1, describe_child(proc)
+
+
 def test_no_subcommand_but_verify_imports_numpy(tmp_path, pigou_file):
     # numpy is imported inside the oracle functions that need it, so that
     # `import malice` and every other subcommand start without its cost

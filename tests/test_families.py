@@ -4,7 +4,6 @@ from malice import (
     DegenerateInstance,
     InvalidAlpha,
     InvalidM,
-    InvalidRange,
     NonPositiveM,
     com_report,
     com_sweep,
@@ -95,7 +94,7 @@ def test_random_instance_deterministic():
 
 
 def test_random_instance_shape_and_range():
-    inst = random_instance(seed=7, m=5, coef_range=(0.0, 10.0))
+    inst = random_instance(seed=7, m=5)
     assert inst.m == 5
     for a, b in inst.links:
         assert 0.0 <= a <= 10.0
@@ -115,13 +114,6 @@ def test_random_instance_forces_zeros():
 def test_random_instance_caps_link_count():
     with pytest.raises(InvalidM):
         random_instance(seed=1, m=1_000_001)
-
-
-def test_random_instance_invalid_range():
-    with pytest.raises(InvalidRange):
-        random_instance(seed=1, m=2, coef_range=(-1.0, 5.0))
-    with pytest.raises(InvalidRange):
-        random_instance(seed=1, m=2, coef_range=(5.0, 1.0))
 
 
 def test_sweep_alpha_zero_row():

@@ -59,6 +59,8 @@ def test_validate_non_finite():
         validate([(math.nan, 0)])
     with pytest.raises(NonFiniteCoefficient):
         validate([(1, math.inf)])
+    with pytest.raises(NonFiniteCoefficient):
+        validate([(10**400, 0)])
 
 
 def test_validate_subnormal_slope():
@@ -197,6 +199,20 @@ def test_dumps_17_significant_digits():
     assert dumps({"a": [1.0, 2], "ok": True}) == '{\n  "a": [1, 2],\n  "ok": true\n}'
 
 
+def test_dumps_layout():
+    # scalar arrays stay on one line; other arrays and objects put one item on each line
+    assert dumps(None) == "null"
+    assert dumps((1, 2.5, "x")) == '[1, 2.5, "x"]'
+    assert dumps([True, False]) == "[\n  true,\n  false\n]"
+    assert dumps({"l": [], "d": {}, "n": None}) == '{\n  "l": [],\n  "d": {},\n  "n": null\n}'
+    assert dumps([{"a": 1}, {"b": [0.5, -0.0]}]) == (
+        '[\n  {\n    "a": 1\n  },\n  {\n    "b": [0.5, -0]\n  }\n]'
+    )
+    assert dumps({"rows": [1, {"k": "v"}]}) == (
+        '{\n  "rows": [\n    1,\n    {\n      "k": "v"\n    }\n  ]\n}'
+    )
+
+
 def test_parse_rejects_malformed():
     with pytest.raises(ValidationError):
         parse_instance("not json")
@@ -208,6 +224,10 @@ def test_parse_rejects_malformed():
         parse_instance('{"links": [{"a": "x", "b": 0}]}')
     with pytest.raises(NegativeCoefficient):
         parse_instance('{"links": [{"a": -1, "b": 0}]}')
+    with pytest.raises(NonFiniteCoefficient):
+        parse_instance('{"links": [{"a": 1' + "0" * 400 + ', "b": 0}]}')
+    with pytest.raises(ValidationError):
+        parse_instance("[" * 100_000 + "]" * 100_000)
 
 
 def test_instance_digest_depends_on_coefficients():
@@ -259,6 +279,8 @@ def test_flow_checks_short_and_long_flows_alike(pad):
     # the first bad entry, in index order, names the error
     with pytest.raises(InvalidFlow, match="finite"):
         Flow(zeros + (math.nan, "x"), 0.0)
+    with pytest.raises(InvalidFlow, match="finite"):
+        Flow(zeros + (10**400, "x"), 0.0)
     with pytest.raises(ValueError, match="could not convert"):
         Flow(zeros + ("x", math.nan), 0.0)
     with pytest.raises(InvalidFlow, match="below clamp"):

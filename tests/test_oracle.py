@@ -19,7 +19,7 @@ from malice import (
     tight,
     validate,
 )
-from malice.oracle import GRID_CHUNK_ROWS, _grid_chunks
+from malice.oracle import DEFAULT_POINT_CAP, GRID_CHUNK_ROWS, _grid_chunks
 
 from _support import (
     count_waterfills,
@@ -34,8 +34,6 @@ def test_grid_spec_validation():
         GridSpec(0)
     with pytest.raises(InvalidRange):
         GridSpec(1.5)
-    with pytest.raises(InvalidRange):
-        GridSpec(10, max_points=0)
 
 
 def test_grid_spec_points():
@@ -49,7 +47,10 @@ def test_grid_too_large():
     with pytest.raises(GridTooLarge):
         soc_mal_value(inst, 0.5, GridSpec(200))
     with pytest.raises(GridTooLarge):
-        mal_soc_value(pigou(), 0.5, GridSpec(200, max_points=10))
+        mal_soc_value(pigou(), 0.5, GridSpec(DEFAULT_POINT_CAP))
+    # one link has a single grid point, but the resolution is capped too
+    with pytest.raises(GridTooLarge):
+        minimax_gap(validate([(1.0, 0.0)]), 0.5, GridSpec(10**20))
 
 
 def test_simplex_grid_enumeration():
