@@ -60,7 +60,11 @@ TOLERANCES = {
 
 def check_alpha(alpha: float) -> float:
     """MAL's share of the unit total, as a float in [0, 1]."""
-    alpha = float(alpha)
+    try:
+        alpha = float(alpha)
+    except OverflowError:
+        raise InvalidAlpha("alpha must lie in [0, 1], "
+                           "got an integer too large for a float") from None
     if not math.isfinite(alpha) or not 0.0 <= alpha <= 1.0:
         raise InvalidAlpha(f"alpha must lie in [0, 1], got {alpha}")
     return alpha
@@ -76,7 +80,11 @@ def check_com_alpha(alpha: float) -> float:
 
 def check_mass(mass: float) -> float:
     """A flow's declared mass, as a finite nonnegative float."""
-    mass = float(mass)
+    try:
+        mass = float(mass)
+    except OverflowError:
+        raise InvalidMass("mass must be finite and nonnegative, "
+                          "got an integer too large for a float") from None
     if not math.isfinite(mass) or mass < 0.0:
         raise InvalidMass(f"mass must be finite and nonnegative, got {mass}")
     return mass

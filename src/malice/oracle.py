@@ -12,13 +12,17 @@ Their difference brackets the equilibrium value and shrinks as the
 resolution grows; doubling the resolution refines the grid in place, so
 the gap never widens.
 
-Grid points are enumerated in lexicographic order by stars and bars, in
-chunks of at most GRID_CHUNK_ROWS points, so memory stays bounded
-whatever the point cap.  Each chunk is evaluated in numpy at once: the
-adversary's closed form directly, SOC's water-fills through the batched
-kernel `waterfill_rows`, which is bit-identical to the scalar one row
-by row.  So each point's value, and each bound, is the float that a
-loop over single points would compute, however the grid is chunked.
+Grid points are enumerated in lexicographic order through the partial
+sums of their parts, in chunks of GRID_CHUNK_ROWS points (the last one
+may be shorter), so memory stays bounded whatever the point cap.
+itertools walks the prefixes, the first m - 2 sums, and numpy expands
+each prefix over every value of the last sum, so Python steps once per
+prefix rather than once per point.  Each chunk is evaluated in numpy at
+once: the adversary's closed form directly, SOC's water-fills through
+the batched kernel `waterfill_rows`, which is bit-identical to the
+scalar one row by row.  So each point's value, and each bound, is the
+float that a loop over single points would compute, however the grid
+is chunked.
 
 numpy is imported by the functions that use it, not by this module, so
 `import malice` and every CLI subcommand but `verify` run without it.
@@ -33,7 +37,7 @@ from .flows import waterfill_rows
 from .model import Instance, check_alpha, check_sum
 
 DEFAULT_POINT_CAP = 2_000_000
-GRID_CHUNK_ROWS = 2_048  # grid points per numpy pass: bounds working memory, keeps it in cache
+GRID_CHUNK_ROWS = 2_048  # points per chunk, prefixes per batch: bounds memory, keeps it in cache
 
 
 @dataclass(frozen=True)
@@ -43,7 +47,9 @@ class GridSpec:
     resolution: int
 
     def __post_init__(self):
-        if not isinstance(self.resolution, int) or self.resolution < 1:
+        # a bool is an int to Python, but True is no resolution
+        if isinstance(self.resolution, bool) or not isinstance(self.resolution, int) \
+                or self.resolution < 1:
             raise InvalidRange(f"grid resolution must be a positive integer, got {self.resolution}")
 
     def points(self, m: int) -> int:
@@ -51,30 +57,71 @@ class GridSpec:
         return math.comb(self.resolution + m - 1, m - 1)
 
 
-def _grid_chunks(n: int, m: int):
-    """Yield the compositions of n into m nonnegative parts, lexicographically,
-    as int64 arrays of at most GRID_CHUNK_ROWS rows.
-
-    Stars and bars: the m - 1 bar positions among n + m - 1 slots, taken in
-    lexicographic order, give the compositions in lexicographic order; the
-    parts are the gaps between consecutive bars, padded by a bar before
-    the first slot and one after the last.
+def _prefix_batches(n: int, m: int):
+    """Yield the grid's prefixes, the first m - 2 partial sums, lexicographically,
+    in batches of at most GRID_CHUNK_ROWS as (heads, lasts, ends): row i of
+    heads holds prefix i's parts and two columns left for a point's last two,
+    lasts[i] is its last sum, and ends[i] counts the points of prefixes 0..i,
+    since a point's last sum runs from its prefix's last sum up to n.
     """
     import numpy as np
 
-    bars = itertools.combinations(range(n + m - 1), m - 1)
+    # the m - 1 sums that start with 0 come first, and after the 0 they are
+    # the prefixes in order: each row arrives with the 0 its first part needs
+    prefixes = itertools.combinations_with_replacement(range(n + 1), m - 1)
+    left = math.comb(n + m - 2, m - 2)
+    while left:
+        count = min(left, GRID_CHUNK_ROWS)
+        sums = np.fromiter(
+            itertools.chain.from_iterable(itertools.islice(prefixes, count)),
+            dtype=np.int64, count=count * (m - 1),
+        ).reshape(count, m - 1)
+        heads = np.empty((count, m), dtype=np.int64)
+        np.subtract(sums[:, 1:], sums[:, :-1], out=heads[:, :m - 2])
+        lasts = sums[:, -1]
+        yield heads, lasts, np.cumsum(n + 1 - lasts)
+        left -= count
+
+
+def _grid_chunks(n: int, m: int):
+    """Yield the compositions of n into m nonnegative parts, lexicographically,
+    as int64 arrays of GRID_CHUNK_ROWS rows, the last one of at most as many.
+
+    The partial sums 0 <= c_1 <= ... <= c_{m-1} <= n in lexicographic order
+    give the compositions in lexicographic order; the parts are the
+    differences of consecutive sums, padded by 0 before and n after.  Row r
+    of a prefix batch has the first prefix whose end exceeds r, and the last
+    sum n + 1 + r - that end.  Chunks need not line up with batches or with
+    prefixes.
+    """
+    import numpy as np
+
+    if m == 1:
+        yield np.full((1, 1), n, dtype=np.int64)
+        return
+    batches = _prefix_batches(n, m)
+    done = total = 0  # rows of the current batch taken, and its row count
     left = math.comb(n + m - 1, m - 1)
     while left:
-        rows = min(left, GRID_CHUNK_ROWS)
-        padded = np.empty((rows, m + 1), dtype=np.int64)
-        padded[:, 0] = -1
-        padded[:, m] = n + m - 1
-        padded[:, 1:m] = np.fromiter(
-            itertools.chain.from_iterable(itertools.islice(bars, rows)),
-            dtype=np.int64, count=rows * (m - 1),
-        ).reshape(rows, m - 1)
-        yield np.diff(padded, axis=1) - 1
-        left -= rows
+        parts = np.empty((min(left, GRID_CHUNK_ROWS), m), dtype=np.int64)
+        filled = 0
+        while filled < len(parts):
+            if done == total:
+                heads, lasts, ends = next(batches)
+                done, total = 0, int(ends[-1])
+            take = min(len(parts) - filled, total - done)
+            row = np.arange(done, done + take)
+            prefix = np.searchsorted(ends, row, side="right")
+            block = parts[filled:filled + take]
+            # every index is in range; "clip" lets take write into block unbuffered
+            np.take(heads, prefix, axis=0, out=block, mode="clip")
+            last = row - ends[prefix] + (n + 1)
+            block[:, m - 2] = last - lasts[prefix]
+            block[:, m - 1] = n - last
+            filled += take
+            done += take
+        yield parts
+        left -= len(parts)
 
 
 def simplex_grid(n: int, m: int):

@@ -41,8 +41,9 @@ Y = Flow((0.0, 0.25, 0.25), 0.5)        # a valid social flow of mass 0.5
 SHORT = Flow((0.25, 0.25), 0.5)         # one entry too few for INST
 GRID = GridSpec(4)
 
-BAD_ALPHAS = [float("nan"), float("inf"), float("-inf"), -0.1, 1.5]
-BAD_MASSES = [float("nan"), float("inf"), -1.0]
+TOO_BIG = 10**400                       # an integer too large for a float
+BAD_ALPHAS = [float("nan"), float("inf"), float("-inf"), -0.1, 1.5, TOO_BIG, -TOO_BIG]
+BAD_MASSES = [float("nan"), float("inf"), -1.0, TOO_BIG, -TOO_BIG]
 
 # entry points whose alpha must lie in [0, 1]
 ALPHA_ENTRIES = {
@@ -84,8 +85,15 @@ SHORT_FLOW_ENTRIES = {
 }
 
 
+def _label(value):
+    """value as it reads in a test id; TOO_BIG by its size, not its 401 digits."""
+    if abs(value) == TOO_BIG:
+        return "-10**400" if value < 0 else "10**400"
+    return str(value)
+
+
 def _table(entries, values):
-    return [pytest.param(call, value, id=f"{name}-{value}")
+    return [pytest.param(call, value, id=f"{name}-{_label(value)}")
             for name, call in entries.items() for value in values]
 
 

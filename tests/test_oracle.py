@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from malice import (
@@ -34,6 +35,8 @@ def test_grid_spec_validation():
         GridSpec(0)
     with pytest.raises(InvalidRange):
         GridSpec(1.5)
+    with pytest.raises(InvalidRange):
+        GridSpec(True)
 
 
 def test_grid_spec_points():
@@ -73,6 +76,22 @@ def test_chunked_grid_matches_recursive_order():
     assert all(len(chunk) == GRID_CHUNK_ROWS for chunk in chunks[:-1])
     assert 0 < len(chunks[-1]) <= GRID_CHUNK_ROWS
     assert [tuple(row) for chunk in chunks for row in chunk.tolist()] == list(reference_simplex_grid(400, 3))
+
+
+def test_grid_chunks_split_prefixes_and_batches():
+    # (5000, 2): one prefix, 5,001 points, spans three chunks.  (70, 4): 2,556
+    # prefixes, more than one batch, so a chunk takes rows from two batches.
+    for n, m, count in ((5000, 2, 3), (70, 4, 31)):
+        chunks = list(_grid_chunks(n, m))
+        assert len(chunks) == count
+        assert all(len(chunk) == GRID_CHUNK_ROWS for chunk in chunks[:-1])
+        assert [tuple(row) for chunk in chunks for row in chunk.tolist()] == list(reference_simplex_grid(n, m))
+    # more links than the default recursion limit; the recursive reference is
+    # cubic here, so compare with the closed form: one unit on 1,200 links is a
+    # unit vector, and lexicographically the last link's comes first
+    chunks = list(_grid_chunks(1, 1200))
+    assert len(chunks) == 1
+    assert np.array_equal(chunks[0], np.eye(1200, dtype=np.int64)[::-1])
 
 
 def test_single_link_has_no_strategic_choice():
@@ -135,6 +154,7 @@ def test_mal_soc_value_equals_point_by_point_reference():
         (validate([(1, 0), (1, 0), (1, 0)]), 0.5, 10),   # symmetric links
         (tight(10), 0.0, 10),
         (random_instance(seed=33, m=3), 0.6, 400),         # more than one chunk
+        (random_instance(seed=35, m=2), 0.5, 5000),        # one prefix across three chunks
     ]
     for inst, alpha, n in cases:
         assert mal_soc_value(inst, alpha, GridSpec(n)) == reference_mal_soc_value(inst, alpha, n)
