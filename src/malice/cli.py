@@ -20,6 +20,7 @@ from .families import network, pigou, random_instance, tight
 from .flows import flow_cost, system_optimum, wardrop_flow
 from .game import SweepRow, com_report, com_sweep, pure_equilibrium, scaled_optimum
 from .model import (
+    CHECK_TOL,
     TOLERANCES,
     Instance,
     check_alpha,
@@ -116,8 +117,8 @@ def _cmd_verify(args) -> int:
     gap, (lower, upper) = minimax_gap(inst, args.alpha, grid)
     elapsed = time.perf_counter() - started
     _, certificate = pure_equilibrium(inst, args.alpha)
-    contains = lower - 1e-9 <= certificate.value <= upper + 1e-9
-    ok = gap >= -1e-9 and contains
+    contains = lower - CHECK_TOL <= certificate.value <= upper + CHECK_TOL
+    ok = gap >= -CHECK_TOL and contains
     payload = {
         "command": "verify",
         "alpha": args.alpha,

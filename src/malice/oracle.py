@@ -12,23 +12,25 @@ Their difference brackets the equilibrium value and shrinks as the
 resolution grows; doubling the resolution refines the grid in place, so
 the gap never widens.
 
-Grid points are enumerated in lexicographic order through the partial
-sums of their parts, in chunks of GRID_CHUNK_ROWS points (the last one
-may be shorter), so memory stays bounded whatever the point cap.
-itertools walks the prefixes, the first m - 2 sums, and numpy expands
-each prefix over every value of the last sum, so Python steps once per
-prefix rather than once per point.  Each chunk is evaluated in numpy at
-once: the adversary's closed form directly, SOC's water-fills through
-the batched kernel `waterfill_rows`, which is bit-identical to the
-scalar one row by row.  So each point's value, and each bound, is the
-float that a loop over single points would compute, however the grid
-is chunked.
+Grid points are unranked from their lexicographic positions, as in the
+combinatorial number system, in chunks of GRID_CHUNK_ROWS points (the
+last one may be shorter): Python steps once per chunk and part, never
+per point, and memory grows with the links, not the points.  Each chunk
+is evaluated in numpy at once: the adversary's closed form directly,
+SOC's water-fills through the batched kernel `waterfill_rows`, which is
+bit-identical to the scalar one row by row.  So each point's value, and
+each bound, is the float that a loop over single points would compute,
+however the grid is chunked.
+
+Both caps are checked where the grid is built, so `simplex_grid` and
+both bounds share them: DEFAULT_POINT_CAP on the points and the
+resolution, and DEFAULT_CELL_CAP on points times links, with which a
+many-link grid's memory and time grow.
 
 numpy is imported by the functions that use it, not by this module, so
 `import malice` and every CLI subcommand but `verify` run without it.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -37,7 +39,8 @@ from .flows import waterfill_rows
 from .model import Instance, check_alpha, check_sum
 
 DEFAULT_POINT_CAP = 2_000_000
-GRID_CHUNK_ROWS = 2_048  # points per chunk, prefixes per batch: bounds memory, keeps it in cache
+DEFAULT_CELL_CAP = 16_000_000  # points times links: bounds a many-link grid's memory and time
+GRID_CHUNK_ROWS = 2_048  # points per chunk: bounds memory, keeps it in cache
 
 
 @dataclass(frozen=True)
@@ -57,71 +60,56 @@ class GridSpec:
         return math.comb(self.resolution + m - 1, m - 1)
 
 
-def _prefix_batches(n: int, m: int):
-    """Yield the grid's prefixes, the first m - 2 partial sums, lexicographically,
-    in batches of at most GRID_CHUNK_ROWS as (heads, lasts, ends): row i of
-    heads holds prefix i's parts and two columns left for a point's last two,
-    lasts[i] is its last sum, and ends[i] counts the points of prefixes 0..i,
-    since a point's last sum runs from its prefix's last sum up to n.
-    """
-    import numpy as np
-
-    # the m - 1 sums that start with 0 come first, and after the 0 they are
-    # the prefixes in order: each row arrives with the 0 its first part needs
-    prefixes = itertools.combinations_with_replacement(range(n + 1), m - 1)
-    left = math.comb(n + m - 2, m - 2)
-    while left:
-        count = min(left, GRID_CHUNK_ROWS)
-        sums = np.fromiter(
-            itertools.chain.from_iterable(itertools.islice(prefixes, count)),
-            dtype=np.int64, count=count * (m - 1),
-        ).reshape(count, m - 1)
-        heads = np.empty((count, m), dtype=np.int64)
-        np.subtract(sums[:, 1:], sums[:, :-1], out=heads[:, :m - 2])
-        lasts = sums[:, -1]
-        yield heads, lasts, np.cumsum(n + 1 - lasts)
-        left -= count
-
-
 def _grid_chunks(n: int, m: int):
     """Yield the compositions of n into m nonnegative parts, lexicographically,
     as int64 arrays of GRID_CHUNK_ROWS rows, the last one of at most as many.
 
-    The partial sums 0 <= c_1 <= ... <= c_{m-1} <= n in lexicographic order
-    give the compositions in lexicographic order; the parts are the
-    differences of consecutive sums, padded by 0 before and n after.  Row r
-    of a prefix batch has the first prefix whose end exceeds r, and the last
-    sum n + 1 + r - that end.  Chunks need not line up with batches or with
-    prefixes.
+    Each row is unranked from u, the number of points after it.  Counted
+    from the end, the points whose first part leaves s for the k - 1 parts
+    after it come in blocks of s = 0, 1, ..., and the block of s has as many
+    points as s has compositions into k - 1 parts.  For each part j, with
+    k = m - j parts left, counts[j] holds 0 and then those block sizes summed
+    over 0..s, so one searchsorted finds a row's s, and subtracting the
+    blocks before s leaves u within its block.  Two parts with u left and
+    s to share are s - u and u.
+
+    More than DEFAULT_POINT_CAP points or resolution, or more than
+    DEFAULT_CELL_CAP cells (points times links), is GridTooLarge before
+    anything is allocated; so every count, at most the points, fits in int64.
     """
     import numpy as np
 
+    total = math.comb(n + m - 1, m - 1)
+    # one link has a single grid point at any resolution, so cap the resolution too
+    if max(total, n) > DEFAULT_POINT_CAP:
+        raise GridTooLarge(
+            f"{total} grid points on {m} links at resolution {n} "
+            f"exceed the cap {DEFAULT_POINT_CAP}"
+        )
+    if total * m > DEFAULT_CELL_CAP:
+        raise GridTooLarge(
+            f"{total * m} grid cells ({total} points on {m} links at resolution {n}) "
+            f"exceed the cap {DEFAULT_CELL_CAP}"
+        )
     if m == 1:
         yield np.full((1, 1), n, dtype=np.int64)
         return
-    batches = _prefix_batches(n, m)
-    done = total = 0  # rows of the current batch taken, and its row count
-    left = math.comb(n + m - 1, m - 1)
-    while left:
-        parts = np.empty((min(left, GRID_CHUNK_ROWS), m), dtype=np.int64)
-        filled = 0
-        while filled < len(parts):
-            if done == total:
-                heads, lasts, ends = next(batches)
-                done, total = 0, int(ends[-1])
-            take = min(len(parts) - filled, total - done)
-            row = np.arange(done, done + take)
-            prefix = np.searchsorted(ends, row, side="right")
-            block = parts[filled:filled + take]
-            # every index is in range; "clip" lets take write into block unbuffered
-            np.take(heads, prefix, axis=0, out=block, mode="clip")
-            last = row - ends[prefix] + (n + 1)
-            block[:, m - 2] = last - lasts[prefix]
-            block[:, m - 1] = n - last
-            filled += take
-            done += take
+    counts = np.zeros((m - 2, n + 2), dtype=np.int64)
+    sizes = np.arange(1, n + 2)  # s + 1: the compositions of s into two parts
+    for table in counts[::-1]:
+        sizes = np.cumsum(sizes, out=table[1:])
+    for start in range(total - 1, -1, -GRID_CHUNK_ROWS):
+        u = np.arange(start, max(start - GRID_CHUNK_ROWS, -1), -1)
+        parts = np.empty((len(u), m), dtype=np.int64)
+        rest = n
+        for j, table in enumerate(counts):
+            s = np.searchsorted(table[1:], u, side="right")
+            np.subtract(rest, s, out=parts[:, j])
+            np.subtract(u, table.take(s), out=u)
+            rest = s
+        np.subtract(rest, u, out=parts[:, m - 2])
+        parts[:, m - 1] = u
         yield parts
-        left -= len(parts)
 
 
 def simplex_grid(n: int, m: int):
@@ -130,20 +118,11 @@ def simplex_grid(n: int, m: int):
         yield from map(tuple, chunk.tolist())
 
 
-def _checked_inputs(inst: Instance, alpha: float, grid: GridSpec):
-    """The checked alpha and the coefficients as arrays, once the grid fits its cap."""
+def _checked_inputs(inst: Instance, alpha: float):
+    """The checked alpha and the coefficients as arrays."""
     import numpy as np
 
-    alpha = check_alpha(alpha)
-    count = grid.points(inst.m)
-    # one link has a single grid point at any resolution, but enumerating it
-    # walks a range as long as the resolution, so the cap bounds both
-    if max(count, grid.resolution) > DEFAULT_POINT_CAP:
-        raise GridTooLarge(
-            f"{count} grid points on {inst.m} links at resolution {grid.resolution} "
-            f"exceed the cap {DEFAULT_POINT_CAP}"
-        )
-    return alpha, np.array(inst.slopes), np.array(inst.intercepts)
+    return check_alpha(alpha), np.array(inst.slopes), np.array(inst.intercepts)
 
 
 def soc_mal_value(inst: Instance, alpha: float, grid: GridSpec) -> float:
@@ -153,7 +132,7 @@ def soc_mal_value(inst: Instance, alpha: float, grid: GridSpec) -> float:
     """
     import numpy as np
 
-    alpha, a, b = _checked_inputs(inst, alpha, grid)
+    alpha, a, b = _checked_inputs(inst, alpha)
     best = math.inf
     for parts in _grid_chunks(grid.resolution, inst.m):
         y = (1.0 - alpha) * (parts / grid.resolution)
@@ -177,7 +156,7 @@ def mal_soc_value(inst: Instance, alpha: float, grid: GridSpec) -> float:
     """
     import numpy as np
 
-    alpha, a, b = _checked_inputs(inst, alpha, grid)
+    alpha, a, b = _checked_inputs(inst, alpha)
     doubled = 2.0 * a
     beta = 1.0 - alpha
     best = -math.inf

@@ -10,6 +10,7 @@ loaded ones or at a prefix of the cached intercept order; the library
 must match them bit for bit.
 """
 
+import itertools
 import math
 import os
 import random
@@ -299,13 +300,12 @@ def count_waterfills(monkeypatch):
 
 
 def reference_simplex_grid(n, m):
-    """The compositions of n into m nonnegative parts, by lexicographic recursion."""
-    if m == 1:
-        yield (n,)
-        return
-    for head in range(n + 1):
-        for tail in reference_simplex_grid(n - head, m - 1):
-            yield (head,) + tail
+    """The compositions of n into m nonnegative parts, lexicographically: the
+    differences of the partial sums 0 <= c_1 <= ... <= c_{m-1} <= n, padded by
+    0 before and n after, which itertools yields in lexicographic order."""
+    for sums in itertools.combinations_with_replacement(range(n + 1), m - 1):
+        bounds = (0, *sums, n)
+        yield tuple(hi - lo for lo, hi in zip(bounds, bounds[1:]))
 
 
 def reference_mal_soc_value(inst, alpha, n):

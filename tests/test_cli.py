@@ -289,17 +289,21 @@ def test_non_finite_report_number_is_exit_2(tmp_path):
 
 def test_oversized_inputs_are_exit_2(tmp_path):
     # a coefficient too large for a float, a document too deep for the JSON
-    # parser, and a one-link grid of one point at a resolution past the cap
+    # parser, a one-link grid of one point at a resolution past the cap, and
+    # a grid of 40,000 points on 40,000 links, past the cell cap
     huge = tmp_path / "huge.json"
     huge.write_text('{"links": [{"a": 1' + "0" * 400 + ', "b": 0}]}\n')
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 100_000 + "]" * 100_000 + "\n")
     one = tmp_path / "one.json"
     one.write_text('{"links": [{"a": 1, "b": 0}]}\n')
+    wide = tmp_path / "wide.json"
+    wide.write_text('{"links": [' + ", ".join(['{"a": 1, "b": 0}'] * 40_000) + "]}\n")
     for args in (
         ["solve", "--instance", str(huge), "--wardrop", "--mass", "1"],
         ["solve", "--instance", str(deep), "--wardrop", "--mass", "1"],
         ["verify", "--instance", str(one), "--alpha", "0.5", "--grid", str(10**20)],
+        ["verify", "--instance", str(wide), "--alpha", "0.5", "--grid", "1"],
     ):
         proc = _cli(args, tmp_path)
         assert proc.returncode == 2, describe_child(proc)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from malice import (
     tight,
     validate,
 )
-from malice.oracle import DEFAULT_POINT_CAP, GRID_CHUNK_ROWS, _grid_chunks
+from malice.oracle import DEFAULT_CELL_CAP, DEFAULT_POINT_CAP, GRID_CHUNK_ROWS, _grid_chunks
 
 from _support import (
     count_waterfills,
@@ -78,20 +79,54 @@ def test_chunked_grid_matches_recursive_order():
     assert [tuple(row) for chunk in chunks for row in chunk.tolist()] == list(reference_simplex_grid(400, 3))
 
 
-def test_grid_chunks_split_prefixes_and_batches():
-    # (5000, 2): one prefix, 5,001 points, spans three chunks.  (70, 4): 2,556
-    # prefixes, more than one batch, so a chunk takes rows from two batches.
+def test_reference_simplex_grid_is_lexicographic():
+    for n, m in ((0, 1), (3, 1), (0, 3), (1, 2), (5, 3), (7, 4), (4, 6), (2, 30)):
+        points = list(reference_simplex_grid(n, m))
+        assert len(points) == math.comb(n + m - 1, m - 1)
+        assert all(a < b for a, b in zip(points, points[1:]))
+        assert all(len(p) == m and min(p) >= 0 and sum(p) == n for p in points)
+
+
+def test_grid_chunks_across_seams_and_many_links():
+    # (5000, 2): 5,001 points span three chunks.  (70, 4): 62,196 points in 31
+    # chunks, whose seams fall inside the blocks of every part.
     for n, m, count in ((5000, 2, 3), (70, 4, 31)):
         chunks = list(_grid_chunks(n, m))
         assert len(chunks) == count
         assert all(len(chunk) == GRID_CHUNK_ROWS for chunk in chunks[:-1])
         assert [tuple(row) for chunk in chunks for row in chunk.tolist()] == list(reference_simplex_grid(n, m))
-    # more links than the default recursion limit; the recursive reference is
-    # cubic here, so compare with the closed form: one unit on 1,200 links is a
-    # unit vector, and lexicographically the last link's comes first
+    # more links than the default recursion limit: one unit on 1,200 links is
+    # a unit vector, and lexicographically the last link's comes first
     chunks = list(_grid_chunks(1, 1200))
     assert len(chunks) == 1
     assert np.array_equal(chunks[0], np.eye(1200, dtype=np.int64)[::-1])
+    # (2, 150): 11,325 points on 150 links, six chunks
+    for n, m in ((1, 1200), (2, 150)):
+        assert [tuple(row) for chunk in _grid_chunks(n, m) for row in chunk.tolist()] == list(reference_simplex_grid(n, m))
+
+
+def test_grid_caps_bound_every_grid():
+    # the caps hold where the grid is built, so simplex_grid has them too
+    with pytest.raises(GridTooLarge):
+        next(simplex_grid(2000, 3))
+    with pytest.raises(GridTooLarge):
+        next(simplex_grid(10**20, 3))
+    # 11 links at resolution 14: 1,961,256 points, within the point cap, but
+    # 21,573,816 cells; resolution 13 has 12,584,726
+    with pytest.raises(GridTooLarge, match="cells"):
+        next(_grid_chunks(14, 11))
+    assert len(next(_grid_chunks(13, 11))) == GRID_CHUNK_ROWS
+    # 40,000 points on 40,000 links: rejected before the first 655 MB chunk,
+    # or anything else the grid needs, is allocated
+    inst = validate([(1.0, 0.0)] * 40_000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(GridTooLarge, match=f"1600000000 grid cells .* exceed the cap {DEFAULT_CELL_CAP}"):
+            minimax_gap(inst, 0.5, GridSpec(1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
 
 
 def test_single_link_has_no_strategic_choice():
