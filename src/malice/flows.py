@@ -30,13 +30,19 @@ support, sorted by its shifted intercepts, into the cached order instead
 of sorting all m links again.  Under MAL's Wardrop flow at level L the
 shifted intercept is max(b_i, L) up to rounding, so that support sits at
 the front of the merged order.
+
+The kernel returns its loads as `model.Loads`, which names the links it
+wrote: the loaded prefix, plus the tied zero-slope links when the level
+is pinned.  It writes no other entry, so every other one is still 0.0,
+and the solvers' Flows check and sum just those links instead of
+scanning all m.
 """
 
 import math
 from dataclasses import dataclass
 from itertools import chain
 
-from .model import Flow, Instance, check_links, check_mass, intercept_order
+from .model import Flow, Instance, Loads, check_links, check_mass, intercept_order
 
 
 @dataclass(frozen=True)
@@ -47,17 +53,18 @@ class WaterLevel:
     support: frozenset[int]
 
 
-def waterfill(slopes, intercepts, mass, order=None) -> tuple[float, list[float]]:
+def waterfill(slopes, intercepts, mass, order=None) -> tuple[float, Loads]:
     """Low-level kernel: distribute `mass` across links at a common level.
 
-    Returns (level, loads).  A zero mass returns the all-zero loading at
-    level min(intercepts), the limit of the level from the right.
+    Returns (level, loads); loads.links are the links the kernel wrote.
+    A zero mass returns the all-zero loading at level min(intercepts), the
+    limit of the level from the right.
 
     order is intercept_order(slopes, intercepts), sorted here when not
     given.  Its first part, the positive-slope links, may be any iterable
     in that order; it is walked once, and only as far as the fill needs.
     """
-    values = [0.0] * len(slopes)
+    values = Loads.zeros(len(slopes))
     if mass == 0.0:
         return min(intercepts), values
     positive, flat = intercept_order(slopes, intercepts) if order is None else order
@@ -90,6 +97,7 @@ def waterfill(slopes, intercepts, mass, order=None) -> tuple[float, list[float]]
         if not intercepts[i] < level:
             break
         loaded.append(i)
+    values.links = loaded
     placed = 0.0
     for i in loaded:
         v = (level - intercepts[i]) / slopes[i]
@@ -113,6 +121,7 @@ def waterfill(slopes, intercepts, mass, order=None) -> tuple[float, list[float]]
     share = rest / len(ties)
     for i in ties:
         values[i] = share
+    values.links = loaded + ties
     return level, values
 
 

@@ -19,6 +19,7 @@ from .model import (
     EquilibriumCertificate,
     Flow,
     Instance,
+    Loads,
     Profile,
     check_alpha,
     check_com_alpha,
@@ -67,8 +68,9 @@ def mal_best_response(inst: Instance, y: Flow, alpha: float) -> BestResponseResu
     alpha = check_alpha(alpha)
     check_links(inst, y)
     best = _most_damaging(inst, y)
-    values = [0.0] * inst.m
+    values = Loads.zeros(inst.m)
     values[best] = alpha
+    values.links = (best,)
     x = Flow(values, alpha)
     return BestResponseResult(x, cost(inst, x, y))
 
@@ -209,7 +211,8 @@ def scaled_optimum(inst: Instance, alpha: float, ystar: Flow,
     ystar = system_optimum(inst, 1.0) and its cost opt_cost."""
     scale = 1.0 - alpha
     v = ystar.values
-    scaled = [0.0] * inst.m
+    scaled = Loads.zeros(inst.m)
+    scaled.links = ystar.nonzero
     total = 0.0
     for k in ystar.nonzero:
         scaled[k] = scale * v[k]

@@ -12,14 +12,22 @@ Flows store absolute link loads, not fractions of a player's mass, and
 carry their declared total mass explicitly so that the degenerate cases
 alpha = 0 and alpha = 1 need no special handling.
 
-Every type in this module is immutable after construction and every
-operation is a pure function, so everything here is safe to share
-across threads.  That includes what an Instance caches beside its
-fields (its slopes, intercepts, doubled slopes and intercept order) and
-what a Flow caches (the indices of its nonzero entries): each is built
-once in the constructor and never changed, and none of it enters repr,
-== or hash.  An instance stores a -0.0 coefficient as +0.0, so its
-intercept order is never None and equal instances serialize alike.
+Validation happens at the API boundary.  `Flow(values, mass)` converts
+and checks every entry.  The solvers instead hand over their loads as
+`Loads`, a list that names the links the solver wrote; the solver never
+touched any other entry, so it is still 0.0, and the Flow checks and sums
+only the named ones: O(support) plus one copy, where a scan costs O(m).
+Both give the same values, nonzero indices, sum and errors.
+
+Every type in this module but Loads, the list a solver fills before it
+becomes a Flow, is immutable after construction and every operation is
+a pure function, so everything here is safe to share across threads.
+That includes what an Instance caches beside its fields (its slopes,
+intercepts, doubled slopes and intercept order) and what a Flow caches
+(the indices of its nonzero entries): each is built once in the
+constructor and never changed, and none of it enters repr, == or hash.
+An instance stores a -0.0 coefficient as +0.0, so its intercept order is
+never None and equal instances serialize alike.
 """
 
 import hashlib
@@ -110,6 +118,15 @@ def intercept_order(slopes, intercepts) -> tuple[memoryview, memoryview]:
             _frozen("i", sorted([i for i in links if slopes[i] == 0.0], key=key)))
 
 
+def _reject(a: float, b: float):
+    """Raise the error of the first check that the link (a, b) fails."""
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise NonFiniteCoefficient(f"link ({a}, {b}) has a non-finite coefficient")
+    if a < 0.0 or b < 0.0:
+        raise NegativeCoefficient(f"link ({a}, {b}) has a negative coefficient")
+    raise SubnormalSlope(f"link ({a}, {b}) has a subnormal slope")
+
+
 @dataclass(frozen=True)
 class Instance:
     """m parallel links, each a (slope, intercept) pair of its latency."""
@@ -120,6 +137,8 @@ class Instance:
         if len(self.links) == 0:
             raise EmptyInstance("an instance needs at least one link")
         clean = []
+        inf = math.inf
+        tiny = sys.float_info.min
         for a, b in self.links:
             # + 0.0 turns a -0.0 coefficient into +0.0 and leaves every other
             # float as it is, so no signed zero reaches the solvers or the output
@@ -129,12 +148,9 @@ class Instance:
             except OverflowError:  # an integer too large for a float
                 raise NonFiniteCoefficient(
                     f"link {len(clean)} has a coefficient too large for a float") from None
-            if not (math.isfinite(a) and math.isfinite(b)):
-                raise NonFiniteCoefficient(f"link ({a}, {b}) has a non-finite coefficient")
-            if a < 0.0 or b < 0.0:
-                raise NegativeCoefficient(f"link ({a}, {b}) has a negative coefficient")
-            if 0.0 < a < sys.float_info.min:
-                raise SubnormalSlope(f"link ({a}, {b}) has a subnormal slope")
+            # every check in one test, with no call; NaN fails each comparison
+            if not (0.0 <= b < inf and (tiny <= a < inf or a == 0.0)):
+                _reject(a, b)
             clean.append((a, b))
         object.__setattr__(self, "links", tuple(clean))
         # built once: the solvers read these on every call
@@ -201,20 +217,41 @@ def _clamped(raw) -> tuple[float, ...]:
     return tuple(clean)
 
 
-def _nonzero_entries(values):
+def _nonzero_entries(values, indices=None):
     """(indices, sum) of the nonzero entries of a tuple of floats, both in
-    index order, or None if a nonzero entry is negative or not finite."""
-    indices = []
+    index order, or None if one is negative or not finite.  Only the
+    entries at indices, increasing, are read if given."""
+    if indices is None:
+        indices = compress(range(len(values)), values)
+    nonzero = []
     total = 0.0
-    i = -1
-    find = values.index
-    for v in compress(values, values):
-        if not 0.0 < v < math.inf:
-            return None
-        total += v
-        i = find(v, i + 1)  # the entries in between are zeros
-        indices.append(i)
-    return tuple(indices), total
+    for i in indices:
+        v = values[i]
+        if v:
+            if not 0.0 < v < math.inf:
+                return None
+            total += v
+            nonzero.append(i)
+    return tuple(nonzero), total
+
+
+class Loads(list):
+    """Per-link loads as a list of floats that names, in `links`, the only
+    entries that may be nonzero; every other entry is 0.0.
+
+    The solvers build their flows from Loads, so a Flow checks and sums
+    just the entries at `links` instead of scanning all m of them.
+    """
+
+    __slots__ = ("links",)
+
+    @classmethod
+    def zeros(cls, m: int) -> "Loads":
+        """m entries of 0.0, with no link loaded yet."""
+        loads = cls((0.0,))
+        loads *= m
+        loads.links = ()
+        return loads
 
 
 @dataclass(frozen=True)
@@ -228,6 +265,10 @@ class Flow:
     A zero entry passes every check and adds exactly nothing to the sum,
     so only the nonzero entries are looked at one by one; their indices
     are kept as `nonzero`, which lets sums over a flow skip its zeros.
+    Values given as Loads, as the solvers give them, are read only at
+    their `links`, so such a flow costs O(support) and one copy.  Should
+    one of those entries be negative or not finite, they are checked in
+    full instead, with the same result or message.
     """
 
     values: tuple[float, ...]
@@ -235,16 +276,23 @@ class Flow:
 
     def __post_init__(self):
         mass = check_mass(self.mass)
-        raw = self.values if isinstance(self.values, (tuple, list)) else tuple(self.values)
-        try:
-            values = tuple(map(float, raw))
-            found = _nonzero_entries(values)
-        except (TypeError, ValueError, OverflowError):
-            found = None
+        raw = self.values
+        found = None
+        if type(raw) is Loads:
+            values = tuple(raw)
+            found = _nonzero_entries(values, sorted(raw.links))
         if found is None:
-            # a bad or negative entry: check entry by entry, clamping noise
-            values = _clamped(raw)
-            found = _nonzero_entries(values)
+            if not isinstance(raw, (tuple, list)):
+                raw = tuple(raw)
+            try:
+                values = tuple(map(float, raw))
+                found = _nonzero_entries(values)
+            except (TypeError, ValueError, OverflowError):
+                found = None
+            if found is None:
+                # a bad or negative entry: check entry by entry, clamping noise
+                values = _clamped(raw)
+                found = _nonzero_entries(values)
         nonzero, total = found
         check_sum(total, mass)
         object.__setattr__(self, "values", values)

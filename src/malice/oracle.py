@@ -41,6 +41,7 @@ from .model import Instance, check_alpha, check_sum
 DEFAULT_POINT_CAP = 2_000_000
 DEFAULT_CELL_CAP = 16_000_000  # points times links: bounds a many-link grid's memory and time
 GRID_CHUNK_ROWS = 2_048  # points per chunk: bounds memory, keeps it in cache
+SHOWN_COUNT = 10**18  # grid sizes above it are neither counted nor printed exactly
 
 
 @dataclass(frozen=True)
@@ -60,6 +61,30 @@ class GridSpec:
         return math.comb(self.resolution + m - 1, m - 1)
 
 
+def _grid_points(n: int, m: int) -> int:
+    """comb(n + m - 1, m - 1), the points of the grid, if at most SHOWN_COUNT,
+    else some number above SHOWN_COUNT.
+
+    It is the running product C(k + j, j) for j = 1, 2, ... up to the
+    smaller of n and m - 1, with k the larger; each step at least doubles
+    it, so it passes SHOWN_COUNT within about 60 steps however large n or
+    m is, and stops there.
+    """
+    small, k = sorted((n, m - 1))
+    count = 1
+    for j in range(1, small + 1):
+        count = count * (k + j) // j
+        if count > SHOWN_COUNT:
+            break
+    return count
+
+
+def _shown(count: int) -> str:
+    """count for a message: exact up to SHOWN_COUNT, which it stays far from
+    Python's limit on the digits of an int made a string."""
+    return f"{count}" if count <= SHOWN_COUNT else f"more than {SHOWN_COUNT:.0e}"
+
+
 def _grid_chunks(n: int, m: int):
     """Yield the compositions of n into m nonnegative parts, lexicographically,
     as int64 arrays of GRID_CHUNK_ROWS rows, the last one of at most as many.
@@ -76,14 +101,16 @@ def _grid_chunks(n: int, m: int):
     More than DEFAULT_POINT_CAP points or resolution, or more than
     DEFAULT_CELL_CAP cells (points times links), is GridTooLarge before
     anything is allocated; so every count, at most the points, fits in int64.
+    The points are counted only as far as _grid_points goes, so the check
+    takes microseconds at any resolution and link count.
     """
     import numpy as np
 
-    total = math.comb(n + m - 1, m - 1)
+    total = _grid_points(n, m)
     # one link has a single grid point at any resolution, so cap the resolution too
     if max(total, n) > DEFAULT_POINT_CAP:
         raise GridTooLarge(
-            f"{total} grid points on {m} links at resolution {n} "
+            f"{_shown(total)} grid points on {m} links at resolution {_shown(n)} "
             f"exceed the cap {DEFAULT_POINT_CAP}"
         )
     if total * m > DEFAULT_CELL_CAP:

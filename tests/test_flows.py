@@ -7,12 +7,16 @@ import pytest
 
 from malice import (
     Flow,
+    InvalidFlow,
     InvalidMass,
+    ValidationError,
     cost,
     flow_cost,
     induced_optimum,
+    mal_best_response,
     pigou,
     random_instance,
+    scale_strategy,
     system_optimum,
     tight,
     validate,
@@ -20,6 +24,7 @@ from malice import (
     waterfill,
     waterfill_rows,
 )
+from malice.model import Loads
 
 from _support import (
     BASE_SEED,
@@ -337,3 +342,85 @@ def test_induced_optimum_on_arbitrary_loads_equals_dense_solve_bitwise():
         flow, level = induced_optimum(inst, x, beta)
         assert bits((level.level, flow.values)) == bits((want_level, want.values)), (inst, x, beta)
         assert level.support == want.support
+
+
+def _solver_flow_cases():
+    """Seeded instances for the solver-flow test: standard-range ones, wide-range
+    ones (log-uniform 1e-6..1e6, with zero slopes and tied intercepts), a
+    pinned level with tied zero-slope links, and a load that underflows."""
+    cases = [inst for inst, _ in standard_ensemble(120)]
+    rng = random.Random(BASE_SEED + 16)
+    for _ in range(200):
+        links = []
+        for _ in range(rng.randint(2, 8)):
+            a = 0.0 if rng.random() < 0.2 else 10.0 ** rng.uniform(-6, 6)
+            b = rng.choice(links)[1] if links and rng.random() < 0.3 else 10.0 ** rng.uniform(-6, 6)
+            links.append((a, b))
+        cases.append(validate(links))
+    cases.append(validate([(1.0, 0.0), (0.0, 0.5), (2.0, 0.1), (0.0, 0.5)]))
+    cases.append(validate([(1e308, 0.0), (1e-20, 0.0)]))
+    return cases
+
+
+def _outcome(values, mass):
+    """Flow(values, mass) as (values, mass, nonzero) in hex, or its error."""
+    try:
+        f = Flow(values, mass)
+    except ValidationError as exc:
+        return type(exc), str(exc)
+    return bits((f.values, f.mass)), f.nonzero
+
+
+def test_solver_flows_equal_flows_checked_in_full():
+    # the solvers build their flows from Loads, which Flow checks only at the
+    # loaded links; the public constructor on the same entries scans them all
+    def same(f):
+        assert _outcome(list(f.values), f.mass) == (bits((f.values, f.mass)), f.nonzero)
+
+    solved = 0
+    for inst in _solver_flow_cases():
+        for alpha in (0.0, 0.3, 1.0):
+            for slopes in (inst.slopes, inst.doubled_slopes):
+                # D0's precision defect makes some wide-range solves raise:
+                # both constructors must then reject the loads alike
+                _, loads = waterfill(slopes, inst.intercepts, alpha, inst.order)
+                assert _outcome(loads, alpha) == _outcome(list(loads), alpha), (inst, alpha)
+            try:
+                x, _ = wardrop_flow(inst, alpha)
+                flows = [x, system_optimum(inst, alpha)[0], scale_strategy(inst, alpha).flow]
+                y, _ = induced_optimum(inst, x, 1.0 - alpha)
+                flows += [y, mal_best_response(inst, y, alpha).flow]
+            except InvalidMass:
+                continue
+            for f in flows:
+                same(f)
+            solved += 1
+    assert solved > 900
+
+    # the pinned level splits the rest between the tied zero-slope links 1 and 3
+    inst = validate([(1.0, 0.0), (0.0, 0.5), (2.0, 0.1), (0.0, 0.5)])
+    _, loads = waterfill(inst.slopes, inst.intercepts, 1.0, inst.order)
+    assert sorted(loads.links) == [0, 1, 2, 3] and loads[1] == loads[3] > 0.0
+    # link 0 is loaded, but its load underflows to 0.0 and leaves the support
+    inst = validate([(1e308, 0.0), (1e-20, 0.0)])
+    _, loads = waterfill(inst.slopes, inst.intercepts, 1.0, inst.order)
+    assert 0 in loads.links and loads[0] == 0.0
+    assert wardrop_flow(inst, 1.0)[0].nonzero == (1,)
+
+
+def test_loads_with_a_bad_entry_are_checked_in_full():
+    # a bad entry at a loaded link sends Loads through the full check, with
+    # its message; plain lists are checked in full as always
+    for bad, error in ((math.nan, "finite"), (math.inf, "finite"), (-1e-6, "below clamp")):
+        loads = Loads.zeros(4)
+        loads[1], loads[2] = 0.5, bad
+        loads.links = [2, 1]
+        for values in (loads, list(loads)):
+            with pytest.raises(InvalidFlow, match=error):
+                Flow(values, 0.5)
+    loads = Loads.zeros(3)
+    loads[0], loads[2] = -1e-13, 0.5
+    loads.links = [0, 2]
+    assert Flow(loads, 0.5) == Flow(list(loads), 0.5) == Flow((0.0, 0.0, 0.5), 0.5)
+    with pytest.raises(InvalidMass, match="sum to 0.5, declared mass 0.75"):
+        Flow(loads, 0.75)

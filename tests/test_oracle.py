@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -12,6 +13,7 @@ from malice import (
     flow_cost,
     mal_soc_value,
     minimax_gap,
+    network,
     pigou,
     pure_equilibrium,
     random_instance,
@@ -55,6 +57,21 @@ def test_grid_too_large():
     # one link has a single grid point, but the resolution is capped too
     with pytest.raises(GridTooLarge):
         minimax_gap(validate([(1.0, 0.0)]), 0.5, GridSpec(10**20))
+
+
+def test_grid_cap_holds_at_any_size():
+    # the exact count on 1,000 links at 10**20 has about 17,000 digits, too
+    # many to print and slow to compute, so the caps stop counting early
+    inst = network(1000)
+    for resolution in (10**20, 10**5000):
+        start = time.perf_counter()
+        with pytest.raises(GridTooLarge, match=r"^more than 1e\+18 grid points on 1000 links"):
+            minimax_gap(inst, 0.5, GridSpec(resolution))
+        assert time.perf_counter() - start < 0.05
+    # counts up to the printing bound are exact, as is the number of points
+    with pytest.raises(GridTooLarge, match=r"^2049066634 grid points on 4 links at resolution 2306 "):
+        next(_grid_chunks(2306, 4))
+    assert [len(chunk) for chunk in _grid_chunks(0, 5000)] == [1]
 
 
 def test_simplex_grid_enumeration():
