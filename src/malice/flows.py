@@ -31,18 +31,19 @@ of sorting all m links again.  Under MAL's Wardrop flow at level L the
 shifted intercept is max(b_i, L) up to rounding, so that support sits at
 the front of the merged order.
 
-The kernel returns its loads as `model.Loads`, which names the links it
-wrote: the loaded prefix, plus the tied zero-slope links when the level
-is pinned.  It writes no other entry, so every other one is still 0.0,
-and the solvers' Flows check and sum just those links instead of
-scanning all m.
+The kernel returns (level, loads, links): the level, its loads as a
+plain list of m floats, and the links it wrote, which are the loaded
+prefix plus the tied zero-slope links when the level is pinned.  It
+writes no other entry, so every other one is still 0.0, and the solvers
+keep that list in their Flows (`model.solver_flow`), which check and sum
+just those links instead of scanning all m.
 """
 
 import math
 from dataclasses import dataclass
 from itertools import chain
 
-from .model import Flow, Instance, Loads, check_links, check_mass, intercept_order
+from .model import Flow, Instance, check_links, check_mass, intercept_order, solver_flow
 
 
 @dataclass(frozen=True)
@@ -53,20 +54,22 @@ class WaterLevel:
     support: frozenset[int]
 
 
-def waterfill(slopes, intercepts, mass, order=None) -> tuple[float, Loads]:
+def waterfill(slopes, intercepts, mass, order=None) -> tuple[float, list[float], list[int]]:
     """Low-level kernel: distribute `mass` across links at a common level.
 
-    Returns (level, loads); loads.links are the links the kernel wrote.
-    A zero mass returns the all-zero loading at level min(intercepts), the
-    limit of the level from the right.
+    Returns (level, loads, links): loads is a new list of one float per
+    link, and links are the links the kernel wrote, in the order it wrote
+    them; every other entry is 0.0.  A zero mass returns the all-zero
+    loading at level min(intercepts), the limit of the level from the
+    right, with no link written.
 
     order is intercept_order(slopes, intercepts), sorted here when not
     given.  Its first part, the positive-slope links, may be any iterable
     in that order; it is walked once, and only as far as the fill needs.
     """
-    values = Loads.zeros(len(slopes))
+    values = [0.0] * len(slopes)
     if mass == 0.0:
-        return min(intercepts), values
+        return min(intercepts), values, []
     positive, flat = intercept_order(slopes, intercepts) if order is None else order
     cap = intercepts[flat[0]] if len(flat) else math.inf
     unvisited = iter(positive)
@@ -97,7 +100,6 @@ def waterfill(slopes, intercepts, mass, order=None) -> tuple[float, Loads]:
         if not intercepts[i] < level:
             break
         loaded.append(i)
-    values.links = loaded
     placed = 0.0
     for i in loaded:
         v = (level - intercepts[i]) / slopes[i]
@@ -107,7 +109,7 @@ def waterfill(slopes, intercepts, mass, order=None) -> tuple[float, Loads]:
         if len(loaded) == 1:
             # a single loaded link carries the whole mass exactly
             values[loaded[0]] = mass
-        return level, values
+        return level, values, loaded
     # level pinned at the smallest zero-slope intercept; those links soak
     # up whatever the positive-slope links cannot absorb below it
     rest = mass - placed
@@ -121,8 +123,7 @@ def waterfill(slopes, intercepts, mass, order=None) -> tuple[float, Loads]:
     share = rest / len(ties)
     for i in ties:
         values[i] = share
-    values.links = loaded + ties
-    return level, values
+    return level, values, loaded + ties
 
 
 def waterfill_rows(slopes, intercepts, mass) -> "tuple[np.ndarray, np.ndarray]":
@@ -187,8 +188,8 @@ def waterfill_rows(slopes, intercepts, mass) -> "tuple[np.ndarray, np.ndarray]":
 def _solve(slopes, intercepts, beta, order) -> tuple[Flow, WaterLevel]:
     """Water-fill mass beta over the given coefficients into a checked Flow."""
     beta = check_mass(beta)
-    level, values = waterfill(slopes, intercepts, beta, order)
-    flow = Flow(values, beta)
+    level, values, links = waterfill(slopes, intercepts, beta, order)
+    flow = solver_flow(values, links, beta)
     return flow, WaterLevel(level, flow.support)
 
 
@@ -237,7 +238,7 @@ def induced_optimum(inst: Instance, x: Flow, beta: float) -> tuple[Flow, WaterLe
     """
     check_links(inst, x)
     a = inst.slopes
-    xv = x.values
+    xv = x._loads
     shifted = list(inst.intercepts)
     for i in x.nonzero:
         shifted[i] = a[i] * xv[i] + shifted[i]
@@ -256,7 +257,7 @@ def flow_cost(inst: Instance, f: Flow) -> float:
     """
     check_links(inst, f)
     links = inst.links
-    v = f.values
+    v = f._loads
     total = 0.0
     for k in f.nonzero:
         a, b = links[k]

@@ -19,12 +19,12 @@ from .model import (
     EquilibriumCertificate,
     Flow,
     Instance,
-    Loads,
     Profile,
     check_alpha,
     check_com_alpha,
     check_links,
     cost,
+    solver_flow,
 )
 
 
@@ -43,7 +43,7 @@ def _most_damaging(inst: Instance, f: Flow) -> int:
     every link ties at zero and link 0 is the lowest index.
     """
     a = inst.slopes
-    v = f.values
+    v = f._loads
     best = 0
     top = 0.0
     for k in f.nonzero:
@@ -68,10 +68,9 @@ def mal_best_response(inst: Instance, y: Flow, alpha: float) -> BestResponseResu
     alpha = check_alpha(alpha)
     check_links(inst, y)
     best = _most_damaging(inst, y)
-    values = Loads.zeros(inst.m)
+    values = [0.0] * inst.m
     values[best] = alpha
-    values.links = (best,)
-    x = Flow(values, alpha)
+    x = solver_flow(values, (best,), alpha)
     return BestResponseResult(x, cost(inst, x, y))
 
 
@@ -96,8 +95,8 @@ def check_mal_br(inst: Instance, x: Flow, y: Flow) -> float:
     """
     check_links(inst, x, y)
     a = inst.slopes
-    xv = x.values
-    yv = y.values
+    xv = x._loads
+    yv = y._loads
     loaded = [a[i] * yv[i] for i in x.nonzero if xv[i] > CHECK_TOL]
     if not loaded:
         return 0.0
@@ -115,8 +114,8 @@ def check_soc_br(inst: Instance, x: Flow, y: Flow) -> float:
     check_links(inst, x, y)
     a = inst.slopes
     b = inst.intercepts
-    xv = x.values
-    yv = y.values
+    xv = x._loads
+    yv = y._loads
     loaded = [2.0 * a[i] * yv[i] + a[i] * xv[i] + b[i] for i in y.nonzero if yv[i] > CHECK_TOL]
     if not loaded:
         return 0.0
@@ -171,13 +170,15 @@ def evasive_response(inst: Instance, x: Flow) -> BestResponseResult:
     check_links(inst, x)
     beta = _soc_mass(x)
     s, _ = wardrop_flow(inst, 1.0)
+    sv = s._loads
+    xv = x._loads
     values = [0.0] * inst.m
     remaining = beta
     last = None
     for i in range(inst.m):
         if remaining == 0.0:
             break
-        room = s.values[i] - x.values[i]
+        room = sv[i] - xv[i]
         if room <= 0.0:
             continue
         take = room if room < remaining else remaining
@@ -210,14 +211,13 @@ def scaled_optimum(inst: Instance, alpha: float, ystar: Flow,
     """scale_strategy at a checked alpha, given the unit optimum
     ystar = system_optimum(inst, 1.0) and its cost opt_cost."""
     scale = 1.0 - alpha
-    v = ystar.values
-    scaled = Loads.zeros(inst.m)
-    scaled.links = ystar.nonzero
+    v = ystar._loads
+    scaled = [0.0] * inst.m
     total = 0.0
     for k in ystar.nonzero:
         scaled[k] = scale * v[k]
         total += scaled[k]
-    y = Flow(scaled, total)
+    y = solver_flow(scaled, ystar.nonzero, total)
     br = mal_best_response(inst, y, alpha)
     value = br.value
     t = _most_damaging(inst, ystar)

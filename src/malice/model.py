@@ -13,19 +13,26 @@ carry their declared total mass explicitly so that the degenerate cases
 alpha = 0 and alpha = 1 need no special handling.
 
 Validation happens at the API boundary.  `Flow(values, mass)` converts
-and checks every entry.  The solvers instead hand over their loads as
-`Loads`, a list that names the links the solver wrote; the solver never
-touched any other entry, so it is still 0.0, and the Flow checks and sums
-only the named ones: O(support) plus one copy, where a scan costs O(m).
-Both give the same values, nonzero indices, sum and errors.
+and checks every entry, and copies them into a tuple.  The solvers
+instead hand over, through `solver_flow`, the plain list they filled
+together with the links they wrote; they never touched any other entry,
+so it is still 0.0, and the Flow checks and sums only the named ones:
+O(support), where a scan costs O(m).  Both give the same values, nonzero
+indices, sum and errors.  The Flow keeps that list, and nothing but the
+Flow refers to it once it is built.
 
-Every type in this module but Loads, the list a solver fills before it
-becomes a Flow, is immutable after construction and every operation is
-a pure function, so everything here is safe to share across threads.
-That includes what an Instance caches beside its fields (its slopes,
-intercepts, doubled slopes and intercept order) and what a Flow caches
-(the indices of its nonzero entries): each is built once in the
-constructor and never changed, and none of it enters repr, == or hash.
+A Flow's `values` tuple is built from its stored entries on first read
+and then kept, so a report that never reads it never copies m entries.
+Two threads reading it first at once may each build a tuple; the tuples
+are equal, and either is kept.
+
+Every type in this module is immutable after construction and every
+operation is a pure function, so everything here is safe to share across
+threads.  That includes what an Instance caches beside its fields (its
+slopes, intercepts, doubled slopes and intercept order) and what a Flow
+caches (the indices of its nonzero entries and its values tuple): each
+is built once and never changed, and none of it but values enters repr,
+== or hash.
 An instance stores a -0.0 coefficient as +0.0, so its intercept order is
 never None and equal instances serialize alike.
 """
@@ -35,7 +42,7 @@ import json
 import math
 import sys
 from array import array
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from itertools import compress
 
 from .errors import (
@@ -197,7 +204,7 @@ def check_links(inst: Instance, *flows) -> None:
     """Reject any flow whose length differs from the instance's link count."""
     m = len(inst.links)
     for f in flows:
-        if len(f.values) != m:
+        if len(f._loads) != m:
             raise DimensionMismatch("each flow must have one entry per link")
 
 
@@ -235,26 +242,9 @@ def _nonzero_entries(values, indices=None):
     return tuple(nonzero), total
 
 
-class Loads(list):
-    """Per-link loads as a list of floats that names, in `links`, the only
-    entries that may be nonzero; every other entry is 0.0.
-
-    The solvers build their flows from Loads, so a Flow checks and sums
-    just the entries at `links` instead of scanning all m of them.
-    """
-
-    __slots__ = ("links",)
-
-    @classmethod
-    def zeros(cls, m: int) -> "Loads":
-        """m entries of 0.0, with no link loaded yet."""
-        loads = cls((0.0,))
-        loads *= m
-        loads.links = ()
-        return loads
+_set = object.__setattr__  # writes a slot of a Flow, whose own __setattr__ refuses
 
 
-@dataclass(frozen=True)
 class Flow:
     """A nonnegative allocation over links together with its declared mass.
 
@@ -265,23 +255,36 @@ class Flow:
     A zero entry passes every check and adds exactly nothing to the sum,
     so only the nonzero entries are looked at one by one; their indices
     are kept as `nonzero`, which lets sums over a flow skip its zeros.
-    Values given as Loads, as the solvers give them, are read only at
-    their `links`, so such a flow costs O(support) and one copy.  Should
-    one of those entries be negative or not finite, they are checked in
-    full instead, with the same result or message.
+    A solver flow (see solver_flow) is read only at the links its solver
+    wrote, so it costs O(support); should one of those entries be
+    negative or not finite, it is checked in full instead, with the same
+    result or message.
+
+    The entries are stored as `_loads`, which the library's readers
+    index: the tuple of a public flow, or the list its solver filled.
+    `values` is built from them as a tuple on first read and kept.
+    Equality, hash, repr, pickling and copies are those of a frozen
+    dataclass with the fields values and mass.
     """
 
-    values: tuple[float, ...]
-    mass: float
+    __slots__ = ("_values", "_loads", "mass", "_nonzero")
+    __match_args__ = ("values", "mass")
+
+    def __init__(self, values, mass):
+        _set(self, "_values", values)
+        _set(self, "_loads", None)
+        _set(self, "mass", mass)
+        self.__post_init__()
 
     def __post_init__(self):
         mass = check_mass(self.mass)
-        raw = self.values
+        loads = self._loads
         found = None
-        if type(raw) is Loads:
-            values = tuple(raw)
-            found = _nonzero_entries(values, sorted(raw.links))
+        if loads is not None:
+            # a solver flow: _nonzero holds, until now, the links it wrote
+            found = _nonzero_entries(loads, sorted(self._nonzero))
         if found is None:
+            raw = self._values if loads is None else loads
             if not isinstance(raw, (tuple, list)):
                 raw = tuple(raw)
             try:
@@ -293,11 +296,21 @@ class Flow:
                 # a bad or negative entry: check entry by entry, clamping noise
                 values = _clamped(raw)
                 found = _nonzero_entries(values)
+            _set(self, "_values", values)
+            _set(self, "_loads", values)
         nonzero, total = found
         check_sum(total, mass)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "mass", mass)
-        object.__setattr__(self, "_nonzero", nonzero)
+        _set(self, "mass", mass)
+        _set(self, "_nonzero", nonzero)
+
+    @property
+    def values(self) -> tuple[float, ...]:
+        """The entries as a tuple of floats, one per link."""
+        values = self._values
+        if values is None:
+            values = tuple(self._loads)
+            _set(self, "_values", values)
+        return values
 
     @property
     def nonzero(self) -> tuple[int, ...]:
@@ -307,6 +320,44 @@ class Flow:
     @property
     def support(self) -> frozenset[int]:
         return frozenset(self._nonzero)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(values={self.values!r}, mass={self.mass!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.values, self.mass) == (other.values, other.mass)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.values, self.mass))
+
+    def __reduce__(self):
+        return type(self), (self.values, self.mass)
+
+
+def solver_flow(loads: list, links, mass: float) -> Flow:
+    """The Flow of loads that a solver of this package just filled.
+
+    Every entry of loads but those at links is 0.0, and nothing but the
+    new Flow refers to loads afterwards; only the solvers call this, so
+    no caller's list is ever kept.  The Flow checks mass as Flow(loads,
+    mass) would, with the same result or error, but reads loads only at
+    links and copies it only when values is read.
+    """
+    flow = Flow.__new__(Flow)
+    _set(flow, "_values", None)
+    _set(flow, "_loads", loads)
+    _set(flow, "_nonzero", links)
+    _set(flow, "mass", mass)
+    flow.__post_init__()
+    return flow
 
 
 @dataclass(frozen=True)
@@ -319,7 +370,7 @@ class Profile:
 
     def __post_init__(self):
         alpha = check_alpha(self.alpha)
-        if len(self.mal.values) != len(self.soc.values):
+        if len(self.mal._loads) != len(self.soc._loads):
             raise DimensionMismatch("profile flows must cover the same links")
         if abs(self.mal.mass - alpha) > MASS_TOL:
             raise InvalidMass(f"adversarial mass {self.mal.mass} != alpha {alpha}")
@@ -376,8 +427,8 @@ def cost(inst: Instance, x: Flow, y: Flow) -> float:
     """
     check_links(inst, x, y)
     links = inst.links
-    xv = x.values
-    yv = y.values
+    xv = x._loads
+    yv = y._loads
     total = 0.0
     for k in y.nonzero:
         a, b = links[k]

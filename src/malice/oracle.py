@@ -13,9 +13,11 @@ resolution grows; doubling the resolution refines the grid in place, so
 the gap never widens.
 
 Grid points are unranked from their lexicographic positions, as in the
-combinatorial number system, in chunks of GRID_CHUNK_ROWS points (the
-last one may be shorter): Python steps once per chunk and part, never
-per point, and memory grows with the links, not the points.  Each chunk
+combinatorial number system, in chunks of GRID_CHUNK_ROWS points, or
+fewer on many links so that a chunk holds at most GRID_CHUNK_CELLS
+points times links (the last one may be shorter): Python steps once per
+chunk and part, never per point, and a chunk's memory is bounded at any
+link count.  Each chunk
 is evaluated in numpy at once: the adversary's closed form directly,
 SOC's water-fills through the batched kernel `waterfill_rows`, which is
 bit-identical to the scalar one row by row.  So each point's value, and
@@ -32,6 +34,7 @@ numpy is imported by the functions that use it, not by this module, so
 """
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .errors import GridTooLarge, InvalidRange
@@ -40,7 +43,8 @@ from .model import Instance, check_alpha, check_sum
 
 DEFAULT_POINT_CAP = 2_000_000
 DEFAULT_CELL_CAP = 16_000_000  # points times links: bounds a many-link grid's memory and time
-GRID_CHUNK_ROWS = 2_048  # points per chunk: bounds memory, keeps it in cache
+GRID_CHUNK_ROWS = 2_048  # points per chunk: keeps a chunk of few links in cache
+GRID_CHUNK_CELLS = 2**21  # points times links per chunk: bounds a chunk's memory on many links
 SHOWN_COUNT = 10**18  # grid sizes above it are neither counted nor printed exactly
 
 
@@ -87,7 +91,8 @@ def _shown(count: int) -> str:
 
 def _grid_chunks(n: int, m: int):
     """Yield the compositions of n into m nonnegative parts, lexicographically,
-    as int64 arrays of GRID_CHUNK_ROWS rows, the last one of at most as many.
+    as int64 arrays of min(GRID_CHUNK_ROWS, GRID_CHUNK_CELLS // m) rows (at
+    least one), the last one of at most as many.
 
     Each row is unranked from u, the number of points after it.  Counted
     from the end, the points whose first part leaves s for the k - 1 parts
@@ -96,7 +101,9 @@ def _grid_chunks(n: int, m: int):
     k = m - j parts left, counts[j] holds 0 and then those block sizes summed
     over 0..s, so one searchsorted finds a row's s, and subtracting the
     blocks before s leaves u within its block.  Two parts with u left and
-    s to share are s - u and u.
+    s to share are s - u and u.  A chunk's u are consecutive, so the first
+    part's s only steps down through it: two bisects find its first and
+    last s, and each s is repeated over its block's rows, not searched.
 
     More than DEFAULT_POINT_CAP points or resolution, or more than
     DEFAULT_CELL_CAP cells (points times links), is GridTooLarge before
@@ -125,11 +132,25 @@ def _grid_chunks(n: int, m: int):
     sizes = np.arange(1, n + 2)  # s + 1: the compositions of s into two parts
     for table in counts[::-1]:
         sizes = np.cumsum(sizes, out=table[1:])
-    for start in range(total - 1, -1, -GRID_CHUNK_ROWS):
-        u = np.arange(start, max(start - GRID_CHUNK_ROWS, -1), -1)
+    blocks = counts[0].tolist() if m > 2 else None  # the first part's table, for bisect
+    rows = max(1, min(GRID_CHUNK_ROWS, GRID_CHUNK_CELLS // m))
+    for start in range(total - 1, -1, -rows):
+        end = max(start - rows, -1) + 1  # the chunk's u run from start down to end
+        u = np.arange(start, end - 1, -1)
         parts = np.empty((len(u), m), dtype=np.int64)
         rest = n
-        for j, table in enumerate(counts):
+        if blocks is not None:
+            # the first part: the rows of s from high down to low are the u
+            # between block starts, table[s] <= u < table[s + 1]
+            high = bisect_right(blocks, start) - 1
+            low = bisect_right(blocks, end) - 1
+            table = counts[0]
+            cuts = np.concatenate(((start + 1,), table[low + 1:high + 1][::-1], (end,)))
+            rest = np.repeat(np.arange(high, low - 1, -1), cuts[:-1] - cuts[1:])
+            np.subtract(n, rest, out=parts[:, 0])
+            np.subtract(u, table.take(rest), out=u)
+        for j in range(1, m - 2):
+            table = counts[j]
             s = np.searchsorted(table[1:], u, side="right")
             np.subtract(rest, s, out=parts[:, j])
             np.subtract(u, table.take(s), out=u)

@@ -321,7 +321,7 @@ def reference_mal_soc_value(inst, alpha, n):
     for comp in reference_simplex_grid(n, m):
         x = [alpha * fractions[k] for k in comp]
         shifted = [a[i] * x[i] + b[i] for i in range(m)]
-        _, y = malice.flows.waterfill(doubled, shifted, beta)
+        _, y, _ = malice.flows.waterfill(doubled, shifted, beta)
         value = 0.0
         for i in range(m):
             yi = y[i]

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 import re
 
@@ -10,11 +12,14 @@ from malice import (
     InvalidFlow,
     InvalidMass,
     ValidationError,
+    com_report,
+    com_sweep,
     cost,
     flow_cost,
     induced_optimum,
     mal_best_response,
     pigou,
+    pure_equilibrium,
     random_instance,
     scale_strategy,
     system_optimum,
@@ -24,7 +29,7 @@ from malice import (
     waterfill,
     waterfill_rows,
 )
-from malice.model import Loads
+from malice.model import solver_flow
 
 from _support import (
     BASE_SEED,
@@ -224,7 +229,7 @@ def _assert_rows_bitwise_equal_scalar(slopes, rows, mass):
     levels, loads = waterfill_rows(slopes, np.array(rows, dtype=np.float64), mass)
     assert loads.shape == (len(rows), len(slopes))
     for row, level, load in zip(rows, levels.tolist(), loads.tolist()):
-        ref_level, ref_loads = waterfill(slopes, row, mass)
+        ref_level, ref_loads, _ = waterfill(slopes, row, mass)
         assert level.hex() == ref_level.hex(), (slopes, row, mass)
         assert [v.hex() for v in load] == [v.hex() for v in ref_loads], (slopes, row, mass)
 
@@ -302,8 +307,8 @@ def test_waterfill_with_cached_order_equals_sorting_kernel_bitwise():
         b = inst.intercepts
         for slopes in (inst.slopes, tuple(inst.doubled_slopes)):
             want = bits(sorting_waterfill(slopes, b, mass))
-            assert bits(waterfill(slopes, b, mass)) == want, (inst, mass)
-            assert bits(waterfill(slopes, b, mass, inst.order)) == want, (inst, mass)
+            assert bits(waterfill(slopes, b, mass)[:2]) == want, (inst, mass)
+            assert bits(waterfill(slopes, b, mass, inst.order)[:2]) == want, (inst, mass)
 
 
 def test_induced_optimum_on_arbitrary_loads_equals_dense_solve_bitwise():
@@ -362,17 +367,18 @@ def _solver_flow_cases():
     return cases
 
 
-def _outcome(values, mass):
-    """Flow(values, mass) as (values, mass, nonzero) in hex, or its error."""
+def _outcome(values, mass, links=None):
+    """Flow(values, mass), or solver_flow(values, links, mass) if links are
+    given, as (values, mass, nonzero) in hex, or its error."""
     try:
-        f = Flow(values, mass)
+        f = Flow(values, mass) if links is None else solver_flow(values, links, mass)
     except ValidationError as exc:
         return type(exc), str(exc)
     return bits((f.values, f.mass)), f.nonzero
 
 
 def test_solver_flows_equal_flows_checked_in_full():
-    # the solvers build their flows from Loads, which Flow checks only at the
+    # the solvers build their flows with solver_flow, which checks only the
     # loaded links; the public constructor on the same entries scans them all
     def same(f):
         assert _outcome(list(f.values), f.mass) == (bits((f.values, f.mass)), f.nonzero)
@@ -383,8 +389,8 @@ def test_solver_flows_equal_flows_checked_in_full():
             for slopes in (inst.slopes, inst.doubled_slopes):
                 # D0's precision defect makes some wide-range solves raise:
                 # both constructors must then reject the loads alike
-                _, loads = waterfill(slopes, inst.intercepts, alpha, inst.order)
-                assert _outcome(loads, alpha) == _outcome(list(loads), alpha), (inst, alpha)
+                _, loads, links = waterfill(slopes, inst.intercepts, alpha, inst.order)
+                assert _outcome(list(loads), alpha) == _outcome(loads, alpha, links), (inst, alpha)
             try:
                 x, _ = wardrop_flow(inst, alpha)
                 flows = [x, system_optimum(inst, alpha)[0], scale_strategy(inst, alpha).flow]
@@ -399,28 +405,94 @@ def test_solver_flows_equal_flows_checked_in_full():
 
     # the pinned level splits the rest between the tied zero-slope links 1 and 3
     inst = validate([(1.0, 0.0), (0.0, 0.5), (2.0, 0.1), (0.0, 0.5)])
-    _, loads = waterfill(inst.slopes, inst.intercepts, 1.0, inst.order)
-    assert sorted(loads.links) == [0, 1, 2, 3] and loads[1] == loads[3] > 0.0
+    _, loads, links = waterfill(inst.slopes, inst.intercepts, 1.0, inst.order)
+    assert sorted(links) == [0, 1, 2, 3] and loads[1] == loads[3] > 0.0
     # link 0 is loaded, but its load underflows to 0.0 and leaves the support
     inst = validate([(1e308, 0.0), (1e-20, 0.0)])
-    _, loads = waterfill(inst.slopes, inst.intercepts, 1.0, inst.order)
-    assert 0 in loads.links and loads[0] == 0.0
+    _, loads, links = waterfill(inst.slopes, inst.intercepts, 1.0, inst.order)
+    assert 0 in links and loads[0] == 0.0
     assert wardrop_flow(inst, 1.0)[0].nonzero == (1,)
 
 
 def test_loads_with_a_bad_entry_are_checked_in_full():
-    # a bad entry at a loaded link sends Loads through the full check, with
-    # its message; plain lists are checked in full as always
+    # a bad entry at a loaded link sends a solver flow through the full check,
+    # with its message; plain lists are checked in full as always
     for bad, error in ((math.nan, "finite"), (math.inf, "finite"), (-1e-6, "below clamp")):
-        loads = Loads.zeros(4)
-        loads[1], loads[2] = 0.5, bad
-        loads.links = [2, 1]
-        for values in (loads, list(loads)):
+        loads = [0.0, 0.5, bad, 0.0]
+        for build in (lambda: solver_flow(list(loads), [2, 1], 0.5), lambda: Flow(list(loads), 0.5)):
             with pytest.raises(InvalidFlow, match=error):
-                Flow(values, 0.5)
-    loads = Loads.zeros(3)
-    loads[0], loads[2] = -1e-13, 0.5
-    loads.links = [0, 2]
-    assert Flow(loads, 0.5) == Flow(list(loads), 0.5) == Flow((0.0, 0.0, 0.5), 0.5)
+                build()
+    loads = [-1e-13, 0.0, 0.5]
+    assert solver_flow(list(loads), [0, 2], 0.5) == Flow(list(loads), 0.5) == Flow((0.0, 0.0, 0.5), 0.5)
     with pytest.raises(InvalidMass, match="sum to 0.5, declared mass 0.75"):
-        Flow(loads, 0.75)
+        solver_flow(list(loads), [0, 2], 0.75)
+
+
+def _fresh_flows(inst, alpha):
+    """Solver and game flows of inst at alpha, none of whose values was read."""
+    x, _ = wardrop_flow(inst, alpha)
+    y, _ = induced_optimum(inst, x, 1.0 - alpha)
+    profile, _ = pure_equilibrium(inst, alpha)
+    return [x, y, system_optimum(inst, alpha)[0], mal_best_response(inst, y, alpha).flow,
+            scale_strategy(inst, alpha).flow, profile.mal, profile.soc]
+
+
+def test_unread_solver_flows_behave_as_flows_checked_in_full():
+    # each operation gets flows whose values tuple was never built
+    operations = [
+        repr,
+        hash,
+        lambda f: repr(pickle.loads(pickle.dumps(f))),
+        lambda f: repr(copy.deepcopy(f)),
+        lambda f: repr(copy.copy(f)),
+        lambda f: bits((f.values, f.mass, f.nonzero)),
+    ]
+    for inst in [pigou(), tight(10), random_instance(seed=BASE_SEED + 17, m=8), *wide_ensemble(20)]:
+        for alpha in (0.0, 0.3, 0.9):
+            try:
+                full = [Flow(list(f.values), f.mass) for f in _fresh_flows(inst, alpha)]
+            except InvalidMass:
+                continue  # D0's precision defect
+            for operation in operations:
+                assert [operation(f) for f in _fresh_flows(inst, alpha)] == [operation(f) for f in full]
+            for f, g in zip(_fresh_flows(inst, alpha), full):
+                assert f == g and g == f and not f != g
+            for f, g in zip(_fresh_flows(inst, alpha), full):
+                assert pickle.loads(pickle.dumps(f)) == g and copy.deepcopy(f) == g
+    f = wardrop_flow(random_instance(seed=BASE_SEED + 18, m=6), 1.0)[0]
+    assert f.values is f.values
+    assert type(f.values) is tuple
+    with pytest.raises(AttributeError):
+        f.mass = 2.0
+    with pytest.raises(AttributeError):
+        f.values = (1.0,)
+
+
+def test_public_flow_never_keeps_the_callers_list():
+    inst = random_instance(seed=BASE_SEED + 19, m=6)
+    _, loads, _ = waterfill(inst.slopes, inst.intercepts, 1.0, inst.order)
+    f = Flow(loads, 1.0)
+    before = bits(f.values)
+    loads[:] = [7.0] * len(loads)
+    assert bits(f.values) == before
+    assert cost(inst, f, f) == cost(inst, Flow(tuple(float.fromhex(v) for v in before), 1.0), f)
+
+
+def test_reports_and_sweeps_never_read_flow_values(monkeypatch):
+    reads = []
+    values = Flow.values
+
+    def counted(flow):
+        reads.append(flow)
+        return values.fget(flow)
+
+    monkeypatch.setattr(Flow, "values", property(counted))
+    rng = random.Random(BASE_SEED + 20)
+    inst = validate([(rng.uniform(0.1, 10.0), rng.uniform(0.0, 10.0)) for _ in range(10_000)])
+    report = com_report(inst, 0.5)
+    rows = com_sweep(random_instance(seed=BASE_SEED + 21, m=8), [k / 20 for k in range(20)])
+    assert reads == []
+    assert report.com >= 1.0 - 1e-12 and len(rows) == 20
+    # the wrapper does count: the public constructor and repr read values
+    repr(Flow([0.5, 0.5], 1.0))
+    assert len(reads) == 1

@@ -23,7 +23,8 @@ from malice import (
     tight,
     validate,
 )
-from malice.oracle import DEFAULT_CELL_CAP, DEFAULT_POINT_CAP, GRID_CHUNK_ROWS, _grid_chunks
+import malice.oracle
+from malice.oracle import DEFAULT_CELL_CAP, DEFAULT_POINT_CAP, GRID_CHUNK_CELLS, GRID_CHUNK_ROWS, _grid_chunks
 
 from _support import (
     count_waterfills,
@@ -144,6 +145,45 @@ def test_grid_caps_bound_every_grid():
     finally:
         tracemalloc.stop()
     assert peak < 4_000_000
+
+
+def test_both_bounds_are_bit_identical_however_the_grid_is_chunked(monkeypatch):
+    cases = [(inst, alpha, n) for inst, alpha in oracle_ensemble(6) for n in (9, 40)]
+    cases += [
+        (random_instance(seed=36, m=4), 0.7, 12),
+        (validate([(0, 1), (0, 1), (2, 0)]), 0.3, 10),   # zero-slope ties
+        (random_instance(seed=37, m=1), 0.4, 9),
+    ]
+
+    def bounds():
+        return [(soc_mal_value(inst, alpha, GridSpec(n)).hex(), mal_soc_value(inst, alpha, GridSpec(n)).hex())
+                for inst, alpha, n in cases]
+
+    default = bounds()
+    # 7 rows per chunk, then the cell budget's rows: 17 // m, one row on 17 links or more
+    monkeypatch.setattr(malice.oracle, "GRID_CHUNK_ROWS", 7)
+    assert bounds() == default
+    assert [len(chunk) for chunk in _grid_chunks(40, 3)] == [7] * 123  # 861 points
+    monkeypatch.setattr(malice.oracle, "GRID_CHUNK_CELLS", 17)
+    assert bounds() == default
+    assert [len(chunk) for chunk in _grid_chunks(40, 3)] == [5] * 172 + [1]
+    assert [len(chunk) for chunk in _grid_chunks(1, 20)] == [1] * 20
+
+
+def test_grid_chunks_bound_the_memory_of_many_links():
+    # the budget keeps 2,048 rows up to 1,024 links and gives fewer beyond
+    assert GRID_CHUNK_CELLS // 1024 == GRID_CHUNK_ROWS
+    assert [len(chunk) for chunk in _grid_chunks(1, 2049)] == [1023, 1023, 3]
+    # 2,000 points on 2,000 links: one chunk of all of them peaked at 192 MB
+    inst = validate([(1.0, 0.0)] * 2000)
+    tracemalloc.start()
+    try:
+        gap, _ = minimax_gap(inst, 0.5, GridSpec(1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert gap >= 0.0
+    assert peak < 130_000_000
 
 
 def test_single_link_has_no_strategic_choice():
