@@ -129,9 +129,12 @@ def waterfill(slopes, intercepts, mass, order=None) -> tuple[float, list[float],
 def waterfill_rows(slopes, intercepts, mass) -> "tuple[np.ndarray, np.ndarray]":
     """`waterfill` over a batch of intercept rows sharing slopes and mass.
 
-    slopes has shape (m,) and intercepts (B, m).  Returns (levels[B],
-    loads[B, m]).  Every row runs the floating-point operations of the
-    scalar kernel in the same order, so each row is bit-identical to
+    slopes has shape (m,) and intercepts (B, m), in either memory layout.
+    Returns (levels[B], loads[B, m]), with loads link-major (Fortran
+    order): each link's column is contiguous, so that elementwise work
+    on them runs over the rows and not over the few links of each row.
+    Every row runs the floating-point operations of the scalar kernel in
+    the same order, so each row is bit-identical to
     waterfill(slopes, row, mass).  The per-call overhead is far above the
     scalar kernel's, so it pays only for many rows of few links.
     """
@@ -140,7 +143,7 @@ def waterfill_rows(slopes, intercepts, mass) -> "tuple[np.ndarray, np.ndarray]":
     slopes = np.asarray(slopes, dtype=np.float64)
     intercepts = np.asarray(intercepts, dtype=np.float64)
     rows, m = intercepts.shape
-    loads = np.zeros((rows, m))
+    loads = np.zeros((rows, m), order="F")
     if mass == 0.0:
         return intercepts.min(axis=1), loads
     flat = slopes == 0.0
@@ -148,6 +151,8 @@ def waterfill_rows(slopes, intercepts, mass) -> "tuple[np.ndarray, np.ndarray]":
     positive = np.flatnonzero(~flat)
     # per row, the positive-slope links in increasing intercept order
     rank = np.argsort(intercepts[:, positive], axis=1, kind="stable")
+    # link-major: row r of link i is entry i * rows + r (a view if already so)
+    by_link = intercepts.ravel(order="F")
     every = np.arange(rows)
     inv_sum = np.zeros(rows)   # sum of 1/a over links below the level
     off_sum = np.zeros(rows)   # sum of b/a over links below the level
@@ -155,7 +160,7 @@ def waterfill_rows(slopes, intercepts, mass) -> "tuple[np.ndarray, np.ndarray]":
     for k in range(len(positive)):
         link = positive[rank[:, k]]
         a = slopes[link]
-        t = intercepts[every, link]
+        t = by_link.take(link * rows + every)
         if k:
             # links with equal intercepts join together; a new intercept
             # that the demand already reaches stops the fill for good
@@ -170,18 +175,19 @@ def waterfill_rows(slopes, intercepts, mass) -> "tuple[np.ndarray, np.ndarray]":
     np.subtract(level[:, None], intercepts, out=loads, where=below)
     np.divide(loads, slopes, out=loads, where=below)
     # a single loaded link carries the whole mass exactly
-    single = ~pinned & (below.sum(axis=1) == 1)
-    loads[single] = np.where(below[single], mass, 0.0)
+    single = ~pinned & (np.count_nonzero(below, axis=1) == 1)
+    np.copyto(loads, mass, where=below & single[:, None])  # its other links hold 0.0
     if pinned.any():
         # the zero-slope links tied at the level soak up, in equal shares,
         # what the positive-slope links cannot absorb below it
-        held = loads[pinned]
-        placed = np.zeros(len(held))
+        placed = np.zeros(rows)
+        loads_by_link = loads.ravel(order="F")
         for k in range(len(positive)):
-            placed += held[np.arange(len(held)), positive[rank[pinned, k]]]
+            placed += loads_by_link.take(positive[rank[:, k]] * rows + every)
         rest = np.maximum(mass - placed, 0.0)
-        ties = flat & (intercepts[pinned] == level[pinned, None])
-        loads[pinned] = np.where(ties, (rest / ties.sum(axis=1))[:, None], held)
+        ties = flat & (intercepts == level[:, None]) & pinned[:, None]
+        share = np.divide(rest, np.count_nonzero(ties, axis=1), out=np.zeros(rows), where=pinned)
+        np.copyto(loads, share[:, None], where=ties)
     return level, loads
 
 

@@ -24,6 +24,14 @@ bit-identical to the scalar one row by row.  So each point's value, and
 each bound, is the float that a loop over single points would compute,
 however the grid is chunked.
 
+Chunks are link-major (Fortran order), one contiguous column per link:
+an elementwise operation with a per-link vector then runs numpy's inner
+loop over the chunk's points and not over the few links of each point,
+so its per-call cost is spread over thousands of entries, not three.  The
+sums over links add the columns one after another in index order, as a
+loop over a single point does; numpy's own sum along a contiguous row
+adds eight or more links pairwise, which changes the last bit.
+
 Both caps are checked where the grid is built, so `simplex_grid` and
 both bounds share them: DEFAULT_POINT_CAP on the points and the
 resolution, and DEFAULT_CELL_CAP on points times links, with which a
@@ -137,7 +145,7 @@ def _grid_chunks(n: int, m: int):
     for start in range(total - 1, -1, -rows):
         end = max(start - rows, -1) + 1  # the chunk's u run from start down to end
         u = np.arange(start, end - 1, -1)
-        parts = np.empty((len(u), m), dtype=np.int64)
+        parts = np.empty((len(u), m), dtype=np.int64, order="F")
         rest = n
         if blocks is not None:
             # the first part: the rows of s from high down to low are the u
@@ -173,6 +181,30 @@ def _checked_inputs(inst: Instance, alpha: float):
     return check_alpha(alpha), np.array(inst.slopes), np.array(inst.intercepts)
 
 
+def _first_max(values):
+    """Each row's index of its largest entry, the first one on ties, as
+    argmax gives it, from one pass over the contiguous link columns."""
+    import numpy as np
+
+    best = values[:, 0].copy()
+    index = np.zeros(len(values), dtype=np.intp)
+    for k in range(1, values.shape[1]):
+        column = values[:, k]
+        higher = column > best
+        np.copyto(best, column, where=higher)
+        np.copyto(index, k, where=higher)
+    return index
+
+
+def _link_sum(values):
+    """Each row's entries summed in index order, as a loop over one point
+    adds them: numpy's own sum adds pairwise along a contiguous row."""
+    total = values[:, 0].copy()
+    for k in range(1, values.shape[1]):
+        total += values[:, k]
+    return total
+
+
 def soc_mal_value(inst: Instance, alpha: float, grid: GridSpec) -> float:
     """min over gridded SOC strategies of the exact adversarial best response.
 
@@ -184,13 +216,15 @@ def soc_mal_value(inst: Instance, alpha: float, grid: GridSpec) -> float:
     best = math.inf
     for parts in _grid_chunks(grid.resolution, inst.m):
         y = (1.0 - alpha) * (parts / grid.resolution)
+        damage = y * a
         # all adversarial mass lands on the link maximizing a_k y_k (first
         # index on ties); replace that link's cost term accordingly
-        t = np.argmax(y * a, axis=1)
-        per_link = y * (y * a + b)
-        rows = np.arange(y.shape[0])
-        yt = y[rows, t]
-        values = per_link.sum(axis=1) - per_link[rows, t] + yt * (a[t] * (alpha + yt) + b[t])
+        t = _first_max(damage)
+        per_link = y * (damage + b)
+        at_t = t * len(y) + np.arange(len(y))  # (row, t) in link-major order
+        yt = y.ravel(order="F").take(at_t)
+        attacked = yt * (a[t] * (alpha + yt) + b[t])
+        values = _link_sum(per_link) - per_link.ravel(order="F").take(at_t) + attacked
         best = min(best, float(values.min()))
     return best
 
@@ -212,11 +246,8 @@ def mal_soc_value(inst: Instance, alpha: float, grid: GridSpec) -> float:
         x = alpha * (parts / grid.resolution)
         _, y = waterfill_rows(doubled, a * x + b, beta)
         # summed link by link in index order, as a point-by-point loop and Flow would
-        values = np.zeros(len(y))
-        totals = np.zeros(len(y))
-        for i in range(inst.m):
-            values += y[:, i] * (a[i] * (x[:, i] + y[:, i]) + b[i])
-            totals += y[:, i]
+        values = _link_sum(y * (a * (x + y) + b))
+        totals = _link_sum(y)
         check_sum(float(totals[np.argmax(np.abs(totals - beta))]), beta)
         best = max(best, float(values.max()))
     return best

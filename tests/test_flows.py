@@ -225,6 +225,14 @@ def test_optimum_cost_scales_subadditively():
             assert part <= lam * unit + 1e-9
 
 
+def _layouts(rows):
+    """rows as C-ordered, Fortran-ordered and non-contiguous arrays."""
+    c_order = np.array(rows, dtype=np.float64)
+    spaced = np.zeros((2 * len(rows), 3 * len(rows[0])))
+    spaced[::2, ::3] = c_order
+    return {"C": c_order, "F": np.asfortranarray(c_order), "strided": spaced[::2, ::3]}
+
+
 def _assert_rows_bitwise_equal_scalar(slopes, rows, mass):
     levels, loads = waterfill_rows(slopes, np.array(rows, dtype=np.float64), mass)
     assert loads.shape == (len(rows), len(slopes))
@@ -232,6 +240,12 @@ def _assert_rows_bitwise_equal_scalar(slopes, rows, mass):
         ref_level, ref_loads, _ = waterfill(slopes, row, mass)
         assert level.hex() == ref_level.hex(), (slopes, row, mass)
         assert [v.hex() for v in load] == [v.hex() for v in ref_loads], (slopes, row, mass)
+    # any layout of the rows gives the same floats, and link-major loads
+    expected = bits([waterfill(slopes, row, mass)[:2] for row in rows])
+    for layout, array in _layouts(rows).items():
+        levels, loads = waterfill_rows(slopes, array, mass)
+        assert loads.flags.f_contiguous, layout
+        assert bits(list(zip(levels.tolist(), loads.tolist()))) == expected, (layout, slopes, rows, mass)
 
 
 def test_waterfill_rows_bitwise_equal_to_scalar_on_ensemble():

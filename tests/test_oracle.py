@@ -31,6 +31,7 @@ from _support import (
     oracle_ensemble,
     reference_mal_soc_value,
     reference_simplex_grid,
+    reference_soc_mal_value,
 )
 
 
@@ -250,6 +251,24 @@ def test_mal_soc_value_equals_point_by_point_reference():
     ]
     for inst, alpha, n in cases:
         assert mal_soc_value(inst, alpha, GridSpec(n)) == reference_mal_soc_value(inst, alpha, n)
+
+
+def test_soc_mal_value_equals_point_by_point_reference(monkeypatch):
+    # numpy's own sum adds eight or more links pairwise, which moved the last
+    # bit of both m = 8 and m = 9 at seed 11
+    cases = [(random_instance(seed=11, m=8), 0.37, 3), (random_instance(seed=11, m=9), 0.37, 3)]
+    cases += [(random_instance(seed=40 + m, m=m), 0.05 + 0.07 * m, 3 if m > 6 else 9) for m in range(1, 13)]
+    cases += [
+        (validate([(0, 1), (0, 1), (2, 0)]), 0.3, 10),   # zero-slope ties
+        (validate([(1, 0), (1, 0.1)]), 0.3, 4),          # tied damage on unequal links:
+        (validate([(2, 0), (1, 0)]), 0.5, 6),            # the first of them is attacked
+        (random_instance(seed=33, m=3), 0.6, 120),         # more than one chunk
+    ]
+    expected = [reference_soc_mal_value(inst, alpha, n) for inst, alpha, n in cases]
+    assert [soc_mal_value(inst, alpha, GridSpec(n)) for inst, alpha, n in cases] == expected
+    # one point per chunk: a single row is contiguous in either layout
+    monkeypatch.setattr(malice.oracle, "GRID_CHUNK_ROWS", 1)
+    assert [soc_mal_value(inst, alpha, GridSpec(n)) for inst, alpha, n in cases] == expected
 
 
 def test_mal_soc_value_runs_no_scalar_waterfill(monkeypatch):
