@@ -6,6 +6,16 @@ a pure equilibrium: MAL plays the selfish (equalized-latency) flow of
 its own mass, SOC plays the minimum-cost flow under the induced
 latencies, and the two residual checks below certify mutual best
 response machine-checkably.
+
+Inputs are checked at the API boundary: each public function checks
+its alpha, masses and flow lengths, then calls an unchecked core
+(`_attack`, `_mal_residual`, `_soc_residual`, `_scaled`).
+`scaled_optimum` takes an alpha its caller checked.  `com_report` and
+`com_sweep` check each alpha once and solve the instance's alpha-free
+part once (`_unit_solves`).  Per alpha they call `pure_equilibrium`,
+which checks alpha again as a public function, and the cores.  What a
+solver's output can fail is checked on every alpha: each solver flow's
+entries and sum, both residuals, and the scaled optimum's expansion.
 """
 
 from dataclasses import dataclass
@@ -57,6 +67,14 @@ def _soc_mass(x: Flow) -> float:
     return max(1.0 - x.mass, 0.0)
 
 
+def _attack(inst: Instance, y: Flow, alpha: float) -> Flow:
+    """mal_best_response's flow at a checked alpha: all of it on _most_damaging(y)."""
+    best = _most_damaging(inst, y)
+    values = [0.0] * inst.m
+    values[best] = alpha
+    return solver_flow(values, (best,), alpha)
+
+
 def mal_best_response(inst: Instance, y: Flow, alpha: float) -> BestResponseResult:
     """Adversary's best response to y: all mass on the link maximizing a_k y_k.
 
@@ -67,10 +85,7 @@ def mal_best_response(inst: Instance, y: Flow, alpha: float) -> BestResponseResu
     """
     alpha = check_alpha(alpha)
     check_links(inst, y)
-    best = _most_damaging(inst, y)
-    values = [0.0] * inst.m
-    values[best] = alpha
-    x = solver_flow(values, (best,), alpha)
+    x = _attack(inst, y, alpha)
     return BestResponseResult(x, cost(inst, x, y))
 
 
@@ -94,6 +109,11 @@ def check_mal_br(inst: Instance, x: Flow, y: Flow) -> float:
     link's a_i y_i, and zero when x has no support above CHECK_TOL.
     """
     check_links(inst, x, y)
+    return _mal_residual(inst, x, y)
+
+
+def _mal_residual(inst: Instance, x: Flow, y: Flow) -> float:
+    """check_mal_br on flows of inst's length."""
     a = inst.slopes
     xv = x._loads
     yv = y._loads
@@ -112,6 +132,11 @@ def check_soc_br(inst: Instance, x: Flow, y: Flow) -> float:
     minus the smallest marginal anywhere, floored at zero.
     """
     check_links(inst, x, y)
+    return _soc_residual(inst, x, y)
+
+
+def _soc_residual(inst: Instance, x: Flow, y: Flow) -> float:
+    """check_soc_br on flows of inst's length."""
     a = inst.slopes
     b = inst.intercepts
     xv = x._loads
@@ -146,11 +171,11 @@ def pure_equilibrium(inst: Instance, alpha: float) -> tuple[Profile, Equilibrium
     """
     alpha = check_alpha(alpha)
     x, _ = wardrop_flow(inst, alpha)
-    br = soc_best_response(inst, x)
-    y = br.flow
-    mal_residual = check_mal_br(inst, x, y)
-    soc_residual = check_soc_br(inst, x, y)
-    certificate = EquilibriumCertificate(mal_residual, soc_residual, br.value)
+    y, _ = induced_optimum(inst, x, _soc_mass(x))
+    value = cost(inst, x, y)
+    mal_residual = _mal_residual(inst, x, y)
+    soc_residual = _soc_residual(inst, x, y)
+    certificate = EquilibriumCertificate(mal_residual, soc_residual, value)
     if mal_residual > CERT_FAIL_TOL or soc_residual > CERT_FAIL_TOL:
         raise CertificateFailure(
             f"equilibrium residuals ({mal_residual}, {soc_residual}) exceed {CERT_FAIL_TOL}"
@@ -210,6 +235,21 @@ def scaled_optimum(inst: Instance, alpha: float, ystar: Flow,
                    opt_cost: float) -> BestResponseResult:
     """scale_strategy at a checked alpha, given the unit optimum
     ystar = system_optimum(inst, 1.0) and its cost opt_cost."""
+    return BestResponseResult(*_scaled(inst, alpha, ystar, opt_cost, _spread(inst, ystar)))
+
+
+def _spread(inst: Instance, ystar: Flow) -> float:
+    """a_t y*_t + sum_k b_k y*_k, the alpha-free factor of the expansion."""
+    v = ystar._loads
+    t = _most_damaging(inst, ystar)
+    spread = inst.slopes[t] * v[t]
+    spread += sum(inst.intercepts[k] * v[k] for k in ystar.nonzero)
+    return spread
+
+
+def _scaled(inst: Instance, alpha: float, ystar: Flow, opt_cost: float,
+            spread: float) -> tuple[Flow, float]:
+    """scaled_optimum's flow and value, given also _spread(inst, ystar)."""
     scale = 1.0 - alpha
     v = ystar._loads
     scaled = [0.0] * inst.m
@@ -218,17 +258,13 @@ def scaled_optimum(inst: Instance, alpha: float, ystar: Flow,
         scaled[k] = scale * v[k]
         total += scaled[k]
     y = solver_flow(scaled, ystar.nonzero, total)
-    br = mal_best_response(inst, y, alpha)
-    value = br.value
-    t = _most_damaging(inst, ystar)
-    spread = inst.slopes[t] * v[t]
-    spread += sum(inst.intercepts[k] * v[k] for k in ystar.nonzero)
+    value = cost(inst, _attack(inst, y, alpha), y)
     expansion = (1.0 - alpha) ** 2 * opt_cost + alpha * (1.0 - alpha) * spread
     if abs(value - expansion) > CERT_FAIL_TOL * max(1.0, abs(value)):
         raise CertificateFailure(
             f"scaled-optimum value {value} disagrees with its expansion {expansion}"
         )
-    return BestResponseResult(y, value)
+    return y, value
 
 
 def com_report(inst: Instance, alpha: float) -> ComReport:
@@ -237,24 +273,10 @@ def com_report(inst: Instance, alpha: float) -> ComReport:
     Undefined at alpha = 1 (the ratio divides by the social mass) and on
     instances whose unit optimum cost is zero.
     """
-    return _com_at(inst, check_com_alpha(alpha), _unit_solves(inst))
-
-
-def _unit_solves(inst: Instance) -> tuple[float, Flow, float]:
-    """The alpha-free part of a report: (nash_cost_1, unit optimum y*, opt_cost_1)."""
-    nash_cost_1 = flow_cost(inst, wardrop_flow(inst, 1.0)[0])
-    ystar, _ = system_optimum(inst, 1.0)
-    opt_cost_1 = flow_cost(inst, ystar)
-    if opt_cost_1 <= 0.0:
-        raise DegenerateInstance("unit optimum cost is zero; cost of malice undefined")
-    return nash_cost_1, ystar, opt_cost_1
-
-
-def _com_at(inst: Instance, alpha: float, unit: tuple[float, Flow, float]) -> ComReport:
-    """The report at a checked alpha, given the instance's _unit_solves."""
-    nash_cost_1, ystar, opt_cost_1 = unit
+    alpha = check_com_alpha(alpha)
+    nash_cost_1, ystar, opt_cost_1, spread = _unit_solves(inst)
     _, certificate = pure_equilibrium(inst, alpha)
-    scale = scaled_optimum(inst, alpha, ystar, opt_cost_1)
+    _, scale_value = _scaled(inst, alpha, ystar, opt_cost_1, spread)
     return ComReport(
         alpha=alpha,
         eq_value=certificate.value,
@@ -263,9 +285,20 @@ def _com_at(inst: Instance, alpha: float, unit: tuple[float, Flow, float]) -> Co
         com=certificate.value / ((1.0 - alpha) * opt_cost_1),
         bound_43=4.0 / 3.0,
         bound_scale=1.0 + alpha / 2.0,
-        scale_value=scale.value,
+        scale_value=scale_value,
         evasive_bound=(1.0 - alpha) * nash_cost_1,
     )
+
+
+def _unit_solves(inst: Instance) -> tuple[float, Flow, float, float]:
+    """The alpha-free part of a report: (nash_cost_1, unit optimum y*,
+    opt_cost_1, _spread(inst, y*))."""
+    nash_cost_1 = flow_cost(inst, wardrop_flow(inst, 1.0)[0])
+    ystar, _ = system_optimum(inst, 1.0)
+    opt_cost_1 = flow_cost(inst, ystar)
+    if opt_cost_1 <= 0.0:
+        raise DegenerateInstance("unit optimum cost is zero; cost of malice undefined")
+    return nash_cost_1, ystar, opt_cost_1, _spread(inst, ystar)
 
 
 @dataclass(frozen=True)
@@ -286,6 +319,7 @@ def com_sweep(inst: Instance, alphas) -> list[SweepRow]:
     Rows come back sorted by alpha.  The scale_com column divides the
     scaled-optimum value by the same baseline as the equilibrium ratio,
     exposing where the 4/3 and 1 + alpha/2 bounds cross (alpha = 2/3).
+    Each row holds the figures com_report gives at its alpha.
     """
     rows = []
     unit = None
@@ -293,15 +327,18 @@ def com_sweep(inst: Instance, alphas) -> list[SweepRow]:
         alpha = check_com_alpha(alpha)
         if unit is None:
             unit = _unit_solves(inst)
-        report = _com_at(inst, alpha, unit)
+        _, ystar, opt_cost_1, spread = unit
+        _, certificate = pure_equilibrium(inst, alpha)
+        _, scale_value = _scaled(inst, alpha, ystar, opt_cost_1, spread)
+        baseline = (1.0 - alpha) * opt_cost_1
         rows.append(
             SweepRow(
                 alpha=alpha,
-                eq_value=report.eq_value,
-                com=report.com,
-                scale_com=report.scale_value / ((1.0 - alpha) * report.opt_cost_1),
-                bound_43=report.bound_43,
-                bound_scale=report.bound_scale,
+                eq_value=certificate.value,
+                com=certificate.value / baseline,
+                scale_com=scale_value / baseline,
+                bound_43=4.0 / 3.0,
+                bound_scale=1.0 + alpha / 2.0,
             )
         )
     rows.sort(key=lambda row: row.alpha)

@@ -12,9 +12,10 @@ Flows store absolute link loads, not fractions of a player's mass, and
 carry their declared total mass explicitly so that the degenerate cases
 alpha = 0 and alpha = 1 need no special handling.
 
-Validation happens at the API boundary.  `Flow(values, mass)` converts
-and checks every entry, and copies them into a tuple.  The solvers
-instead hand over, through `solver_flow`, the plain list they filled
+Validation happens at the API boundary.  `Flow(values, mass)` checks
+the mass, converts and checks every entry, and copies them into a tuple.
+The solvers instead hand over, through `solver_flow`, a mass that their
+public function already checked and the plain list they filled,
 together with the links they wrote; they never touched any other entry,
 so it is still 0.0, and the Flow checks and sums only the named ones:
 O(support), where a scan costs O(m).  Both give the same values, nonzero
@@ -197,7 +198,7 @@ class Instance:
 
 def validate(raw_links) -> Instance:
     """Build an Instance from (slope, intercept) pairs, rejecting bad input."""
-    return Instance(tuple((a, b) for a, b in raw_links))
+    return Instance(tuple(raw_links))
 
 
 def check_links(inst: Instance, *flows) -> None:
@@ -273,11 +274,10 @@ class Flow:
     def __init__(self, values, mass):
         _set(self, "_values", values)
         _set(self, "_loads", None)
-        _set(self, "mass", mass)
+        _set(self, "mass", check_mass(mass))
         self.__post_init__()
 
     def __post_init__(self):
-        mass = check_mass(self.mass)
         loads = self._loads
         found = None
         if loads is not None:
@@ -299,8 +299,7 @@ class Flow:
             _set(self, "_values", values)
             _set(self, "_loads", values)
         nonzero, total = found
-        check_sum(total, mass)
-        _set(self, "mass", mass)
+        check_sum(total, self.mass)
         _set(self, "_nonzero", nonzero)
 
     @property
@@ -347,9 +346,11 @@ def solver_flow(loads: list, links, mass: float) -> Flow:
 
     Every entry of loads but those at links is 0.0, and nothing but the
     new Flow refers to loads afterwards; only the solvers call this, so
-    no caller's list is ever kept.  The Flow checks mass as Flow(loads,
-    mass) would, with the same result or error, but reads loads only at
-    links and copies it only when values is read.
+    no caller's list is ever kept.  mass is already a finite nonnegative
+    float (the solver's public function checked it), so it is not checked
+    again.  The Flow checks the entries and their sum as Flow(loads, mass)
+    would, with the same result or error, but reads loads only at links
+    and copies it only when values is read.
     """
     flow = Flow.__new__(Flow)
     _set(flow, "_values", None)

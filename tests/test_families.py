@@ -18,7 +18,7 @@ from malice import (
     wardrop_flow,
 )
 
-from _support import count_waterfills
+from _support import count_waterfills, wide_ensemble
 
 
 def test_pigou_constructor():
@@ -151,9 +151,17 @@ def test_sweep_rejects_bad_alpha():
         com_sweep(pigou(), [0.5, 1.0])
 
 
+def _standard_without_free_links(seed, m):
+    """random_instance(seed, m) with each (0, 0) link, on which a report is
+    undefined, given the intercept 1."""
+    return validate([(a, b if a or b else 1.0) for a, b in random_instance(seed=seed, m=m).links])
+
+
 def test_sweep_rows_match_com_report():
     alphas = [0.0, 0.25, 0.5, 0.9]
-    for inst in (pigou(), tight(1000), random_instance(seed=3, m=8)):
+    wide = wide_ensemble(1, seed=0)[0]  # a wide-range instance that solves
+    for inst in (pigou(), tight(1000), random_instance(seed=3, m=8),
+                 _standard_without_free_links(seed=17, m=10_000), wide):
         for row in com_sweep(inst, alphas):
             report = com_report(inst, row.alpha)
             assert (row.eq_value, row.com, row.bound_43, row.bound_scale) == (
