@@ -6,7 +6,7 @@ import random
 from .errors import InvalidM, NonPositiveM
 from .flows import flow_cost, induced_optimum, system_optimum
 from .game import com_sweep  # re-exported, so that families.com_sweep still names the sweep
-from .model import Flow, Instance, check_com_alpha, cost, validate
+from .model import Instance, check_com_alpha, cost, solver_flow, validate
 
 MAX_LINKS = 1_000_000  # largest generated instance; bounds the memory a size input can ask for
 
@@ -24,11 +24,16 @@ def tight(M: float) -> Instance:
     return validate([(0.0, 1.0), (M, 0.0)])
 
 
+def _check_m(m: int) -> int:
+    """A generated instance's link count: an integer, not a bool, in [1, MAX_LINKS]."""
+    if isinstance(m, bool) or not isinstance(m, int) or not 1 <= m <= MAX_LINKS:
+        raise InvalidM(f"link count must be an integer in [1, {MAX_LINKS}], got {m!r}")
+    return m
+
+
 def network(m: int) -> Instance:
     """m parallel links of latency z: the parallel part of the network demonstrator."""
-    if not isinstance(m, int) or not 1 <= m <= MAX_LINKS:
-        raise InvalidM(f"link count must be an integer in [1, {MAX_LINKS}], got {m}")
-    return validate([(1.0, 0.0)] * m)
+    return validate([(1.0, 0.0)] * _check_m(m))
 
 
 NETWORK_DEMO_NOTE = (
@@ -53,7 +58,7 @@ def network_demo(m: int, alpha: float) -> tuple[float, dict]:
     total = 0.0
     for v in loads:
         total += v
-    x = Flow(tuple(loads), total)
+    x = solver_flow(loads, range(m), total)
     y, _ = induced_optimum(inst, x, 1.0 - alpha)
     soc_cost = cost(inst, x, y)
     opt_cost_1 = flow_cost(inst, system_optimum(inst, 1.0)[0])
@@ -76,11 +81,9 @@ def random_instance(seed: int, m: int) -> Instance:
     """Deterministic random instance with coefficients in [0, 10]; each is
     exactly zero with probability 0.1 to exercise the zero-slope and
     zero-intercept paths."""
-    if m > MAX_LINKS:
-        raise InvalidM(f"link count must be at most {MAX_LINKS}, got {m}")
     rng = random.Random(seed)
     links = []
-    for _ in range(m):
+    for _ in range(_check_m(m)):
         a = 0.0 if rng.random() < 0.1 else rng.uniform(0.0, 10.0)
         b = 0.0 if rng.random() < 0.1 else rng.uniform(0.0, 10.0)
         links.append((a, b))

@@ -93,18 +93,18 @@ def waterfill(slopes, intercepts, mass, order=None) -> tuple[float, list[float],
     pinned = level > cap
     if pinned:
         level = cap
-    # the loaded links: every link of the order below the level, which
-    # rounding can put past the link that stopped the fill
+    # load every link of the order below the level, which rounding can
+    # put past the link that stopped the fill
     loaded = []
-    for i in chain(walked, unvisited):
-        if not intercepts[i] < level:
-            break
-        loaded.append(i)
     placed = 0.0
-    for i in loaded:
-        v = (level - intercepts[i]) / slopes[i]
+    for i in chain(walked, unvisited):
+        t = intercepts[i]
+        if not t < level:
+            break
+        v = (level - t) / slopes[i]
         values[i] = v
         placed += v
+        loaded.append(i)
     if not pinned:
         if len(loaded) == 1:
             # a single loaded link carries the whole mass exactly

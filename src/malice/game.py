@@ -198,8 +198,8 @@ def evasive_response(inst: Instance, x: Flow) -> BestResponseResult:
     sv = s._loads
     xv = x._loads
     values = [0.0] * inst.m
+    links = []
     remaining = beta
-    last = None
     for i in range(inst.m):
         if remaining == 0.0:
             break
@@ -209,10 +209,10 @@ def evasive_response(inst: Instance, x: Flow) -> BestResponseResult:
         take = room if room < remaining else remaining
         values[i] = take
         remaining -= take
-        last = i
-    if remaining > 0.0 and last is not None:
-        values[last] += remaining  # float residue; the room slack absorbs it
-    y = Flow(tuple(values), beta)
+        links.append(i)
+    if remaining > 0.0 and links:
+        values[links[-1]] += remaining  # float residue; the room slack absorbs it
+    y = solver_flow(values, links, beta)
     return BestResponseResult(y, cost(inst, x, y))
 
 

@@ -12,28 +12,28 @@ Flows store absolute link loads, not fractions of a player's mass, and
 carry their declared total mass explicitly so that the degenerate cases
 alpha = 0 and alpha = 1 need no special handling.
 
-Validation happens at the API boundary.  `Flow(values, mass)` checks
-the mass, converts and checks every entry, and copies them into a tuple.
-The solvers instead hand over, through `solver_flow`, a mass that their
-public function already checked and the plain list they filled,
-together with the links they wrote; they never touched any other entry,
-so it is still 0.0, and the Flow checks and sums only the named ones:
-O(support), where a scan costs O(m).  Both give the same values, nonzero
-indices, sum and errors.  The Flow keeps that list, and nothing but the
-Flow refers to it once it is built.
+Validation happens at the API boundary.  `Flow(values, mass)` is for
+outside input: it checks the mass and converts and checks every entry
+into a new tuple.  Library code that has just filled a plain list (the
+solvers, the game's replies, the network demonstrator) hands it over
+through `solver_flow` instead, with a mass its public function already
+checked and the links it wrote; every other entry is still 0.0, so the
+Flow checks and sums only those links: O(support), where a scan costs
+O(m).  Both paths end in the same check and give the same values,
+nonzero indices, sum and errors.
 
-A Flow's `values` tuple is built from its stored entries on first read
-and then kept, so a report that never reads it never copies m entries.
-Two threads reading it first at once may each build a tuple; the tuples
-are equal, and either is kept.
+A Flow keeps its entries in one slot: the checked tuple, or the filled
+list, which nothing else refers to.  The first read of `values`
+replaces the list with its tuple, so a report that never reads it never
+copies m entries.  Two threads reading it first at once may each build
+a tuple; the tuples are equal, and either is kept.
 
 Every type in this module is immutable after construction and every
 operation is a pure function, so everything here is safe to share across
 threads.  That includes what an Instance caches beside its fields (its
 slopes, intercepts, doubled slopes and intercept order) and what a Flow
-caches (the indices of its nonzero entries and its values tuple): each
-is built once and never changed, and none of it but values enters repr,
-== or hash.
+caches (the indices of its nonzero entries): each is built once and
+never changed, and none of it enters repr, == or hash.
 An instance stores a -0.0 coefficient as +0.0, so its intercept order is
 never None and equal instances serialize alike.
 """
@@ -225,12 +225,9 @@ def _clamped(raw) -> tuple[float, ...]:
     return tuple(clean)
 
 
-def _nonzero_entries(values, indices=None):
-    """(indices, sum) of the nonzero entries of a tuple of floats, both in
-    index order, or None if one is negative or not finite.  Only the
-    entries at indices, increasing, are read if given."""
-    if indices is None:
-        indices = compress(range(len(values)), values)
+def _nonzero_entries(values, indices):
+    """(indices, sum) of the nonzero entries of values at indices, which
+    increase, both in index order, or None if one is negative or not finite."""
     nonzero = []
     total = 0.0
     for i in indices:
@@ -256,48 +253,35 @@ class Flow:
     A zero entry passes every check and adds exactly nothing to the sum,
     so only the nonzero entries are looked at one by one; their indices
     are kept as `nonzero`, which lets sums over a flow skip its zeros.
-    A solver flow (see solver_flow) is read only at the links its solver
-    wrote, so it costs O(support); should one of those entries be
-    negative or not finite, it is checked in full instead, with the same
-    result or message.
+    Every flow ends in one check, which reads the entries only at the
+    indices it is given: the nonzero ones of the tuple into which
+    `Flow(values, mass)` checks outside input entry by entry, or the
+    links that library code wrote (see solver_flow).  Should one of them
+    be negative or not finite, every entry is checked one by one instead.
 
-    The entries are stored as `_loads`, which the library's readers
-    index: the tuple of a public flow, or the list its solver filled.
-    `values` is built from them as a tuple on first read and kept.
+    The entries live in one slot, `_loads`, which the library's readers
+    index: the checked tuple, or the filled list until the first read of
+    `values` replaces it with its tuple.
     Equality, hash, repr, pickling and copies are those of a frozen
     dataclass with the fields values and mass.
     """
 
-    __slots__ = ("_values", "_loads", "mass", "_nonzero")
+    __slots__ = ("_loads", "mass", "_nonzero")
     __match_args__ = ("values", "mass")
 
     def __init__(self, values, mass):
-        _set(self, "_values", values)
-        _set(self, "_loads", None)
         _set(self, "mass", check_mass(mass))
+        _set(self, "_loads", _clamped(values))
+        _set(self, "_nonzero", compress(range(len(self._loads)), self._loads))
         self.__post_init__()
 
     def __post_init__(self):
-        loads = self._loads
-        found = None
-        if loads is not None:
-            # a solver flow: _nonzero holds, until now, the links it wrote
-            found = _nonzero_entries(loads, sorted(self._nonzero))
+        # _nonzero holds, until now, the links whose entries may be nonzero
+        found = _nonzero_entries(self._loads, sorted(self._nonzero))
         if found is None:
-            raw = self._values if loads is None else loads
-            if not isinstance(raw, (tuple, list)):
-                raw = tuple(raw)
-            try:
-                values = tuple(map(float, raw))
-                found = _nonzero_entries(values)
-            except (TypeError, ValueError, OverflowError):
-                found = None
-            if found is None:
-                # a bad or negative entry: check entry by entry, clamping noise
-                values = _clamped(raw)
-                found = _nonzero_entries(values)
-            _set(self, "_values", values)
-            _set(self, "_loads", values)
+            # a negative or non-finite entry: check entry by entry, clamping noise
+            _set(self, "_loads", _clamped(self._loads))
+            found = _nonzero_entries(self._loads, range(len(self._loads)))
         nonzero, total = found
         check_sum(total, self.mass)
         _set(self, "_nonzero", nonzero)
@@ -305,11 +289,9 @@ class Flow:
     @property
     def values(self) -> tuple[float, ...]:
         """The entries as a tuple of floats, one per link."""
-        values = self._values
-        if values is None:
-            values = tuple(self._loads)
-            _set(self, "_values", values)
-        return values
+        if self._loads.__class__ is list:
+            _set(self, "_loads", tuple(self._loads))
+        return self._loads
 
     @property
     def nonzero(self) -> tuple[int, ...]:
@@ -342,18 +324,18 @@ class Flow:
 
 
 def solver_flow(loads: list, links, mass: float) -> Flow:
-    """The Flow of loads that a solver of this package just filled.
+    """The Flow of a list that library code of this package just filled.
 
     Every entry of loads but those at links is 0.0, and nothing but the
-    new Flow refers to loads afterwards; only the solvers call this, so
-    no caller's list is ever kept.  mass is already a finite nonnegative
-    float (the solver's public function checked it), so it is not checked
-    again.  The Flow checks the entries and their sum as Flow(loads, mass)
-    would, with the same result or error, but reads loads only at links
-    and copies it only when values is read.
+    new Flow refers to loads afterwards; only the solvers and the game's
+    and families' own flows call this, so no caller's list is ever kept.
+    mass is already a finite nonnegative float (the public function that
+    filled loads checked it), so it is not checked again.  The Flow
+    checks the entries and their sum as Flow(loads, mass) would, with the
+    same result or error, but reads loads only at links and keeps the
+    list until values is first read.
     """
     flow = Flow.__new__(Flow)
-    _set(flow, "_values", None)
     _set(flow, "_loads", loads)
     _set(flow, "_nonzero", links)
     _set(flow, "mass", mass)

@@ -170,6 +170,13 @@ def test_gen_caps_link_count(capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_gen_random_rejects_zero_links(capsys):
+    assert run(["gen", "--family", "random", "--m", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: link count must be an integer in [1, 1000000], got 0\n"
+
+
 def test_sweep_json(pigou_file, capsys):
     code, doc = _run_json(capsys, ["sweep", "--instance", pigou_file, "--alphas", "0:0.9:0.3"])
     assert code == 0

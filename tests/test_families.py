@@ -18,6 +18,8 @@ from malice import (
     wardrop_flow,
 )
 
+from malice.families import MAX_LINKS
+
 from _support import count_waterfills, wide_ensemble
 
 
@@ -114,6 +116,15 @@ def test_random_instance_forces_zeros():
 def test_random_instance_caps_link_count():
     with pytest.raises(InvalidM):
         random_instance(seed=1, m=1_000_001)
+
+
+@pytest.mark.parametrize("m", [0, -3, 2.5, "3", True, MAX_LINKS + 1])
+def test_link_count_rule_is_shared(m):
+    # both generators take an integer, not a bool, in [1, MAX_LINKS]
+    with pytest.raises(InvalidM, match=r"link count must be an integer in \[1, 1000000\]"):
+        network(m)
+    with pytest.raises(InvalidM, match=r"link count must be an integer in \[1, 1000000\]"):
+        random_instance(seed=1, m=m)
 
 
 def test_sweep_alpha_zero_row():

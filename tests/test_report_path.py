@@ -68,3 +68,35 @@ def test_com_sweep_calls_every_traced_layer(monkeypatch):
     com_sweep(inst, alphas)
     _assert_every_layer_called(calls)
     assert calls["pure_equilibrium"] == len(alphas)
+
+
+def _recording(flows, read_first):
+    """Flow.__post_init__, keeping each flow it builds; with read_first it
+    reads flow.values before the check, as the benchmark's recorder does."""
+    post_init = model.Flow.__dict__["__post_init__"]
+
+    def recording(flow):
+        if read_first:
+            flow.values
+        post_init(flow)
+        flows.append(flow)
+
+    return recording
+
+
+def test_reading_values_before_the_check_changes_nothing(monkeypatch):
+    # the recorder reads each flow's values before Flow.__post_init__ runs,
+    # which turns a solver flow's list into its tuple before the check
+    cases = [(com_report, _links(seed=1, m=10_000), 0.5), (com_sweep, _links(seed=2, m=8), [0.0, 0.25, 0.5, 0.75])]
+    for run, inst, alphas in cases:
+        expected = run(inst, alphas)
+        built = {}
+        for read_first in (False, True):
+            flows = built[read_first] = []
+            with monkeypatch.context() as patch:
+                patch.setattr(model.Flow, "__post_init__", _recording(flows, read_first))
+                assert run(inst, alphas) == expected
+        assert built[False] and len(built[False]) == len(built[True])
+        for plain, read in zip(built[False], built[True]):
+            assert (read.nonzero, read.mass) == (plain.nonzero, plain.mass)
+            assert read.values == plain.values
