@@ -43,21 +43,19 @@ def _load_instance(path: str) -> Instance:
         return parse_instance(handle.read())
 
 
-def _finish(payload: dict, inst: Instance) -> dict:
+def _report(payload: dict, inst: Instance) -> int:
+    """Print payload as JSON, closed by the instance hash and the tolerances."""
     payload["instance_sha256"] = instance_digest(inst)
     payload["tolerances"] = TOLERANCES
-    return payload
+    print(dumps(payload))
+    return EXIT_OK
 
 
 def _cmd_solve(args) -> int:
     inst = _load_instance(args.instance)
-    if args.wardrop:
-        flow, level = wardrop_flow(inst, args.mass)
-        mode = "wardrop"
-    else:
-        flow, level = system_optimum(inst, args.mass)
-        mode = "optimum"
-    payload = {
+    mode, solver = ("wardrop", wardrop_flow) if args.wardrop else ("optimum", system_optimum)
+    flow, level = solver(inst, args.mass)
+    return _report({
         "command": "solve",
         "mode": mode,
         "mass": args.mass,
@@ -65,15 +63,13 @@ def _cmd_solve(args) -> int:
         "level": level.level,
         "support": sorted(level.support),
         "cost": flow_cost(inst, flow),
-    }
-    print(dumps(_finish(payload, inst)))
-    return EXIT_OK
+    }, inst)
 
 
 def _cmd_equilibrium(args) -> int:
     inst = _load_instance(args.instance)
     profile, certificate = pure_equilibrium(inst, args.alpha)
-    payload = {
+    return _report({
         "command": "equilibrium",
         "alpha": profile.alpha,
         "mal": list(profile.mal.values),
@@ -81,16 +77,12 @@ def _cmd_equilibrium(args) -> int:
         "value": certificate.value,
         "mal_residual": certificate.mal_residual,
         "soc_residual": certificate.soc_residual,
-    }
-    print(dumps(_finish(payload, inst)))
-    return EXIT_OK
+    }, inst)
 
 
 def _cmd_com(args) -> int:
     inst = _load_instance(args.instance)
-    payload = {"command": "com", **dataclasses.asdict(com_report(inst, args.alpha))}
-    print(dumps(_finish(payload, inst)))
-    return EXIT_OK
+    return _report({"command": "com", **dataclasses.asdict(com_report(inst, args.alpha))}, inst)
 
 
 def _cmd_scale(args) -> int:
@@ -99,15 +91,13 @@ def _cmd_scale(args) -> int:
     ystar, _ = system_optimum(inst, 1.0)
     opt_cost_1 = flow_cost(inst, ystar)
     result = scaled_optimum(inst, alpha, ystar, opt_cost_1)
-    payload = {
+    return _report({
         "command": "scale",
         "alpha": alpha,
         "soc": list(result.flow.values),
         "value": result.value,
         "upper_bound": (1.0 + alpha / 2.0) * (1.0 - alpha) * opt_cost_1,
-    }
-    print(dumps(_finish(payload, inst)))
-    return EXIT_OK
+    }, inst)
 
 
 def _cmd_verify(args) -> int:
@@ -119,20 +109,20 @@ def _cmd_verify(args) -> int:
     _, certificate = pure_equilibrium(inst, args.alpha)
     contains = lower - CHECK_TOL <= certificate.value <= upper + CHECK_TOL
     ok = gap >= -CHECK_TOL and contains
-    payload = {
+    points = grid.points(inst.m)
+    _report({
         "command": "verify",
         "alpha": args.alpha,
         "grid": args.grid,
-        "points": grid.points(inst.m),
+        "points": points,
         "soc_mal": upper,
         "mal_soc": lower,
         "gap": gap,
         "equilibrium_value": certificate.value,
         "bracket_contains_value": contains,
         "ok": ok,
-    }
-    print(dumps(_finish(payload, inst)))
-    print(f"verify: {grid.points(inst.m)} points per direction in {elapsed:.3f}s", file=sys.stderr)
+    }, inst)
+    print(f"verify: {points} points per direction in {elapsed:.3f}s", file=sys.stderr)
     return EXIT_OK if ok else EXIT_CERTIFICATE
 
 
@@ -181,17 +171,16 @@ def _cmd_sweep(args) -> int:
     inst = _load_instance(args.instance)
     alphas = _parse_alpha_grid(args.alphas)
     rows = [dataclasses.asdict(row) for row in com_sweep(inst, alphas)]
-    if args.csv:
-        lines = [",".join(field.name for field in dataclasses.fields(SweepRow))]
-        lines += [",".join(map(dumps, row.values())) for row in rows]
-        text = "\n".join(lines) + "\n"
-        if args.csv == "-":
-            sys.stdout.write(text)
-        else:
-            with open(args.csv, "w", encoding="utf-8") as handle:
-                handle.write(text)
+    if not args.csv:
+        return _report({"command": "sweep", "rows": rows}, inst)
+    lines = [",".join(field.name for field in dataclasses.fields(SweepRow))]
+    lines += [",".join(map(dumps, row.values())) for row in rows]
+    text = "\n".join(lines) + "\n"
+    if args.csv == "-":
+        sys.stdout.write(text)
     else:
-        print(dumps(_finish({"command": "sweep", "rows": rows}, inst)))
+        with open(args.csv, "w", encoding="utf-8") as handle:
+            handle.write(text)
     return EXIT_OK
 
 

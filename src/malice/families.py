@@ -18,7 +18,11 @@ def pigou() -> Instance:
 
 def tight(M: float) -> Instance:
     """Two links with latencies 1 and M*z; stresses the scaled-optimum bound."""
-    M = float(M)
+    try:
+        M = float(M)
+    except OverflowError:
+        raise NonPositiveM("slope parameter must be positive, "
+                           "got an integer too large for a float") from None
     if not math.isfinite(M) or M <= 0.0:
         raise NonPositiveM(f"slope parameter must be positive, got {M}")
     return validate([(0.0, 1.0), (M, 0.0)])

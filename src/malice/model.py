@@ -13,20 +13,22 @@ carry their declared total mass explicitly so that the degenerate cases
 alpha = 0 and alpha = 1 need no special handling.
 
 Validation happens at the API boundary.  `Flow(values, mass)` is for
-outside input: it checks the mass and converts and checks every entry
-into a new tuple.  Library code that has just filled a plain list (the
-solvers, the game's replies, the network demonstrator) hands it over
-through `solver_flow` instead, with a mass its public function already
-checked and the links it wrote; every other entry is still 0.0, so the
-Flow checks and sums only those links: O(support), where a scan costs
-O(m).  Both paths end in the same check and give the same values,
-nonzero indices, sum and errors.
+outside input: it checks the mass and converts each entry by one rule
+(`_entry`: a finite float, noise clamped to zero) into a new list.
+Library code that has just filled a plain list (the solvers, the game's
+replies, the network demonstrator) hands it over through `solver_flow`
+instead, with a mass its public function already checked and the links
+it wrote; every other entry is still 0.0.  Both then run one check loop
+over the entries that may be nonzero (the written ones of a library
+list: O(support), where a scan costs O(m)), which sums them and applies
+the same entry rule to a negative or non-finite one, so both give the
+same values, nonzero indices, sum and errors.
 
-A Flow keeps its entries in one slot: the checked tuple, or the filled
-list, which nothing else refers to.  The first read of `values`
-replaces the list with its tuple, so a report that never reads it never
-copies m entries.  Two threads reading it first at once may each build
-a tuple; the tuples are equal, and either is kept.
+A Flow keeps its entries in one slot: a list that nothing else refers
+to, until the first read of `values` replaces it with its tuple, so a
+report that never reads it never copies m entries.  Two threads reading
+it first at once may each build a tuple; the tuples are equal, and
+either is kept.
 
 Every type in this module is immutable after construction and every
 operation is a pure function, so everything here is safe to share across
@@ -209,35 +211,18 @@ def check_links(inst: Instance, *flows) -> None:
             raise DimensionMismatch("each flow must have one entry per link")
 
 
-def _clamped(raw) -> tuple[float, ...]:
-    """Flow entries as floats, checked one by one; raises at the first bad entry."""
-    clean = []
-    for v in raw:
-        try:
-            v = float(v)
-        except OverflowError:  # an integer too large for a float
-            v = math.inf
-        if not math.isfinite(v):
-            raise InvalidFlow("flow entries must be finite")
-        if v < -ENTRY_CLAMP:
-            raise InvalidFlow(f"flow entry {v} below clamp tolerance {-ENTRY_CLAMP}")
-        clean.append(0.0 if v < 0.0 else v)
-    return tuple(clean)
-
-
-def _nonzero_entries(values, indices):
-    """(indices, sum) of the nonzero entries of values at indices, which
-    increase, both in index order, or None if one is negative or not finite."""
-    nonzero = []
-    total = 0.0
-    for i in indices:
-        v = values[i]
-        if v:
-            if not 0.0 < v < math.inf:
-                return None
-            total += v
-            nonzero.append(i)
-    return tuple(nonzero), total
+def _entry(v) -> float:
+    """One flow entry as a float: finite and at least -ENTRY_CLAMP, with
+    an entry in [-ENTRY_CLAMP, 0) clamped to 0.0."""
+    try:
+        v = float(v)
+    except OverflowError:  # an integer too large for a float
+        v = math.inf
+    if not math.isfinite(v):
+        raise InvalidFlow("flow entries must be finite")
+    if v < -ENTRY_CLAMP:
+        raise InvalidFlow(f"flow entry {v} below clamp tolerance {-ENTRY_CLAMP}")
+    return 0.0 if v < 0.0 else v
 
 
 _set = object.__setattr__  # writes a slot of a Flow, whose own __setattr__ refuses
@@ -253,15 +238,16 @@ class Flow:
     A zero entry passes every check and adds exactly nothing to the sum,
     so only the nonzero entries are looked at one by one; their indices
     are kept as `nonzero`, which lets sums over a flow skip its zeros.
-    Every flow ends in one check, which reads the entries only at the
-    indices it is given: the nonzero ones of the tuple into which
-    `Flow(values, mass)` checks outside input entry by entry, or the
-    links that library code wrote (see solver_flow).  Should one of them
-    be negative or not finite, every entry is checked one by one instead.
+    Every flow ends in one check loop, which reads the entries only at
+    the indices it is given: the nonzero ones of the list into which
+    `Flow(values, mass)` converts outside input by `_entry`, or the
+    links that library code wrote (see solver_flow).  It sums them, and
+    applies `_entry` in place to a negative or non-finite one, which
+    only a library list can hold.
 
     The entries live in one slot, `_loads`, which the library's readers
-    index: the checked tuple, or the filled list until the first read of
-    `values` replaces it with its tuple.
+    index: a private list until the first read of `values` replaces it
+    with its tuple.
     Equality, hash, repr, pickling and copies are those of a frozen
     dataclass with the fields values and mass.
     """
@@ -271,20 +257,30 @@ class Flow:
 
     def __init__(self, values, mass):
         _set(self, "mass", check_mass(mass))
-        _set(self, "_loads", _clamped(values))
+        _set(self, "_loads", [_entry(v) for v in values])
         _set(self, "_nonzero", compress(range(len(self._loads)), self._loads))
         self.__post_init__()
 
     def __post_init__(self):
         # _nonzero holds, until now, the links whose entries may be nonzero
-        found = _nonzero_entries(self._loads, sorted(self._nonzero))
-        if found is None:
-            # a negative or non-finite entry: check entry by entry, clamping noise
-            _set(self, "_loads", _clamped(self._loads))
-            found = _nonzero_entries(self._loads, range(len(self._loads)))
-        nonzero, total = found
+        loads = self._loads
+        nonzero = []
+        total = 0.0
+        for i in sorted(self._nonzero):
+            v = loads[i]
+            if v:
+                if not 0.0 < v < math.inf:
+                    # only a library list holds such an entry; an early read
+                    # of values may already have made it a tuple
+                    if loads.__class__ is not list:
+                        loads = list(loads)
+                        _set(self, "_loads", loads)
+                    loads[i] = _entry(v)  # raises, or clamps noise to 0.0
+                    continue
+                total += v
+                nonzero.append(i)
         check_sum(total, self.mass)
-        _set(self, "_nonzero", nonzero)
+        _set(self, "_nonzero", tuple(nonzero))
 
     @property
     def values(self) -> tuple[float, ...]:
@@ -330,10 +326,9 @@ def solver_flow(loads: list, links, mass: float) -> Flow:
     new Flow refers to loads afterwards; only the solvers and the game's
     and families' own flows call this, so no caller's list is ever kept.
     mass is already a finite nonnegative float (the public function that
-    filled loads checked it), so it is not checked again.  The Flow
-    checks the entries and their sum as Flow(loads, mass) would, with the
-    same result or error, but reads loads only at links and keeps the
-    list until values is first read.
+    filled loads checked it), so it is not checked again.  The Flow's
+    one check loop reads loads only at links, and gives the result or
+    error that Flow(loads, mass) would.
     """
     flow = Flow.__new__(Flow)
     _set(flow, "_loads", loads)

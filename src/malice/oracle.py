@@ -69,8 +69,12 @@ class GridSpec:
             raise InvalidRange(f"grid resolution must be a positive integer, got {self.resolution}")
 
     def points(self, m: int) -> int:
-        """Number of grid points on an m-link simplex."""
-        return math.comb(self.resolution + m - 1, m - 1)
+        """Number of grid points on an m-link simplex; GridTooLarge past SHOWN_COUNT."""
+        count = _grid_points(self.resolution, m)
+        if count > SHOWN_COUNT:
+            raise GridTooLarge(f"{_shown(count)} grid points on {m} links at resolution "
+                               f"{_shown(self.resolution)} are too many to count")
+        return count
 
 
 def _grid_points(n: int, m: int) -> int:

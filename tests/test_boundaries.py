@@ -10,6 +10,7 @@ from malice import (
     GridSpec,
     InvalidAlpha,
     InvalidMass,
+    NonPositiveM,
     Profile,
     check_mal_br,
     check_soc_br,
@@ -30,6 +31,7 @@ from malice import (
     soc_best_response,
     soc_mal_value,
     system_optimum,
+    tight,
     validate,
     wardrop_flow,
 )
@@ -44,6 +46,7 @@ GRID = GridSpec(4)
 TOO_BIG = 10**400                       # an integer too large for a float
 BAD_ALPHAS = [float("nan"), float("inf"), float("-inf"), -0.1, 1.5, TOO_BIG, -TOO_BIG]
 BAD_MASSES = [float("nan"), float("inf"), -1.0, TOO_BIG, -TOO_BIG]
+BAD_SLOPE_PARAMETERS = [float("nan"), float("inf"), 0.0, -1.0, TOO_BIG, -TOO_BIG]
 
 # entry points whose alpha must lie in [0, 1]
 ALPHA_ENTRIES = {
@@ -131,6 +134,12 @@ def test_flow_sum_tolerance_is_relative_to_the_mass():
 def test_bad_mass_is_invalid_mass(call, mass):
     with pytest.raises(InvalidMass):
         call(mass)
+
+
+@pytest.mark.parametrize("M", BAD_SLOPE_PARAMETERS, ids=_label)
+def test_bad_slope_parameter_is_non_positive_m(M):
+    with pytest.raises(NonPositiveM, match="too large for a float" if abs(M) == TOO_BIG else "positive"):
+        tight(M)
 
 
 @pytest.mark.parametrize("call", SHORT_FLOW_ENTRIES.values(), ids=SHORT_FLOW_ENTRIES.keys())

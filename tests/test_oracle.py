@@ -50,6 +50,37 @@ def test_grid_spec_points():
     assert GridSpec(4).points(2) == 5
 
 
+def _admitted(n, m):
+    """Whether the caps admit the grid of resolution n on m links."""
+    count = math.comb(n + m - 1, m - 1)
+    return max(count, n) <= DEFAULT_POINT_CAP and count * m <= DEFAULT_CELL_CAP
+
+
+def test_grid_spec_points_is_comb_on_every_admitted_shape():
+    # every shape on 3 to 4,000 links (the cell cap admits none on more);
+    # on 1 and 2 links the count takes at most one step, so edges suffice
+    shapes = 0
+    for m in range(3, 4002):
+        n = 1
+        while _admitted(n, m):
+            assert GridSpec(n).points(m) == math.comb(n + m - 1, m - 1), (n, m)
+            n += 1
+            shapes += 1
+        if n == 1:
+            break
+    assert m == 4001 and shapes > 6_000
+    edges = [*range(1, 2049), *range(DEFAULT_POINT_CAP - 2048, DEFAULT_POINT_CAP + 1)]
+    for m in (1, 2):
+        for n in filter(lambda n: _admitted(n, m), edges):
+            assert GridSpec(n).points(m) == math.comb(n + m - 1, m - 1), (n, m)
+    # past the bound on printed counts it refuses, however large the grid
+    for m in (10**5, 10**6):
+        start = time.perf_counter()
+        with pytest.raises(GridTooLarge, match=f"^more than 1e\\+18 grid points on {m} links"):
+            GridSpec(10**20).points(m)
+        assert time.perf_counter() - start < 0.05
+
+
 def test_grid_too_large():
     inst = validate([(1, 0)] * 8)
     with pytest.raises(GridTooLarge):
