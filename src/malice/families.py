@@ -23,6 +23,8 @@ def tight(M: float) -> Instance:
     except OverflowError:
         raise NonPositiveM("slope parameter must be positive, "
                            "got an integer too large for a float") from None
+    except (TypeError, ValueError):
+        raise NonPositiveM(f"slope parameter must be positive, got {M!r}") from None
     if not math.isfinite(M) or M <= 0.0:
         raise NonPositiveM(f"slope parameter must be positive, got {M}")
     return validate([(0.0, 1.0), (M, 0.0)])

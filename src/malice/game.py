@@ -63,7 +63,10 @@ def _most_damaging(inst: Instance, f: Flow) -> int:
 
 
 def _soc_mass(x: Flow) -> float:
-    """SOC's share 1 - alpha against adversarial loads x, floored at zero."""
+    """SOC's share 1 - alpha against adversarial loads x, floored at zero;
+    an adversary heavier than the unit total is an invalid alpha."""
+    if x.mass > 1.0 + CHECK_TOL:
+        raise InvalidAlpha(f"adversarial mass {x.mass} exceeds the unit total")
     return max(1.0 - x.mass, 0.0)
 
 
@@ -95,8 +98,6 @@ def soc_best_response(inst: Instance, x: Flow) -> BestResponseResult:
     This is the minimum-cost flow of mass 1 - alpha under the induced
     latencies l_i(x_i + y).
     """
-    if x.mass > 1.0 + CHECK_TOL:
-        raise InvalidAlpha(f"adversarial mass {x.mass} exceeds the unit total")
     y, _ = induced_optimum(inst, x, _soc_mass(x))
     return BestResponseResult(y, cost(inst, x, y))
 

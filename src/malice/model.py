@@ -32,10 +32,11 @@ either is kept.
 
 Every type in this module is immutable after construction and every
 operation is a pure function, so everything here is safe to share across
-threads.  That includes what an Instance caches beside its fields (its
-slopes, intercepts, doubled slopes and intercept order) and what a Flow
-caches (the indices of its nonzero entries): each is built once and
-never changed, and none of it enters repr, == or hash.
+threads.  That includes the plain read-only attributes set at
+construction beside the fields: an Instance's `m`, `intercepts`,
+`doubled_slopes` and `order` (and the tuple its `slopes` property
+returns), and a Flow's `nonzero`.  Each is built once and never
+changed, and none of it enters repr, == or hash.
 An instance stores a -0.0 coefficient as +0.0, so its intercept order is
 never None and equal instances serialize alike.
 """
@@ -83,6 +84,8 @@ def check_alpha(alpha: float) -> float:
     except OverflowError:
         raise InvalidAlpha("alpha must lie in [0, 1], "
                            "got an integer too large for a float") from None
+    except (TypeError, ValueError):
+        raise InvalidAlpha(f"alpha must lie in [0, 1], got {alpha!r}") from None
     if not math.isfinite(alpha) or not 0.0 <= alpha <= 1.0:
         raise InvalidAlpha(f"alpha must lie in [0, 1], got {alpha}")
     return alpha
@@ -103,6 +106,8 @@ def check_mass(mass: float) -> float:
     except OverflowError:
         raise InvalidMass("mass must be finite and nonnegative, "
                           "got an integer too large for a float") from None
+    except (TypeError, ValueError):
+        raise InvalidMass(f"mass must be finite and nonnegative, got {mass!r}") from None
     if not math.isfinite(mass) or mass < 0.0:
         raise InvalidMass(f"mass must be finite and nonnegative, got {mass}")
     return mass
@@ -139,7 +144,14 @@ def _reject(a: float, b: float):
 
 @dataclass(frozen=True)
 class Instance:
-    """m parallel links, each a (slope, intercept) pair of its latency."""
+    """m parallel links, each a (slope, intercept) pair of its latency.
+
+    Construction also sets the read-only attributes that the solvers read
+    on every call: `m`, the number of links; `intercepts`, the b_i as a
+    tuple; `doubled_slopes`, the slopes 2 a_i of the marginal costs
+    2 a_i z + b_i as a read-only array; and `order`, intercept_order of
+    the links.
+    """
 
     links: tuple[tuple[float, float], ...]
 
@@ -158,44 +170,31 @@ class Instance:
             except OverflowError:  # an integer too large for a float
                 raise NonFiniteCoefficient(
                     f"link {len(clean)} has a coefficient too large for a float") from None
+            except (TypeError, ValueError):
+                raise NonFiniteCoefficient(f"link {len(clean)} has a coefficient "
+                                           f"that is not a number: ({a!r}, {b!r})") from None
             # every check in one test, with no call; NaN fails each comparison
             if not (0.0 <= b < inf and (tiny <= a < inf or a == 0.0)):
                 _reject(a, b)
             clean.append((a, b))
         object.__setattr__(self, "links", tuple(clean))
-        # built once: the solvers read these on every call
         slopes = tuple(a for a, _ in clean)
         intercepts = tuple(b for _, b in clean)
+        object.__setattr__(self, "m", len(clean))
         object.__setattr__(self, "_slopes", slopes)
-        object.__setattr__(self, "_intercepts", intercepts)
-        object.__setattr__(self, "_doubled", _frozen("d", [2.0 * a for a in slopes]))
-        object.__setattr__(self, "_order", intercept_order(slopes, intercepts))
+        object.__setattr__(self, "intercepts", intercepts)
+        object.__setattr__(self, "doubled_slopes", _frozen("d", [2.0 * a for a in slopes]))
+        object.__setattr__(self, "order", intercept_order(slopes, intercepts))
 
     def __reduce__(self):
         # memoryviews cannot be pickled; the caches are rebuilt from the links
         return type(self), (self.links,)
 
-    @property
-    def m(self) -> int:
-        return len(self.links)
-
+    # the one property: bench/tracer.py wraps its getter as the span
+    # model.instance_slopes, and its install raises KeyError without one
     @property
     def slopes(self) -> tuple[float, ...]:
         return self._slopes
-
-    @property
-    def intercepts(self) -> tuple[float, ...]:
-        return self._intercepts
-
-    @property
-    def doubled_slopes(self) -> memoryview:
-        """2 a_i per link: the slopes of the marginal costs 2 a_i z + b_i."""
-        return self._doubled
-
-    @property
-    def order(self) -> tuple[memoryview, memoryview]:
-        """intercept_order of the links."""
-        return self._order
 
 
 def validate(raw_links) -> Instance:
@@ -218,6 +217,8 @@ def _entry(v) -> float:
         v = float(v)
     except OverflowError:  # an integer too large for a float
         v = math.inf
+    except TypeError:  # a string float() rejects keeps float()'s own ValueError
+        raise InvalidFlow(f"flow entry {v!r} is not a number") from None
     if not math.isfinite(v):
         raise InvalidFlow("flow entries must be finite")
     if v < -ENTRY_CLAMP:
@@ -236,8 +237,9 @@ class Flow:
     more negative is an error.
 
     A zero entry passes every check and adds exactly nothing to the sum,
-    so only the nonzero entries are looked at one by one; their indices
-    are kept as `nonzero`, which lets sums over a flow skip its zeros.
+    so only the nonzero entries are looked at one by one.  Their indices,
+    in increasing order, are the read-only attribute `nonzero`, which lets
+    sums over a flow skip its zeros.
     Every flow ends in one check loop, which reads the entries only at
     the indices it is given: the nonzero ones of the list into which
     `Flow(values, mass)` converts outside input by `_entry`, or the
@@ -252,21 +254,21 @@ class Flow:
     dataclass with the fields values and mass.
     """
 
-    __slots__ = ("_loads", "mass", "_nonzero")
+    __slots__ = ("_loads", "mass", "nonzero")
     __match_args__ = ("values", "mass")
 
     def __init__(self, values, mass):
         _set(self, "mass", check_mass(mass))
         _set(self, "_loads", [_entry(v) for v in values])
-        _set(self, "_nonzero", compress(range(len(self._loads)), self._loads))
+        _set(self, "nonzero", compress(range(len(self._loads)), self._loads))
         self.__post_init__()
 
     def __post_init__(self):
-        # _nonzero holds, until now, the links whose entries may be nonzero
+        # nonzero holds, until now, the links whose entries may be nonzero
         loads = self._loads
         nonzero = []
         total = 0.0
-        for i in sorted(self._nonzero):
+        for i in sorted(self.nonzero):
             v = loads[i]
             if v:
                 if not 0.0 < v < math.inf:
@@ -280,7 +282,7 @@ class Flow:
                 total += v
                 nonzero.append(i)
         check_sum(total, self.mass)
-        _set(self, "_nonzero", tuple(nonzero))
+        _set(self, "nonzero", tuple(nonzero))
 
     @property
     def values(self) -> tuple[float, ...]:
@@ -290,13 +292,8 @@ class Flow:
         return self._loads
 
     @property
-    def nonzero(self) -> tuple[int, ...]:
-        """Indices of the nonzero (hence positive) entries, in increasing order."""
-        return self._nonzero
-
-    @property
     def support(self) -> frozenset[int]:
-        return frozenset(self._nonzero)
+        return frozenset(self.nonzero)
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -332,7 +329,7 @@ def solver_flow(loads: list, links, mass: float) -> Flow:
     """
     flow = Flow.__new__(Flow)
     _set(flow, "_loads", loads)
-    _set(flow, "_nonzero", links)
+    _set(flow, "nonzero", links)
     _set(flow, "mass", mass)
     flow.__post_init__()
     return flow

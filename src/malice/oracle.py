@@ -178,13 +178,6 @@ def simplex_grid(n: int, m: int):
         yield from map(tuple, chunk.tolist())
 
 
-def _checked_inputs(inst: Instance, alpha: float):
-    """The checked alpha and the coefficients as arrays."""
-    import numpy as np
-
-    return check_alpha(alpha), np.array(inst.slopes), np.array(inst.intercepts)
-
-
 def _first_max(values):
     """Each row's index of its largest entry, the first one on ties, as
     argmax gives it, from one pass over the contiguous link columns."""
@@ -216,7 +209,7 @@ def soc_mal_value(inst: Instance, alpha: float, grid: GridSpec) -> float:
     """
     import numpy as np
 
-    alpha, a, b = _checked_inputs(inst, alpha)
+    alpha, a, b = check_alpha(alpha), np.array(inst.slopes), np.array(inst.intercepts)
     best = math.inf
     for parts in _grid_chunks(grid.resolution, inst.m):
         y = (1.0 - alpha) * (parts / grid.resolution)
@@ -242,7 +235,7 @@ def mal_soc_value(inst: Instance, alpha: float, grid: GridSpec) -> float:
     """
     import numpy as np
 
-    alpha, a, b = _checked_inputs(inst, alpha)
+    alpha, a, b = check_alpha(alpha), np.array(inst.slopes), np.array(inst.intercepts)
     doubled = 2.0 * a
     beta = 1.0 - alpha
     best = -math.inf

@@ -15,6 +15,7 @@ import math
 import os
 import random
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -281,21 +282,27 @@ def random_simplex_point(rng: random.Random, m, mass):
     return tuple(mass * d / total for d in draws)
 
 
-def count_waterfills(monkeypatch):
-    """Wrap the scalar `malice.flows.waterfill` for one test, wherever a
-    malice module binds it; the list gets one entry per call."""
-    calls = []
-    original = malice.flows.waterfill
+def count_calls(monkeypatch, *functions) -> Counter:
+    """Count the calls of each function for one test, keyed by its
+    __name__.  Each is rebound wherever a malice module binds it, by
+    identity, as the benchmark's span recorder (bench/tracer.py) rebinds
+    it, so a caller that reaches it by another path is not counted."""
+    calls = Counter()
 
-    def counting(*args):
-        calls.append(args)
-        return original(*args)
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
 
-    for name, module in list(sys.modules.items()):
-        if name == "malice" or name.startswith("malice."):
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, counting)
+        return counted
+
+    for fn in functions:
+        wrapper = counting(fn.__name__, fn)
+        for name, module in list(sys.modules.items()):
+            if name == "malice" or name.startswith("malice."):
+                for attr, value in list(vars(module).items()):
+                    if value is fn:
+                        monkeypatch.setattr(module, attr, wrapper)
     return calls
 
 

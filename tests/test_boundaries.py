@@ -2,6 +2,8 @@
 point and CLI subcommand that takes it: the exception class, or the exit
 code, is part of the contract."""
 
+import re
+
 import pytest
 
 from malice import (
@@ -9,7 +11,9 @@ from malice import (
     Flow,
     GridSpec,
     InvalidAlpha,
+    InvalidFlow,
     InvalidMass,
+    NonFiniteCoefficient,
     NonPositiveM,
     Profile,
     check_mal_br,
@@ -44,9 +48,10 @@ SHORT = Flow((0.25, 0.25), 0.5)         # one entry too few for INST
 GRID = GridSpec(4)
 
 TOO_BIG = 10**400                       # an integer too large for a float
-BAD_ALPHAS = [float("nan"), float("inf"), float("-inf"), -0.1, 1.5, TOO_BIG, -TOO_BIG]
-BAD_MASSES = [float("nan"), float("inf"), -1.0, TOO_BIG, -TOO_BIG]
-BAD_SLOPE_PARAMETERS = [float("nan"), float("inf"), 0.0, -1.0, TOO_BIG, -TOO_BIG]
+NOT_NUMBERS = [None, "x"]               # values float() rejects
+BAD_ALPHAS = [float("nan"), float("inf"), float("-inf"), -0.1, 1.5, TOO_BIG, -TOO_BIG, *NOT_NUMBERS]
+BAD_MASSES = [float("nan"), float("inf"), -1.0, TOO_BIG, -TOO_BIG, *NOT_NUMBERS]
+BAD_SLOPE_PARAMETERS = [float("nan"), float("inf"), 0.0, -1.0, TOO_BIG, -TOO_BIG, *NOT_NUMBERS]
 
 # entry points whose alpha must lie in [0, 1]
 ALPHA_ENTRIES = {
@@ -90,7 +95,7 @@ SHORT_FLOW_ENTRIES = {
 
 def _label(value):
     """value as it reads in a test id; TOO_BIG by its size, not its 401 digits."""
-    if abs(value) == TOO_BIG:
+    if value in (TOO_BIG, -TOO_BIG):
         return "-10**400" if value < 0 else "10**400"
     return str(value)
 
@@ -110,8 +115,9 @@ def test_alpha_out_of_range_is_invalid_alpha(call, alpha):
 
 
 def test_adversarial_mass_above_one_is_invalid_alpha():
-    with pytest.raises(InvalidAlpha):
-        soc_best_response(INST, Flow((1.5, 0.0, 0.0), 1.5))
+    for reply in (soc_best_response, evasive_response):
+        with pytest.raises(InvalidAlpha, match="exceeds the unit total"):
+            reply(INST, Flow((1.5, 0.0, 0.0), 1.5))
 
 
 def test_adversarial_mass_just_above_one_leaves_soc_nothing():
@@ -138,8 +144,22 @@ def test_bad_mass_is_invalid_mass(call, mass):
 
 @pytest.mark.parametrize("M", BAD_SLOPE_PARAMETERS, ids=_label)
 def test_bad_slope_parameter_is_non_positive_m(M):
-    with pytest.raises(NonPositiveM, match="too large for a float" if abs(M) == TOO_BIG else "positive"):
+    with pytest.raises(NonPositiveM, match="too large for a float" if M in (TOO_BIG, -TOO_BIG) else "positive"):
         tight(M)
+
+
+@pytest.mark.parametrize("bad", NOT_NUMBERS, ids=str)
+def test_non_number_coefficient_is_non_finite_coefficient(bad):
+    for link in ((bad, 1), (1, bad)):
+        with pytest.raises(NonFiniteCoefficient, match=re.escape(repr(bad))):
+            validate([(1, 0), link])
+
+
+def test_non_number_flow_entry_is_invalid_flow():
+    # a string that float() rejects keeps float()'s ValueError (test_model pins it)
+    for entry in (None, object(), 1j):
+        with pytest.raises(InvalidFlow, match="is not a number"):
+            Flow([0.0, entry], 0.0)
 
 
 @pytest.mark.parametrize("call", SHORT_FLOW_ENTRIES.values(), ids=SHORT_FLOW_ENTRIES.keys())

@@ -4,10 +4,11 @@ import sys
 
 import pytest
 
+import malice.flows
 from malice import emit_instance, instance_digest, pigou, random_instance, tight
 from malice.cli import run
 
-from _support import child_env, count_waterfills, describe_child
+from _support import child_env, count_calls, describe_child
 
 
 @pytest.fixture
@@ -98,16 +99,16 @@ def test_scale_report(pigou_file, capsys):
 
 
 def test_scale_solves_unit_optimum_once(tight_file, capsys, monkeypatch):
-    calls = count_waterfills(monkeypatch)
+    calls = count_calls(monkeypatch, malice.flows.waterfill)
     assert run(["scale", "--instance", tight_file, "--alpha", "0.3"]) == 0
-    assert len(calls) == 1
+    assert calls["waterfill"] == 1
 
 
 def test_scale_rejects_alpha_before_solving(pigou_file, capsys, monkeypatch):
-    calls = count_waterfills(monkeypatch)
+    calls = count_calls(monkeypatch, malice.flows.waterfill)
     assert run(["scale", "--instance", pigou_file, "--alpha", "1.5"]) == 2
     assert "alpha must lie in [0, 1]" in capsys.readouterr().err
-    assert calls == []
+    assert calls["waterfill"] == 0
 
 
 def test_verify_pigou(pigou_file, capsys):

@@ -19,8 +19,9 @@ from malice import (
 )
 
 from malice.families import MAX_LINKS
+from malice.flows import waterfill
 
-from _support import count_waterfills, wide_ensemble
+from _support import count_calls, wide_ensemble
 
 
 def test_pigou_constructor():
@@ -181,9 +182,9 @@ def test_sweep_rows_match_com_report():
 
 
 def test_sweep_solves_unit_flows_once(monkeypatch):
-    calls = count_waterfills(monkeypatch)
+    calls = count_calls(monkeypatch, waterfill)
     com_sweep(random_instance(seed=3, m=8), [0.1 * k for k in range(10)])
-    assert len(calls) == 2 + 2 * 10
+    assert calls["waterfill"] == 2 + 2 * 10
 
 
 def test_sweep_degenerate_instance_keeps_error_order():

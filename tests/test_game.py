@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from malice.flows import waterfill
 from malice.game import _most_damaging
 
 from malice import (
@@ -29,7 +30,7 @@ from malice import (
 from _support import (
     BASE_SEED,
     bits,
-    count_waterfills,
+    count_calls,
     dense_check_mal_br,
     dense_check_soc_br,
     dense_cost,
@@ -248,9 +249,9 @@ def test_com_report_alpha_zero_is_exactly_one():
 
 def test_com_report_solves_unit_optimum_once(monkeypatch):
     # unit Wardrop, unit optimum, then the equilibrium's Wardrop and induced optimum
-    calls = count_waterfills(monkeypatch)
+    calls = count_calls(monkeypatch, waterfill)
     com_report(random_instance(seed=5, m=4), 0.5)
-    assert len(calls) == 4
+    assert calls["waterfill"] == 4
 
 
 def test_com_report_rejections():

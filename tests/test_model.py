@@ -3,6 +3,7 @@ import math
 import pickle
 import random
 import sys
+from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -287,3 +288,36 @@ def test_flow_checks_short_and_long_flows_alike(pad):
         Flow(zeros + (0.5, -1e-6, math.inf), 0.5)
     with pytest.raises(InvalidMass, match="sum to inf"):
         Flow(zeros + (1e308, 1e308), 1.0)
+
+
+def test_instance_and_flow_attributes_are_read_only():
+    inst = validate([(2, 1), (0, 3)])
+    f = Flow((0.0, 1.0), 1.0)
+    for obj, attrs in ((inst, ("links", "m", "slopes", "intercepts", "doubled_slopes", "order")),
+                       (f, ("values", "mass", "nonzero", "support"))):
+        for name in attrs:
+            with pytest.raises(FrozenInstanceError):
+                setattr(obj, name, None)
+            with pytest.raises(FrozenInstanceError):
+                delattr(obj, name)
+    assert (inst.m, inst.intercepts, f.nonzero) == (2, (1.0, 3.0), (1,))
+
+
+def test_flow_equals_only_flows():
+    f = Flow((0.25, 0.75), 1.0)
+    assert f.__eq__((f.values, f.mass)) is NotImplemented
+    assert (f == (f.values, f.mass)) is False
+
+
+def test_profile_rejects_a_social_mass_off_one_minus_alpha():
+    with pytest.raises(InvalidMass, match="social mass"):
+        Profile(mal=Flow((0.25, 0.0), 0.25), soc=Flow((0.25, 0.25), 0.5), alpha=0.25)
+
+
+def test_dumps_and_parse_reject_what_they_cannot_represent():
+    with pytest.raises(TypeError, match="cannot serialize object"):
+        dumps({"x": object()})
+    with pytest.raises(ValueError, match="non-finite"):
+        dumps(math.nan)
+    with pytest.raises(ValidationError, match="'links' must be an array"):
+        parse_instance('{"links": 5}')

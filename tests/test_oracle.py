@@ -23,11 +23,12 @@ from malice import (
     tight,
     validate,
 )
+import malice.flows
 import malice.oracle
 from malice.oracle import DEFAULT_CELL_CAP, DEFAULT_POINT_CAP, GRID_CHUNK_CELLS, GRID_CHUNK_ROWS, _grid_chunks
 
 from _support import (
-    count_waterfills,
+    count_calls,
     oracle_ensemble,
     reference_mal_soc_value,
     reference_simplex_grid,
@@ -303,9 +304,9 @@ def test_soc_mal_value_equals_point_by_point_reference(monkeypatch):
 
 
 def test_mal_soc_value_runs_no_scalar_waterfill(monkeypatch):
-    calls = count_waterfills(monkeypatch)
+    calls = count_calls(monkeypatch, malice.flows.waterfill)
     mal_soc_value(random_instance(seed=34, m=3), 0.5, GridSpec(30))
-    assert calls == []
+    assert calls["waterfill"] == 0
 
 
 def test_weak_duality_convergence_and_bracketing():

@@ -1,14 +1,17 @@
-"""Reports and sweeps call every layer that the benchmark's span recorder
-times.  The recorder (bench/tracer.py) rebinds each of these functions by
-identity in every loaded malice module, so a report that routes around
-one leaves its span empty.  These tests rebind them the same way, with
-call counters, and require each to be called."""
+"""Reports, sweeps and the CLI call every layer that the benchmark's span
+recorder times.  The recorder (bench/tracer.py) rebinds each of these
+functions by identity in every loaded malice module, so a caller that
+routes around one leaves its span empty.  These tests rebind them the
+same way, with call counters, and require each to be called."""
 
 import random
-import sys
-from collections import Counter
 
-from malice import com_report, com_sweep, flows, game, model, validate
+import pytest
+
+from malice import com_report, com_sweep, emit_instance, flows, game, model, validate
+from malice.cli import run
+
+from _support import count_calls
 
 REPORT_PATH = (
     game.pure_equilibrium,
@@ -20,27 +23,16 @@ REPORT_PATH = (
 )
 
 
-def _counting(calls, name, fn):
-    def counting(*args, **kwargs):
-        calls[name] += 1
-        return fn(*args, **kwargs)
-
-    return counting
-
-
-def _count_report_path(monkeypatch) -> Counter:
-    """Count the calls of REPORT_PATH and of Flow.__post_init__, rebinding
-    each function wherever a malice module binds it."""
-    calls = Counter()
-    for fn in REPORT_PATH:
-        counting = _counting(calls, fn.__name__, fn)
-        for name, module in list(sys.modules.items()):
-            if name == "malice" or name.startswith("malice."):
-                for attr, value in list(vars(module).items()):
-                    if value is fn:
-                        monkeypatch.setattr(module, attr, counting)
+def _count_report_path(monkeypatch):
+    """Count the calls of REPORT_PATH and of Flow.__post_init__."""
+    calls = count_calls(monkeypatch, *REPORT_PATH)
     post_init = model.Flow.__dict__["__post_init__"]
-    monkeypatch.setattr(model.Flow, "__post_init__", _counting(calls, "Flow.__post_init__", post_init))
+
+    def counting(flow):
+        calls["Flow.__post_init__"] += 1
+        post_init(flow)
+
+    monkeypatch.setattr(model.Flow, "__post_init__", counting)
     return calls
 
 
@@ -100,3 +92,27 @@ def test_reading_values_before_the_check_changes_nothing(monkeypatch):
         for plain, read in zip(built[False], built[True]):
             assert (read.nonzero, read.mass) == (plain.nonzero, plain.mass)
             assert read.values == plain.values
+
+
+# every subcommand that reads an instance file and prints a report
+CLI_REPORTS = {
+    "solve": ["--wardrop", "--mass", "1"],
+    "equilibrium": ["--alpha", "0.3"],
+    "com": ["--alpha", "0.3"],
+    "scale": ["--alpha", "0.3"],
+    "verify": ["--alpha", "0.3", "--grid", "4"],
+    "sweep": ["--alphas", "0:0.5:0.25"],
+}
+
+
+@pytest.mark.parametrize("command", CLI_REPORTS)
+def test_cli_report_parses_and_serialises_through_traced_names(command, tmp_path, monkeypatch, capsys):
+    path = tmp_path / "inst.json"
+    path.write_text(emit_instance(_links(seed=3, m=3)) + "\n")
+    calls = count_calls(monkeypatch, model.parse_instance, model.dumps, model.emit_instance)
+    assert run([command, "--instance", str(path), *CLI_REPORTS[command]]) == 0
+    assert capsys.readouterr().out
+    assert calls["parse_instance"] >= 1
+    # the instance hash serialises the instance through model's own dumps
+    # (one call per emit_instance), so only a call beyond those is the report's
+    assert calls["dumps"] > calls["emit_instance"] >= 1
