@@ -60,11 +60,11 @@ def network_demo(m: int, alpha: float) -> tuple[float, dict]:
     """
     inst = network(m)
     alpha = check_com_alpha(alpha)
-    loads = [alpha] * m
+    loads = dict.fromkeys(range(m), alpha)
     total = 0.0
-    for v in loads:
+    for v in loads.values():
         total += v
-    x = solver_flow(loads, range(m), total)
+    x = solver_flow(loads, m, total)
     y, _ = induced_optimum(inst, x, 1.0 - alpha)
     soc_cost = cost(inst, x, y)
     opt_cost_1 = flow_cost(inst, system_optimum(inst, 1.0)[0])

@@ -22,26 +22,29 @@ One order serves every solve of an instance.  `Instance.order` (never
 None) holds its links sorted once by (intercept, index), and the kernel
 walks only the prefix of that order it needs: the links below the level,
 plus the one that stops the fill.  The loaded links are exactly that
-prefix, so a solve costs O(support) on top of allocating its result, not
-O(m log m).  The intercepts a load x induces, a_i x_i + b_i, differ from
-b only on x's support (a_i * 0.0 + b_i is b_i bit for bit, as an
-instance holds no -0.0 intercept), so `induced_optimum` merges x's
-support, sorted by its shifted intercepts, into the cached order instead
-of sorting all m links again.  Under MAL's Wardrop flow at level L the
+prefix, so a solve costs O(support), not O(m log m).  The intercepts a
+load x induces, a_i x_i + b_i, differ from b only on x's support
+(a_i * 0.0 + b_i is b_i bit for bit, as an instance holds no -0.0
+intercept), so `induced_optimum` merges x's support, sorted by its
+shifted intercepts, into the cached order instead of sorting all m
+links again.  Under MAL's Wardrop flow at level L the
 shifted intercept is max(b_i, L) up to rounding, so that support sits at
 the front of the merged order.
 
 The kernel returns (level, loads, links): the level, its loads as a
-plain list of m floats, and the links it wrote, which are the loaded
-prefix plus the tied zero-slope links when the level is pinned.  It
-writes no other entry, so every other one is still 0.0, and the solvers
-keep that list in their Flows (`model.solver_flow`), which check and sum
-just those links instead of scanning all m.
+`{link: load}` dict, and the links it wrote, in the order it wrote them,
+which are the loaded prefix plus the tied zero-slope links when the
+level is pinned.  Every link not in loads carries 0.0.  The solvers keep
+that dict in their Flows (`model.solver_flow`), which check and sum just
+those links, and `induced_optimum` keeps the shifted intercepts as an
+overlay on x's support that reads every other link's intercept from the
+instance.  So nothing in a solve, or in a report, is m long: a
+`com_report` costs O(support) in time and memory, beyond the instance.
 """
 
 import math
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 
 from .model import Flow, Instance, check_links, check_mass, intercept_order, solver_flow
 
@@ -54,25 +57,30 @@ class WaterLevel:
     support: frozenset[int]
 
 
-def waterfill(slopes, intercepts, mass, order=None) -> tuple[float, list[float], list[int]]:
+def waterfill(slopes, intercepts, mass, order=None) -> tuple[float, dict[int, float], list[int]]:
     """Low-level kernel: distribute `mass` across links at a common level.
 
-    Returns (level, loads, links): loads is a new list of one float per
-    link, and links are the links the kernel wrote, in the order it wrote
-    them; every other entry is 0.0.  A zero mass returns the all-zero
-    loading at level min(intercepts), the limit of the level from the
-    right, with no link written.
+    Returns (level, loads, links): loads is a new `{link: load}` dict of
+    the links the kernel wrote, and links are those links, in the order
+    it wrote them; every other link carries 0.0.  A zero mass returns the
+    empty loading at level min(intercepts), the limit of the level from
+    the right, with no link written.
 
     order is intercept_order(slopes, intercepts), sorted here when not
     given.  Its first part, the positive-slope links, may be any iterable
     in that order; it is walked once, and only as far as the fill needs.
+    intercepts is read only at the links of the order that the fill
+    reaches, so it may be any mapping from link to intercept.
     """
-    values = [0.0] * len(slopes)
-    if mass == 0.0:
-        return min(intercepts), values, []
     positive, flat = intercept_order(slopes, intercepts) if order is None else order
-    cap = intercepts[flat[0]] if len(flat) else math.inf
     unvisited = iter(positive)
+    loads = {}
+    if mass == 0.0:
+        # the smallest intercept heads one part of the order; taking the
+        # two heads in index order keeps min()'s choice among equal ones
+        heads = sorted(chain(islice(unvisited, 1), flat[:1]))
+        return min([intercepts[i] for i in heads]), loads, []
+    cap = intercepts[flat[0]] if len(flat) else math.inf
     walked = []     # the links taken from it so far
     inv_sum = 0.0   # sum of 1/a over links below the level
     off_sum = 0.0   # sum of b/a over links below the level
@@ -95,23 +103,22 @@ def waterfill(slopes, intercepts, mass, order=None) -> tuple[float, list[float],
         level = cap
     # load every link of the order below the level, which rounding can
     # put past the link that stopped the fill
-    loaded = []
-    placed = 0.0
     for i in chain(walked, unvisited):
         t = intercepts[i]
         if not t < level:
             break
-        v = (level - t) / slopes[i]
-        values[i] = v
-        placed += v
-        loaded.append(i)
+        loads[i] = (level - t) / slopes[i]
     if not pinned:
-        if len(loaded) == 1:
-            # a single loaded link carries the whole mass exactly
-            values[loaded[0]] = mass
-        return level, values, loaded
+        if len(loads) == 1:
+            # a single loaded link, the first of the order, carries the
+            # whole mass exactly
+            loads[walked[0]] = mass
+        return level, loads, list(loads)
     # level pinned at the smallest zero-slope intercept; those links soak
     # up whatever the positive-slope links cannot absorb below it
+    placed = 0.0
+    for v in loads.values():
+        placed += v
     rest = mass - placed
     if rest < 0.0:
         rest = 0.0
@@ -122,8 +129,8 @@ def waterfill(slopes, intercepts, mass, order=None) -> tuple[float, list[float],
         ties.append(i)
     share = rest / len(ties)
     for i in ties:
-        values[i] = share
-    return level, values, loaded + ties
+        loads[i] = share
+    return level, loads, list(loads)
 
 
 def waterfill_rows(slopes, intercepts, mass) -> "tuple[np.ndarray, np.ndarray]":
@@ -194,8 +201,8 @@ def waterfill_rows(slopes, intercepts, mass) -> "tuple[np.ndarray, np.ndarray]":
 def _solve(slopes, intercepts, beta, order) -> tuple[Flow, WaterLevel]:
     """Water-fill mass beta over the given coefficients into a checked Flow."""
     beta = check_mass(beta)
-    level, values, links = waterfill(slopes, intercepts, beta, order)
-    flow = solver_flow(values, links, beta)
+    level, loads, _ = waterfill(slopes, intercepts, beta, order)
+    flow = solver_flow(loads, len(slopes), beta)
     return flow, WaterLevel(level, flow.support)
 
 
@@ -218,16 +225,35 @@ def system_optimum(inst: Instance, beta: float) -> tuple[Flow, WaterLevel]:
     return _solve(inst.doubled_slopes, inst.intercepts, beta, inst.order)
 
 
-def _merged(positive, moved, keys, skip):
-    """positive without the links where skip is nonzero, merged with moved;
-    both are in increasing (keys[i], i) order, and so is the result."""
+class _Shifted(dict):
+    """Intercepts a_i x_i + b_i on the support of loads x, the base
+    intercepts b elsewhere: a_i * 0.0 + b_i is b_i bit for bit."""
+
+    __slots__ = ("base",)
+
+    def __init__(self, base):
+        self.base = base
+
+    def __missing__(self, i):
+        return self.base[i]
+
+
+def _merged(positive, moved, shifted):
+    """positive without the links in shifted, merged with moved, the
+    positive-slope ones among them; both are in increasing
+    (shifted[i], i) order, and so is the result.
+
+    Each other link is entered in shifted with its base intercept before
+    it is yielded, so that the kernel's reads of it find it there.
+    """
+    base = shifted.base
     pending = iter(moved)
     k = next(pending, None)
     for i in positive:
-        if skip[i]:
+        if i in shifted:
             continue
-        t = keys[i]
-        while k is not None and (keys[k] < t or (keys[k] == t and k < i)):
+        t = shifted[i] = base[i]
+        while k is not None and (shifted[k] < t or (shifted[k] == t and k < i)):
             yield k
             k = next(pending, None)
         yield i
@@ -244,14 +270,15 @@ def induced_optimum(inst: Instance, x: Flow, beta: float) -> tuple[Flow, WaterLe
     """
     check_links(inst, x)
     a = inst.slopes
+    b = inst.intercepts
     xv = x._loads
-    shifted = list(inst.intercepts)
+    shifted = _Shifted(b)
     for i in x.nonzero:
-        shifted[i] = a[i] * xv[i] + shifted[i]
+        shifted[i] = a[i] * xv[i] + b[i]
     # a zero-slope link keeps its intercept, so only positive slopes move
     positive, flat = inst.order
     moved = sorted([i for i in x.nonzero if a[i] > 0.0], key=shifted.__getitem__)
-    order = (_merged(positive, moved, shifted, xv), flat)
+    order = (_merged(positive, moved, shifted), flat)
     return _solve(inst.doubled_slopes, shifted, beta, order)
 
 

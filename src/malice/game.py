@@ -9,13 +9,16 @@ response machine-checkably.
 
 Inputs are checked at the API boundary: each public function checks
 its alpha, masses and flow lengths, then calls an unchecked core
-(`_attack`, `_mal_residual`, `_soc_residual`, `_scaled`).
+(`_attack`, `_mal_residual`, `_soc_residual`, `_scaled_value`).
 `scaled_optimum` takes an alpha its caller checked.  `com_report` and
 `com_sweep` check each alpha once and solve the instance's alpha-free
 part once (`_unit_solves`).  Per alpha they call `pure_equilibrium`,
-which checks alpha again as a public function, and the cores.  What a
-solver's output can fail is checked on every alpha: each solver flow's
-entries and sum, both residuals, and the scaled optimum's expansion.
+which checks alpha again as a public function, and `_scaled_value`,
+which computes the scaled optimum's value without building its flow or
+the attack on it.  What a solver's output can fail is checked on every
+alpha: each solver flow's entries and sum, both residuals, and the
+scaled optimum's expansion.  A flow's entries are a `{link: load}` dict
+(see model), so every reader here takes a link it lacks as 0.0.
 """
 
 from dataclasses import dataclass
@@ -34,7 +37,9 @@ from .model import (
     check_com_alpha,
     check_links,
     cost,
+    profile_cost,
     solver_flow,
+    solver_profile,
 )
 
 
@@ -46,19 +51,18 @@ class BestResponseResult:
     value: float
 
 
-def _most_damaging(inst: Instance, f: Flow) -> int:
-    """The lowest index maximizing a_k f_k.
+def _most_damaging(a, loads: dict, nonzero) -> int:
+    """The lowest index maximizing a_k f_k, for the loads and nonzero
+    indices of a flow f.
 
     Only f's nonzero entries can do positive damage; when none does,
     every link ties at zero and link 0 is the lowest index.
     """
-    a = inst.slopes
-    v = f._loads
     best = 0
     top = 0.0
-    for k in f.nonzero:
-        if a[k] * v[k] > top:
-            best, top = k, a[k] * v[k]
+    for k in nonzero:
+        if a[k] * loads[k] > top:
+            best, top = k, a[k] * loads[k]
     return best
 
 
@@ -72,10 +76,8 @@ def _soc_mass(x: Flow) -> float:
 
 def _attack(inst: Instance, y: Flow, alpha: float) -> Flow:
     """mal_best_response's flow at a checked alpha: all of it on _most_damaging(y)."""
-    best = _most_damaging(inst, y)
-    values = [0.0] * inst.m
-    values[best] = alpha
-    return solver_flow(values, (best,), alpha)
+    best = _most_damaging(inst.slopes, y._loads, y.nonzero)
+    return solver_flow({best: alpha}, inst.m, alpha)
 
 
 def mal_best_response(inst: Instance, y: Flow, alpha: float) -> BestResponseResult:
@@ -118,11 +120,11 @@ def _mal_residual(inst: Instance, x: Flow, y: Flow) -> float:
     a = inst.slopes
     xv = x._loads
     yv = y._loads
-    loaded = [a[i] * yv[i] for i in x.nonzero if xv[i] > CHECK_TOL]
+    loaded = [a[i] * yv.get(i, 0.0) for i in x.nonzero if xv[i] > CHECK_TOL]
     if not loaded:
         return 0.0
-    t = _most_damaging(inst, y)
-    return a[t] * yv[t] - min(loaded)
+    t = _most_damaging(a, yv, y.nonzero)
+    return a[t] * yv.get(t, 0.0) - min(loaded)
 
 
 def check_soc_br(inst: Instance, x: Flow, y: Flow) -> float:
@@ -142,18 +144,21 @@ def _soc_residual(inst: Instance, x: Flow, y: Flow) -> float:
     b = inst.intercepts
     xv = x._loads
     yv = y._loads
-    loaded = [2.0 * a[i] * yv[i] + a[i] * xv[i] + b[i] for i in y.nonzero if yv[i] > CHECK_TOL]
+    loaded = [2.0 * a[i] * yv[i] + a[i] * xv.get(i, 0.0) + b[i] for i in y.nonzero if yv[i] > CHECK_TOL]
     if not loaded:
         return 0.0
     low = min(loaded)
     # a marginal is never below its link's intercept, so only links with
     # b_k < low can lower the minimum: a prefix of each part of the
-    # intercept order
+    # intercept order, in which the loaded links' marginals are known
     for part in inst.order:
         for k in part:
             if not b[k] < low:
                 break
-            marginal = 2.0 * a[k] * yv[k] + a[k] * xv[k] + b[k]
+            yk = yv.get(k, 0.0)
+            if yk > CHECK_TOL:
+                continue
+            marginal = 2.0 * a[k] * yk + a[k] * xv.get(k, 0.0) + b[k]
             if marginal < low:
                 low = marginal
     residual = max(loaded) - low
@@ -168,7 +173,9 @@ def pure_equilibrium(inst: Instance, alpha: float) -> tuple[Profile, Equilibrium
     adversary does no more harm than selfish traffic.  SOC's reply is the
     induced-latency optimum.  Both residuals are returned as a
     certificate rather than assumed; the value is recomputed from the
-    profile so certificate and value cannot drift apart.
+    profile so certificate and value cannot drift apart.  The profile is
+    built without Profile's checks: alpha is checked here, and the
+    solvers give x the mass alpha and y the mass 1 - alpha.
     """
     alpha = check_alpha(alpha)
     x, _ = wardrop_flow(inst, alpha)
@@ -181,7 +188,7 @@ def pure_equilibrium(inst: Instance, alpha: float) -> tuple[Profile, Equilibrium
         raise CertificateFailure(
             f"equilibrium residuals ({mal_residual}, {soc_residual}) exceed {CERT_FAIL_TOL}"
         )
-    return Profile(mal=x, soc=y, alpha=alpha), certificate
+    return solver_profile(x, y, alpha), certificate
 
 
 def evasive_response(inst: Instance, x: Flow) -> BestResponseResult:
@@ -192,28 +199,28 @@ def evasive_response(inst: Instance, x: Flow) -> BestResponseResult:
     room s_i - x_i, and filling it in increasing index order places all of
     SOC's mass (the skipped links freed at least that much room).  Every
     link used stays at total load at most s_i, hence at latency at most L.
+    Only s's support has room, so only it is walked.
     """
     check_links(inst, x)
     beta = _soc_mass(x)
     s, _ = wardrop_flow(inst, 1.0)
     sv = s._loads
     xv = x._loads
-    values = [0.0] * inst.m
-    links = []
+    loads = {}
     remaining = beta
-    for i in range(inst.m):
+    for i in s.nonzero:
         if remaining == 0.0:
             break
-        room = sv[i] - xv[i]
+        room = sv[i] - xv.get(i, 0.0)
         if room <= 0.0:
             continue
         take = room if room < remaining else remaining
-        values[i] = take
+        loads[i] = take
         remaining -= take
-        links.append(i)
-    if remaining > 0.0 and links:
-        values[links[-1]] += remaining  # float residue; the room slack absorbs it
-    y = solver_flow(values, links, beta)
+        last = i
+    if remaining > 0.0 and loads:
+        loads[last] += remaining  # float residue; the room slack absorbs it
+    y = solver_flow(loads, inst.m, beta)
     return BestResponseResult(y, cost(inst, x, y))
 
 
@@ -236,36 +243,49 @@ def scaled_optimum(inst: Instance, alpha: float, ystar: Flow,
                    opt_cost: float) -> BestResponseResult:
     """scale_strategy at a checked alpha, given the unit optimum
     ystar = system_optimum(inst, 1.0) and its cost opt_cost."""
-    return BestResponseResult(*_scaled(inst, alpha, ystar, opt_cost, _spread(inst, ystar)))
+    scale = 1.0 - alpha
+    v = ystar._loads
+    loads = {}
+    total = 0.0
+    for k in ystar.nonzero:
+        loads[k] = scale * v[k]
+        total += loads[k]
+    y = solver_flow(loads, inst.m, total)
+    return BestResponseResult(y, _scaled_value(inst, alpha, ystar, opt_cost, _spread(inst, ystar)))
 
 
 def _spread(inst: Instance, ystar: Flow) -> float:
     """a_t y*_t + sum_k b_k y*_k, the alpha-free factor of the expansion."""
     v = ystar._loads
-    t = _most_damaging(inst, ystar)
-    spread = inst.slopes[t] * v[t]
+    t = _most_damaging(inst.slopes, v, ystar.nonzero)
+    spread = inst.slopes[t] * v.get(t, 0.0)
     spread += sum(inst.intercepts[k] * v[k] for k in ystar.nonzero)
     return spread
 
 
-def _scaled(inst: Instance, alpha: float, ystar: Flow, opt_cost: float,
-            spread: float) -> tuple[Flow, float]:
-    """scaled_optimum's flow and value, given also _spread(inst, ystar)."""
+def _scaled_value(inst: Instance, alpha: float, ystar: Flow, opt_cost: float,
+                  spread: float) -> float:
+    """scaled_optimum's value, given also _spread(inst, ystar).
+
+    That is cost(inst, _attack(inst, y, alpha), y) for the flow y that
+    scaled_optimum builds, with the same floating-point operations in the
+    same order, but on y's entries alone: neither y nor the attack is
+    built as a Flow.  Their checks cannot fail here: y's entries are
+    (1 - alpha) y*_k, finite and nonnegative, and sum to y's mass in the
+    order the check sums them.
+    """
     scale = 1.0 - alpha
     v = ystar._loads
-    scaled = [0.0] * inst.m
-    total = 0.0
-    for k in ystar.nonzero:
-        scaled[k] = scale * v[k]
-        total += scaled[k]
-    y = solver_flow(scaled, ystar.nonzero, total)
-    value = cost(inst, _attack(inst, y, alpha), y)
+    y = {k: scale * v[k] for k in ystar.nonzero}
+    nonzero = [k for k in ystar.nonzero if y[k]]
+    t = _most_damaging(inst.slopes, y, nonzero)
+    value = profile_cost(inst.links, {t: alpha}, (t,) if alpha else (), y, nonzero)
     expansion = (1.0 - alpha) ** 2 * opt_cost + alpha * (1.0 - alpha) * spread
     if abs(value - expansion) > CERT_FAIL_TOL * max(1.0, abs(value)):
         raise CertificateFailure(
             f"scaled-optimum value {value} disagrees with its expansion {expansion}"
         )
-    return y, value
+    return value
 
 
 def com_report(inst: Instance, alpha: float) -> ComReport:
@@ -277,7 +297,7 @@ def com_report(inst: Instance, alpha: float) -> ComReport:
     alpha = check_com_alpha(alpha)
     nash_cost_1, ystar, opt_cost_1, spread = _unit_solves(inst)
     _, certificate = pure_equilibrium(inst, alpha)
-    _, scale_value = _scaled(inst, alpha, ystar, opt_cost_1, spread)
+    scale_value = _scaled_value(inst, alpha, ystar, opt_cost_1, spread)
     return ComReport(
         alpha=alpha,
         eq_value=certificate.value,
@@ -322,6 +342,10 @@ def com_sweep(inst: Instance, alphas) -> list[SweepRow]:
     exposing where the 4/3 and 1 + alpha/2 bounds cross (alpha = 2/3).
     Each row holds the figures com_report gives at its alpha.
     """
+    try:
+        alphas = iter(alphas)
+    except TypeError:
+        raise InvalidAlpha(f"alphas must be an iterable of numbers, got {alphas!r}") from None
     rows = []
     unit = None
     for alpha in alphas:
@@ -330,7 +354,7 @@ def com_sweep(inst: Instance, alphas) -> list[SweepRow]:
             unit = _unit_solves(inst)
         _, ystar, opt_cost_1, spread = unit
         _, certificate = pure_equilibrium(inst, alpha)
-        _, scale_value = _scaled(inst, alpha, ystar, opt_cost_1, spread)
+        scale_value = _scaled_value(inst, alpha, ystar, opt_cost_1, spread)
         baseline = (1.0 - alpha) * opt_cost_1
         rows.append(
             SweepRow(

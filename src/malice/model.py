@@ -14,21 +14,21 @@ alpha = 0 and alpha = 1 need no special handling.
 
 Validation happens at the API boundary.  `Flow(values, mass)` is for
 outside input: it checks the mass and converts each entry by one rule
-(`_entry`: a finite float, noise clamped to zero) into a new list.
-Library code that has just filled a plain list (the solvers, the game's
-replies, the network demonstrator) hands it over through `solver_flow`
-instead, with a mass its public function already checked and the links
-it wrote; every other entry is still 0.0.  Both then run one check loop
-over the entries that may be nonzero (the written ones of a library
-list: O(support), where a scan costs O(m)), which sums them and applies
+(`_entry`: a finite float, noise clamped to zero).  Library code that
+has just filled a `{link: load}` dict (the solvers, the game's replies,
+the network demonstrator) hands it over through `solver_flow` instead,
+with the flow's length and a mass its public function already checked.
+Both then run one check loop over the dict's entries (for a solver's
+dict, O(support) where a scan costs O(m)), which sums them and applies
 the same entry rule to a negative or non-finite one, so both give the
 same values, nonzero indices, sum and errors.
 
-A Flow keeps its entries in one slot: a list that nothing else refers
-to, until the first read of `values` replaces it with its tuple, so a
-report that never reads it never copies m entries.  Two threads reading
-it first at once may each build a tuple; the tuples are equal, and
-either is kept.
+A Flow stores its length and its entries as such a dict: every link
+that is not in it holds +0.0, so a report that never reads `values`
+costs O(support), not O(m).  The public constructor keeps every entry
+that is not +0.0, so a -0.0 entry reads back as itself.  The dense tuple
+`values` is built on first read and kept.  Two threads reading it first
+at once may each build one; the tuples are equal, and either is kept.
 
 Every type in this module is immutable after construction and every
 operation is a pure function, so everything here is safe to share across
@@ -47,7 +47,6 @@ import math
 import sys
 from array import array
 from dataclasses import FrozenInstanceError, dataclass
-from itertools import compress
 
 from .errors import (
     DimensionMismatch,
@@ -161,7 +160,12 @@ class Instance:
         clean = []
         inf = math.inf
         tiny = sys.float_info.min
-        for a, b in self.links:
+        for link in self.links:
+            try:
+                a, b = link
+            except (TypeError, ValueError):
+                raise ValidationError(f"link {len(clean)} must be a (slope, intercept) pair, "
+                                      f"got {link!r}") from None
             # + 0.0 turns a -0.0 coefficient into +0.0 and leaves every other
             # float as it is, so no signed zero reaches the solvers or the output
             try:
@@ -199,14 +203,19 @@ class Instance:
 
 def validate(raw_links) -> Instance:
     """Build an Instance from (slope, intercept) pairs, rejecting bad input."""
-    return Instance(tuple(raw_links))
+    try:
+        links = iter(raw_links)
+    except TypeError:
+        raise ValidationError("an instance needs an iterable of (slope, intercept) pairs, "
+                              f"got {raw_links!r}") from None
+    return Instance(tuple(links))
 
 
 def check_links(inst: Instance, *flows) -> None:
     """Reject any flow whose length differs from the instance's link count."""
-    m = len(inst.links)
+    m = inst.m
     for f in flows:
-        if len(f._loads) != m:
+        if f._m != m:
             raise DimensionMismatch("each flow must have one entry per link")
 
 
@@ -217,7 +226,7 @@ def _entry(v) -> float:
         v = float(v)
     except OverflowError:  # an integer too large for a float
         v = math.inf
-    except TypeError:  # a string float() rejects keeps float()'s own ValueError
+    except (TypeError, ValueError):
         raise InvalidFlow(f"flow entry {v!r} is not a number") from None
     if not math.isfinite(v):
         raise InvalidFlow("flow entries must be finite")
@@ -240,44 +249,45 @@ class Flow:
     so only the nonzero entries are looked at one by one.  Their indices,
     in increasing order, are the read-only attribute `nonzero`, which lets
     sums over a flow skip its zeros.
-    Every flow ends in one check loop, which reads the entries only at
-    the indices it is given: the nonzero ones of the list into which
+    The entries live in the slot `_loads`, a `{link: load}` dict that
+    the library's readers index, reading a link that is not in it as
+    0.0; `_m` is the flow's length.  Every flow ends in one check loop
+    over that dict, in index order: the entries into which
     `Flow(values, mass)` converts outside input by `_entry`, or the
     links that library code wrote (see solver_flow).  It sums them, and
     applies `_entry` in place to a negative or non-finite one, which
-    only a library list can hold.
-
-    The entries live in one slot, `_loads`, which the library's readers
-    index: a private list until the first read of `values` replaces it
-    with its tuple.
+    only a library dict can hold.
     Equality, hash, repr, pickling and copies are those of a frozen
     dataclass with the fields values and mass.
     """
 
-    __slots__ = ("_loads", "mass", "nonzero")
+    __slots__ = ("_loads", "_m", "_values", "mass", "nonzero")
     __match_args__ = ("values", "mass")
 
     def __init__(self, values, mass):
         _set(self, "mass", check_mass(mass))
-        _set(self, "_loads", [_entry(v) for v in values])
-        _set(self, "nonzero", compress(range(len(self._loads)), self._loads))
+        try:
+            values = iter(values)
+        except TypeError:
+            raise InvalidFlow(f"flow entries must be an iterable of numbers, got {values!r}") from None
+        entries = [_entry(v) for v in values]
+        _set(self, "_m", len(entries))
+        # every entry but +0.0, so that a -0.0 one reads back as itself
+        _set(self, "_loads", {i: v for i, v in enumerate(entries) if v or math.copysign(1.0, v) < 0.0})
+        _set(self, "_values", None)
         self.__post_init__()
 
     def __post_init__(self):
-        # nonzero holds, until now, the links whose entries may be nonzero
         loads = self._loads
         nonzero = []
         total = 0.0
-        for i in sorted(self.nonzero):
+        for i in sorted(loads):
             v = loads[i]
             if v:
                 if not 0.0 < v < math.inf:
-                    # only a library list holds such an entry; an early read
-                    # of values may already have made it a tuple
-                    if loads.__class__ is not list:
-                        loads = list(loads)
-                        _set(self, "_loads", loads)
+                    # only a library dict holds such an entry
                     loads[i] = _entry(v)  # raises, or clamps noise to 0.0
+                    _set(self, "_values", None)  # an early read of values holds the noise
                     continue
                 total += v
                 nonzero.append(i)
@@ -287,9 +297,14 @@ class Flow:
     @property
     def values(self) -> tuple[float, ...]:
         """The entries as a tuple of floats, one per link."""
-        if self._loads.__class__ is list:
-            _set(self, "_loads", tuple(self._loads))
-        return self._loads
+        values = self._values
+        if values is None:
+            dense = [0.0] * self._m
+            for i, v in self._loads.items():
+                dense[i] = v
+            values = tuple(dense)
+            _set(self, "_values", values)
+        return values
 
     @property
     def support(self) -> frozenset[int]:
@@ -316,20 +331,21 @@ class Flow:
         return type(self), (self.values, self.mass)
 
 
-def solver_flow(loads: list, links, mass: float) -> Flow:
-    """The Flow of a list that library code of this package just filled.
+def solver_flow(loads: dict, m: int, mass: float) -> Flow:
+    """The Flow of length m of a `{link: load}` dict that library code of
+    this package just filled.
 
-    Every entry of loads but those at links is 0.0, and nothing but the
-    new Flow refers to loads afterwards; only the solvers and the game's
-    and families' own flows call this, so no caller's list is ever kept.
-    mass is already a finite nonnegative float (the public function that
-    filled loads checked it), so it is not checked again.  The Flow's
-    one check loop reads loads only at links, and gives the result or
-    error that Flow(loads, mass) would.
+    Nothing but the new Flow refers to loads afterwards; only the solvers
+    and the game's and families' own flows call this, so no caller's dict
+    is ever kept.  mass is already a finite nonnegative float (the public
+    function that filled loads checked it), so it is not checked again.
+    The Flow's one check loop gives the result or error that
+    Flow(values, mass) would on the dense entries.
     """
     flow = Flow.__new__(Flow)
     _set(flow, "_loads", loads)
-    _set(flow, "nonzero", links)
+    _set(flow, "_m", m)
+    _set(flow, "_values", None)
     _set(flow, "mass", mass)
     flow.__post_init__()
     return flow
@@ -345,13 +361,25 @@ class Profile:
 
     def __post_init__(self):
         alpha = check_alpha(self.alpha)
-        if len(self.mal._loads) != len(self.soc._loads):
+        if self.mal._m != self.soc._m:
             raise DimensionMismatch("profile flows must cover the same links")
         if abs(self.mal.mass - alpha) > MASS_TOL:
             raise InvalidMass(f"adversarial mass {self.mal.mass} != alpha {alpha}")
         if abs(self.soc.mass - (1.0 - alpha)) > MASS_TOL:
             raise InvalidMass(f"social mass {self.soc.mass} != 1 - alpha {1.0 - alpha}")
         object.__setattr__(self, "alpha", alpha)
+
+
+def solver_profile(mal: Flow, soc: Flow, alpha: float) -> Profile:
+    """The Profile of the game's own solver flows, without Profile's checks.
+
+    alpha is already checked, and both flows cover the instance's links
+    with the masses alpha and 1 - alpha by construction, so the checks
+    would pass again and are not run.
+    """
+    profile = Profile.__new__(Profile)
+    profile.__dict__.update(mal=mal, soc=soc, alpha=alpha)
+    return profile
 
 
 @dataclass(frozen=True)
@@ -401,16 +429,18 @@ def cost(inst: Instance, x: Flow, y: Flow) -> float:
     added; so those terms are added only where x loads the link.
     """
     check_links(inst, x, y)
-    links = inst.links
-    xv = x._loads
-    yv = y._loads
+    return profile_cost(inst.links, x._loads, x.nonzero, y._loads, y.nonzero)
+
+
+def profile_cost(links, xv: dict, x_nonzero, yv: dict, y_nonzero) -> float:
+    """cost on the entries and nonzero indices of two flows of links' length."""
     total = 0.0
-    for k in y.nonzero:
+    for k in y_nonzero:
         a, b = links[k]
         yk = yv[k]
-        total += yk * (a * (xv[k] + yk) + b)
-    for k in x.nonzero:
-        yk = yv[k]
+        total += yk * (a * (xv.get(k, 0.0) + yk) + b)
+    for k in x_nonzero:
+        yk = yv.get(k, 0.0)
         if not yk:
             a, b = links[k]
             total += yk * (a * (xv[k] + yk) + b)

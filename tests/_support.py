@@ -66,6 +66,21 @@ def bisect_waterfill(slopes, intercepts, mass, iters=200):
     return hi, fill(hi)
 
 
+def dense_waterfill(slopes, intercepts, mass, order=None):
+    """waterfill's (level, loads), its {link: load} dict spread into a list
+    of one float per link, 0.0 at every link the dict does not hold."""
+    level, loads, _ = malice.flows.waterfill(slopes, intercepts, mass, order)
+    return level, dense(loads, len(slopes))
+
+
+def dense(loads, m):
+    """A {link: load} dict as a list of m floats, 0.0 where it holds none."""
+    values = [0.0] * m
+    for i, v in loads.items():
+        values[i] = v
+    return values
+
+
 def bits(value):
     """value with every float, however nested in lists and tuples, as its
     hex form, so that == compares floats bit for bit (signed zeros too)."""
@@ -328,7 +343,7 @@ def reference_mal_soc_value(inst, alpha, n):
     for comp in reference_simplex_grid(n, m):
         x = [alpha * fractions[k] for k in comp]
         shifted = [a[i] * x[i] + b[i] for i in range(m)]
-        _, y, _ = malice.flows.waterfill(doubled, shifted, beta)
+        _, y = dense_waterfill(doubled, shifted, beta)
         value = 0.0
         for i in range(m):
             yi = y[i]

@@ -1,6 +1,6 @@
-"""Every invalid alpha, mass and flow length through every public entry
-point and CLI subcommand that takes it: the exception class, or the exit
-code, is part of the contract."""
+"""Every invalid alpha, mass, flow length and input shape through every
+public entry point and CLI subcommand that takes it: the exception class,
+or the exit code, is part of the contract."""
 
 import re
 
@@ -16,6 +16,7 @@ from malice import (
     NonFiniteCoefficient,
     NonPositiveM,
     Profile,
+    ValidationError,
     check_mal_br,
     check_soc_br,
     com_report,
@@ -91,6 +92,15 @@ SHORT_FLOW_ENTRIES = {
     # here the room loop reaches the missing third entry before any cost is taken
     "evasive_response(room)": lambda: evasive_response(validate([(1, 0)] * 3), Flow((0.3, 0.3), 0.6)),
 }
+# malformed shapes, not values: (call, error class, what its message names)
+BAD_SHAPES = {
+    "validate(short link)": (lambda: validate([(1, 0), (1,)]), ValidationError, "link 1 must be a (slope, intercept) pair, got (1,)"),
+    "validate(long link)": (lambda: validate([(1, 0, 2)]), ValidationError, "got (1, 0, 2)"),
+    "validate(number link)": (lambda: validate([1]), ValidationError, "link 0 must be a (slope, intercept) pair, got 1"),
+    "validate(None)": (lambda: validate(None), ValidationError, "iterable of (slope, intercept) pairs, got None"),
+    "Flow(None)": (lambda: Flow(None, 0.5), InvalidFlow, "iterable of numbers, got None"),
+    "com_sweep(number)": (lambda: com_sweep(INST, 0.5), InvalidAlpha, "iterable of numbers, got 0.5"),
+}
 
 
 def _label(value):
@@ -156,10 +166,16 @@ def test_non_number_coefficient_is_non_finite_coefficient(bad):
 
 
 def test_non_number_flow_entry_is_invalid_flow():
-    # a string that float() rejects keeps float()'s ValueError (test_model pins it)
-    for entry in (None, object(), 1j):
+    for entry in (None, object(), 1j, "x"):
         with pytest.raises(InvalidFlow, match="is not a number"):
             Flow([0.0, entry], 0.0)
+
+
+@pytest.mark.parametrize("call, error, names", BAD_SHAPES.values(), ids=BAD_SHAPES.keys())
+def test_malformed_shape_is_its_validation_error(call, error, names):
+    with pytest.raises(error, match=re.escape(names)) as caught:
+        call()
+    assert caught.type is error
 
 
 @pytest.mark.parametrize("call", SHORT_FLOW_ENTRIES.values(), ids=SHORT_FLOW_ENTRIES.keys())

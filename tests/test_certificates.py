@@ -49,8 +49,8 @@ def corrupt_soc_reply(monkeypatch):
 def corrupt_scaled_value(monkeypatch):
     """SOC's cost, as the game layer computes it, 1 % too high, so that the
     scaled optimum's value misses its expansion."""
-    original = malice.game.cost
-    monkeypatch.setattr(malice.game, "cost", lambda inst, x, y: 1.01 * original(inst, x, y))
+    original = malice.game.profile_cost
+    monkeypatch.setattr(malice.game, "profile_cost", lambda *flows: 1.01 * original(*flows))
 
 
 @pytest.fixture

@@ -35,7 +35,9 @@ from _support import (
     BASE_SEED,
     bisect_waterfill,
     bits,
+    dense,
     dense_induced_optimum,
+    dense_waterfill,
     grid_best_soc_value,
     random_feasible,
     random_sparse_flow,
@@ -237,11 +239,11 @@ def _assert_rows_bitwise_equal_scalar(slopes, rows, mass):
     levels, loads = waterfill_rows(slopes, np.array(rows, dtype=np.float64), mass)
     assert loads.shape == (len(rows), len(slopes))
     for row, level, load in zip(rows, levels.tolist(), loads.tolist()):
-        ref_level, ref_loads, _ = waterfill(slopes, row, mass)
+        ref_level, ref_loads = dense_waterfill(slopes, row, mass)
         assert level.hex() == ref_level.hex(), (slopes, row, mass)
         assert [v.hex() for v in load] == [v.hex() for v in ref_loads], (slopes, row, mass)
     # any layout of the rows gives the same floats, and link-major loads
-    expected = bits([waterfill(slopes, row, mass)[:2] for row in rows])
+    expected = bits([dense_waterfill(slopes, row, mass) for row in rows])
     for layout, array in _layouts(rows).items():
         levels, loads = waterfill_rows(slopes, array, mass)
         assert loads.flags.f_contiguous, layout
@@ -321,8 +323,8 @@ def test_waterfill_with_cached_order_equals_sorting_kernel_bitwise():
         b = inst.intercepts
         for slopes in (inst.slopes, tuple(inst.doubled_slopes)):
             want = bits(sorting_waterfill(slopes, b, mass))
-            assert bits(waterfill(slopes, b, mass)[:2]) == want, (inst, mass)
-            assert bits(waterfill(slopes, b, mass, inst.order)[:2]) == want, (inst, mass)
+            assert bits(dense_waterfill(slopes, b, mass)) == want, (inst, mass)
+            assert bits(dense_waterfill(slopes, b, mass, inst.order)) == want, (inst, mass)
 
 
 def test_induced_optimum_on_arbitrary_loads_equals_dense_solve_bitwise():
@@ -381,11 +383,12 @@ def _solver_flow_cases():
     return cases
 
 
-def _outcome(values, mass, links=None):
-    """Flow(values, mass), or solver_flow(values, links, mass) if links are
-    given, as (values, mass, nonzero) in hex, or its error."""
+def _outcome(values, mass, m=None):
+    """Flow(values, mass), or solver_flow(values, m, mass) on a {link: load}
+    dict of length m if m is given, as (values, mass, nonzero) in hex, or
+    its error."""
     try:
-        f = Flow(values, mass) if links is None else solver_flow(values, links, mass)
+        f = Flow(values, mass) if m is None else solver_flow(values, m, mass)
     except ValidationError as exc:
         return type(exc), str(exc)
     return bits((f.values, f.mass)), f.nonzero
@@ -403,8 +406,8 @@ def test_solver_flows_equal_flows_checked_in_full():
             for slopes in (inst.slopes, inst.doubled_slopes):
                 # D0's precision defect makes some wide-range solves raise:
                 # both constructors must then reject the loads alike
-                _, loads, links = waterfill(slopes, inst.intercepts, alpha, inst.order)
-                assert _outcome(list(loads), alpha) == _outcome(loads, alpha, links), (inst, alpha)
+                _, loads, _ = waterfill(slopes, inst.intercepts, alpha, inst.order)
+                assert _outcome(dense(loads, inst.m), alpha) == _outcome(loads, alpha, inst.m), (inst, alpha)
             try:
                 x, _ = wardrop_flow(inst, alpha)
                 flows = [x, system_optimum(inst, alpha)[0], scale_strategy(inst, alpha).flow]
@@ -433,18 +436,18 @@ def test_loads_with_a_bad_entry_are_checked_in_full():
     # with its message; plain lists are checked in full as always
     for bad, error in ((math.nan, "finite"), (math.inf, "finite"), (-1e-6, "below clamp")):
         loads = [0.0, 0.5, bad, 0.0]
-        for build in (lambda: solver_flow(list(loads), [2, 1], 0.5), lambda: Flow(list(loads), 0.5)):
+        for build in (lambda: solver_flow({2: bad, 1: 0.5}, 4, 0.5), lambda: Flow(list(loads), 0.5)):
             with pytest.raises(InvalidFlow, match=error):
                 build()
     loads = [-1e-13, 0.0, 0.5]
-    assert solver_flow(list(loads), [0, 2], 0.5) == Flow(list(loads), 0.5) == Flow((0.0, 0.0, 0.5), 0.5)
+    assert solver_flow({0: -1e-13, 2: 0.5}, 3, 0.5) == Flow(list(loads), 0.5) == Flow((0.0, 0.0, 0.5), 0.5)
     with pytest.raises(InvalidMass, match="sum to 0.5, declared mass 0.75"):
-        solver_flow(list(loads), [0, 2], 0.75)
+        solver_flow({0: -1e-13, 2: 0.5}, 3, 0.75)
 
 
 def test_a_bad_entry_read_as_a_tuple_before_the_check(monkeypatch):
-    # bench/tracer.py reads values before the check, which turns a solver's
-    # list into a tuple; clamping noise must then work on a copy of it
+    # bench/tracer.py reads values before the check, which builds the tuple
+    # from a solver's dict; clamping noise must then drop that tuple
     check = Flow.__post_init__
 
     def read_first(flow):
@@ -452,11 +455,11 @@ def test_a_bad_entry_read_as_a_tuple_before_the_check(monkeypatch):
         check(flow)
 
     monkeypatch.setattr(Flow, "__post_init__", read_first)
-    f = solver_flow([-1e-13, 0.0, 0.5], [2, 0], 0.5)
+    f = solver_flow({2: 0.5, 0: -1e-13}, 3, 0.5)
     assert bits(f.values) == bits((0.0, 0.0, 0.5)) and f.nonzero == (2,)
     assert Flow([-1e-13, 0.0, 0.5], 0.5) == f
     with pytest.raises(InvalidFlow, match="finite"):
-        solver_flow([0.5, math.nan], [0, 1], 0.5)
+        solver_flow({0: 0.5, 1: math.nan}, 2, 0.5)
 
 
 def _fresh_flows(inst, alpha):
@@ -501,7 +504,7 @@ def test_unread_solver_flows_behave_as_flows_checked_in_full():
 
 def test_public_flow_never_keeps_the_callers_list():
     inst = random_instance(seed=BASE_SEED + 19, m=6)
-    _, loads, _ = waterfill(inst.slopes, inst.intercepts, 1.0, inst.order)
+    _, loads = dense_waterfill(inst.slopes, inst.intercepts, 1.0, inst.order)
     f = Flow(loads, 1.0)
     before = bits(f.values)
     loads[:] = [7.0] * len(loads)

@@ -1,18 +1,23 @@
 import random
+import tracemalloc
 
 import pytest
 
 from malice.flows import waterfill
-from malice.game import _most_damaging
+from malice.game import _attack, _most_damaging, _scaled_value, _spread, scaled_optimum
 
 from malice import (
     DegenerateInstance,
     Flow,
     InvalidAlpha,
+    InvalidMass,
+    Profile,
     check_mal_br,
     check_soc_br,
     com_report,
+    com_sweep,
     cost,
+    induced_optimum,
     evasive_response,
     flow_cost,
     mal_best_response,
@@ -312,7 +317,7 @@ def test_sparse_sums_and_checks_equal_dense_references_bitwise():
             assert bits(flow_cost(inst, y)) == bits(dense_flow_cost(inst, y))
             assert bits(check_mal_br(inst, x, y)) == bits(dense_check_mal_br(inst, x, y)), (inst, x, y)
             assert bits(check_soc_br(inst, x, y)) == bits(dense_check_soc_br(inst, x, y)), (inst, x, y)
-            assert _most_damaging(inst, y) == dense_most_damaging(inst, y.values)
+            assert _most_damaging(inst.slopes, y._loads, y.nonzero) == dense_most_damaging(inst, y.values)
     # a -0.0 slope is stored as +0.0, so every damage is +0.0, on y's link and off it
     inst = validate([(-0.0, 1.0), (0.0, 1.0)])
     assert bits(inst.slopes) == ["0x0.0p+0"] * 2
@@ -321,3 +326,77 @@ def test_sparse_sums_and_checks_equal_dense_references_bitwise():
     # a_0 x_0 + b_0 overflows where y is zero: the dense sum is NaN, and so is cost
     inst = validate([(1e308, 1e308), (1.0, 0.0)])
     assert bits(cost(inst, Flow((1.0, 0.0), 1.0), Flow((0.0, 1.0), 1.0))) == "nan"
+
+
+def _offset_cases():
+    """(instance, alpha) pairs for the offsets' exactness: standard and wide
+    ranges, zero-slope links (pinned levels, links no damage reaches), an
+    alpha near 1, and a latency that overflows on the attacked link."""
+    rng = random.Random(BASE_SEED + 23)
+    insts = [inst for inst, _ in standard_ensemble(120)] + wide_ensemble(120)
+    for _ in range(60):
+        m = rng.randint(1, 7)
+        insts.append(validate([(rng.choice([0.0, 0.0, 1.0, 2.5]), float(rng.randint(0, 2))) for _ in range(m)]))
+    insts.append(validate([(0.0, 1.0), (0.0, 1.0), (0.0, 2.0)]))  # every slope zero
+    insts.append(validate([(1e308, 1e308), (0.0, 0.0)]))  # a_0 alpha + b_0 overflows
+    return [(inst, alpha) for inst in insts for alpha in (0.0, 0.3, rng.random(), 0.9, 1.0 - 1e-9)]
+
+
+def test_scaled_value_is_the_cost_of_the_attack_on_the_scaled_flow_bitwise():
+    checked = 0
+    for inst, alpha in _offset_cases():
+        try:
+            ystar, _ = system_optimum(inst, 1.0)
+        except InvalidMass:  # D0's precision defect
+            continue
+        opt_cost = flow_cost(inst, ystar)
+        y = scaled_optimum(inst, alpha, ystar, opt_cost).flow
+        total = 0.0
+        for v in ystar.values:
+            total += (1.0 - alpha) * v
+        assert y == Flow(tuple((1.0 - alpha) * v for v in ystar.values), total), (inst, alpha)
+        want = cost(inst, _attack(inst, y, alpha), y)
+        got = _scaled_value(inst, alpha, ystar, opt_cost, _spread(inst, ystar))
+        assert bits(got) == bits(want), (inst, alpha)
+        checked += 1
+    assert checked > 1400
+    # y only on the zero-slope link 1, so MAL attacks link 0, whose latency
+    # overflows: both sides read 0 * inf there
+    inst = validate([(1e308, 1e308), (0.0, 0.0)])
+    ystar, _ = system_optimum(inst, 1.0)
+    assert bits(_scaled_value(inst, 0.9, ystar, 0.0, _spread(inst, ystar))) == "nan"
+
+
+def test_pure_equilibrium_profile_equals_the_checked_profile():
+    checked = 0
+    for inst, alpha in _offset_cases():
+        try:
+            profile, _ = pure_equilibrium(inst, alpha)
+        except InvalidMass:  # D0's precision defect
+            continue
+        x, _ = wardrop_flow(inst, alpha)
+        y, _ = induced_optimum(inst, x, 1.0 - alpha)
+        full = Profile(mal=x, soc=y, alpha=alpha)
+        assert profile == full and hash(profile) == hash(full) and repr(profile) == repr(full)
+        assert bits((profile.alpha, profile.mal.mass, profile.soc.mass)) == bits((alpha, alpha, 1.0 - alpha))
+        assert Profile(mal=profile.mal, soc=profile.soc, alpha=profile.alpha) == profile
+        checked += 1
+    assert checked > 1400
+
+
+@pytest.mark.parametrize("run", [lambda inst: com_report(inst, 0.5),
+                                 lambda inst: com_sweep(inst, [0.25, 0.5, 0.75])],
+                         ids=["com_report", "com_sweep"])
+def test_reports_take_memory_of_the_support_not_of_the_links(run):
+    # 100,000 links load a few hundred at the equilibrium; a dense buffer
+    # of one float per link alone would take 800 KB
+    rng = random.Random(BASE_SEED + 24)
+    inst = validate([(rng.uniform(0.1, 10.0), rng.uniform(0.0, 10.0)) for _ in range(100_000)])
+    run(inst)
+    tracemalloc.start()
+    try:
+        run(inst)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024

@@ -282,7 +282,7 @@ def test_flow_checks_short_and_long_flows_alike(pad):
         Flow(zeros + (math.nan, "x"), 0.0)
     with pytest.raises(InvalidFlow, match="finite"):
         Flow(zeros + (10**400, "x"), 0.0)
-    with pytest.raises(ValueError, match="could not convert"):
+    with pytest.raises(InvalidFlow, match="'x' is not a number"):
         Flow(zeros + ("x", math.nan), 0.0)
     with pytest.raises(InvalidFlow, match="below clamp"):
         Flow(zeros + (0.5, -1e-6, math.inf), 0.5)
