@@ -59,7 +59,7 @@ def _cmd_solve(args) -> int:
         "command": "solve",
         "mode": mode,
         "mass": args.mass,
-        "flow": list(flow.values),
+        "flow": flow.values,
         "level": level.level,
         "support": sorted(level.support),
         "cost": flow_cost(inst, flow),
@@ -72,8 +72,8 @@ def _cmd_equilibrium(args) -> int:
     return _report({
         "command": "equilibrium",
         "alpha": profile.alpha,
-        "mal": list(profile.mal.values),
-        "soc": list(profile.soc.values),
+        "mal": profile.mal.values,
+        "soc": profile.soc.values,
         "value": certificate.value,
         "mal_residual": certificate.mal_residual,
         "soc_residual": certificate.soc_residual,
@@ -94,7 +94,7 @@ def _cmd_scale(args) -> int:
     return _report({
         "command": "scale",
         "alpha": alpha,
-        "soc": list(result.flow.values),
+        "soc": result.flow.values,
         "value": result.value,
         "upper_bound": (1.0 + alpha / 2.0) * (1.0 - alpha) * opt_cost_1,
     }, inst)

@@ -6,7 +6,7 @@ import random
 from .errors import InvalidM, NonPositiveM
 from .flows import flow_cost, induced_optimum, system_optimum
 from .game import com_sweep  # re-exported, so that families.com_sweep still names the sweep
-from .model import Instance, check_com_alpha, cost, solver_flow, validate
+from .model import Instance, check_com_alpha, check_number, cost, solver_flow, validate
 
 MAX_LINKS = 1_000_000  # largest generated instance; bounds the memory a size input can ask for
 
@@ -18,15 +18,8 @@ def pigou() -> Instance:
 
 def tight(M: float) -> Instance:
     """Two links with latencies 1 and M*z; stresses the scaled-optimum bound."""
-    try:
-        M = float(M)
-    except OverflowError:
-        raise NonPositiveM("slope parameter must be positive, "
-                           "got an integer too large for a float") from None
-    except (TypeError, ValueError):
-        raise NonPositiveM(f"slope parameter must be positive, got {M!r}") from None
-    if not math.isfinite(M) or M <= 0.0:
-        raise NonPositiveM(f"slope parameter must be positive, got {M}")
+    # math.ulp(0.0) is the smallest positive float, so M >= it is M > 0
+    M = check_number(M, NonPositiveM, "slope parameter must be positive", math.ulp(0.0))
     return validate([(0.0, 1.0), (M, 0.0)])
 
 

@@ -31,22 +31,22 @@ links again.  Under MAL's Wardrop flow at level L the
 shifted intercept is max(b_i, L) up to rounding, so that support sits at
 the front of the merged order.
 
-The kernel returns (level, loads, links): the level, its loads as a
-`{link: load}` dict, and the links it wrote, in the order it wrote them,
-which are the loaded prefix plus the tied zero-slope links when the
-level is pinned.  Every link not in loads carries 0.0.  The solvers keep
-that dict in their Flows (`model.solver_flow`), which check and sum just
-those links, and `induced_optimum` keeps the shifted intercepts as an
-overlay on x's support that reads every other link's intercept from the
-instance.  So nothing in a solve, or in a report, is m long: a
-`com_report` costs O(support) in time and memory, beyond the instance.
+The kernel returns (level, loads): the level and its loads as a
+`{link: load}` dict of the links it wrote, which are the loaded prefix
+plus the tied zero-slope links when the level is pinned.  Every link
+not in loads carries 0.0.  The solvers keep that dict in their Flows
+(`model.solver_flow`), which check and sum just those links, and
+`induced_optimum` keeps the shifted intercepts as an overlay on x's
+support that reads every other link's intercept from the instance.  So
+nothing in a solve, or in a report, is m long: a `com_report` costs
+O(support) in time and memory, beyond the instance.
 """
 
 import math
 from dataclasses import dataclass
 from itertools import chain, islice
 
-from .model import Flow, Instance, check_links, check_mass, intercept_order, solver_flow
+from .model import Flow, Instance, check_links, check_mass, intercept_order, profile_cost, solver_flow
 
 
 @dataclass(frozen=True)
@@ -57,14 +57,13 @@ class WaterLevel:
     support: frozenset[int]
 
 
-def waterfill(slopes, intercepts, mass, order=None) -> tuple[float, dict[int, float], list[int]]:
+def waterfill(slopes, intercepts, mass, order=None) -> tuple[float, dict[int, float]]:
     """Low-level kernel: distribute `mass` across links at a common level.
 
-    Returns (level, loads, links): loads is a new `{link: load}` dict of
-    the links the kernel wrote, and links are those links, in the order
-    it wrote them; every other link carries 0.0.  A zero mass returns the
-    empty loading at level min(intercepts), the limit of the level from
-    the right, with no link written.
+    Returns (level, loads): loads is a new `{link: load}` dict of the
+    links the kernel wrote; every other link carries 0.0.  A zero mass
+    returns the empty loading at level min(intercepts), the limit of the
+    level from the right, with no link written.
 
     order is intercept_order(slopes, intercepts), sorted here when not
     given.  Its first part, the positive-slope links, may be any iterable
@@ -79,7 +78,7 @@ def waterfill(slopes, intercepts, mass, order=None) -> tuple[float, dict[int, fl
         # the smallest intercept heads one part of the order; taking the
         # two heads in index order keeps min()'s choice among equal ones
         heads = sorted(chain(islice(unvisited, 1), flat[:1]))
-        return min([intercepts[i] for i in heads]), loads, []
+        return min([intercepts[i] for i in heads]), loads
     cap = intercepts[flat[0]] if len(flat) else math.inf
     walked = []     # the links taken from it so far
     inv_sum = 0.0   # sum of 1/a over links below the level
@@ -113,7 +112,7 @@ def waterfill(slopes, intercepts, mass, order=None) -> tuple[float, dict[int, fl
             # a single loaded link, the first of the order, carries the
             # whole mass exactly
             loads[walked[0]] = mass
-        return level, loads, list(loads)
+        return level, loads
     # level pinned at the smallest zero-slope intercept; those links soak
     # up whatever the positive-slope links cannot absorb below it
     placed = 0.0
@@ -130,7 +129,7 @@ def waterfill(slopes, intercepts, mass, order=None) -> tuple[float, dict[int, fl
     share = rest / len(ties)
     for i in ties:
         loads[i] = share
-    return level, loads, list(loads)
+    return level, loads
 
 
 def waterfill_rows(slopes, intercepts, mass) -> "tuple[np.ndarray, np.ndarray]":
@@ -201,7 +200,7 @@ def waterfill_rows(slopes, intercepts, mass) -> "tuple[np.ndarray, np.ndarray]":
 def _solve(slopes, intercepts, beta, order) -> tuple[Flow, WaterLevel]:
     """Water-fill mass beta over the given coefficients into a checked Flow."""
     beta = check_mass(beta)
-    level, loads, _ = waterfill(slopes, intercepts, beta, order)
+    level, loads = waterfill(slopes, intercepts, beta, order)
     flow = solver_flow(loads, len(slopes), beta)
     return flow, WaterLevel(level, flow.support)
 
@@ -283,17 +282,7 @@ def induced_optimum(inst: Instance, x: Flow, beta: float) -> tuple[Flow, WaterLe
 
 
 def flow_cost(inst: Instance, f: Flow) -> float:
-    """Total cost sum_k f_k * (a_k f_k + b_k) of a single flow.
-
-    Summed in index order over f's nonzero entries; a zero entry's term
-    is exactly zero.
-    """
+    """Total cost sum_k f_k * (a_k f_k + b_k) of a single flow: its cost
+    against no adversary, as 0.0 + f_k is f_k bit for bit for f_k != 0."""
     check_links(inst, f)
-    links = inst.links
-    v = f._loads
-    total = 0.0
-    for k in f.nonzero:
-        a, b = links[k]
-        vk = v[k]
-        total += vk * (a * vk + b)
-    return total
+    return profile_cost(inst.links, {}, (), f._loads, f.nonzero)

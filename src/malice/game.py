@@ -9,7 +9,7 @@ response machine-checkably.
 
 Inputs are checked at the API boundary: each public function checks
 its alpha, masses and flow lengths, then calls an unchecked core
-(`_attack`, `_mal_residual`, `_soc_residual`, `_scaled_value`).
+(`_mal_residual`, `_soc_residual`, `_scaled_value`).
 `scaled_optimum` takes an alpha its caller checked.  `com_report` and
 `com_sweep` check each alpha once and solve the instance's alpha-free
 part once (`_unit_solves`).  Per alpha they call `pure_equilibrium`,
@@ -74,12 +74,6 @@ def _soc_mass(x: Flow) -> float:
     return max(1.0 - x.mass, 0.0)
 
 
-def _attack(inst: Instance, y: Flow, alpha: float) -> Flow:
-    """mal_best_response's flow at a checked alpha: all of it on _most_damaging(y)."""
-    best = _most_damaging(inst.slopes, y._loads, y.nonzero)
-    return solver_flow({best: alpha}, inst.m, alpha)
-
-
 def mal_best_response(inst: Instance, y: Flow, alpha: float) -> BestResponseResult:
     """Adversary's best response to y: all mass on the link maximizing a_k y_k.
 
@@ -90,7 +84,7 @@ def mal_best_response(inst: Instance, y: Flow, alpha: float) -> BestResponseResu
     """
     alpha = check_alpha(alpha)
     check_links(inst, y)
-    x = _attack(inst, y, alpha)
+    x = solver_flow({_most_damaging(inst.slopes, y._loads, y.nonzero): alpha}, inst.m, alpha)
     return BestResponseResult(x, cost(inst, x, y))
 
 
@@ -267,12 +261,12 @@ def _scaled_value(inst: Instance, alpha: float, ystar: Flow, opt_cost: float,
                   spread: float) -> float:
     """scaled_optimum's value, given also _spread(inst, ystar).
 
-    That is cost(inst, _attack(inst, y, alpha), y) for the flow y that
-    scaled_optimum builds, with the same floating-point operations in the
-    same order, but on y's entries alone: neither y nor the attack is
-    built as a Flow.  Their checks cannot fail here: y's entries are
-    (1 - alpha) y*_k, finite and nonnegative, and sum to y's mass in the
-    order the check sums them.
+    That is cost(inst, mal_best_response(inst, y, alpha).flow, y) for the
+    flow y that scaled_optimum builds, with the same floating-point
+    operations in the same order, but on y's entries alone: neither y nor
+    the attack is built as a Flow.  Their checks cannot fail here: y's
+    entries are (1 - alpha) y*_k, finite and nonnegative, and sum to y's
+    mass in the order the check sums them.
     """
     scale = 1.0 - alpha
     v = ystar._loads

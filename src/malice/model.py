@@ -76,18 +76,22 @@ TOLERANCES = {
 }
 
 
+def check_number(value, error, rule: str, low: float, high: float = math.inf) -> float:
+    """value as a finite float in [low, high], else error("<rule>, got ...")."""
+    try:
+        number = float(value)
+    except OverflowError:
+        raise error(f"{rule}, got an integer too large for a float") from None
+    except (TypeError, ValueError):
+        raise error(f"{rule}, got {value!r}") from None
+    if not (math.isfinite(number) and low <= number <= high):
+        raise error(f"{rule}, got {number}")
+    return number
+
+
 def check_alpha(alpha: float) -> float:
     """MAL's share of the unit total, as a float in [0, 1]."""
-    try:
-        alpha = float(alpha)
-    except OverflowError:
-        raise InvalidAlpha("alpha must lie in [0, 1], "
-                           "got an integer too large for a float") from None
-    except (TypeError, ValueError):
-        raise InvalidAlpha(f"alpha must lie in [0, 1], got {alpha!r}") from None
-    if not math.isfinite(alpha) or not 0.0 <= alpha <= 1.0:
-        raise InvalidAlpha(f"alpha must lie in [0, 1], got {alpha}")
-    return alpha
+    return check_number(alpha, InvalidAlpha, "alpha must lie in [0, 1]", 0.0, 1.0)
 
 
 def check_com_alpha(alpha: float) -> float:
@@ -100,16 +104,7 @@ def check_com_alpha(alpha: float) -> float:
 
 def check_mass(mass: float) -> float:
     """A flow's declared mass, as a finite nonnegative float."""
-    try:
-        mass = float(mass)
-    except OverflowError:
-        raise InvalidMass("mass must be finite and nonnegative, "
-                          "got an integer too large for a float") from None
-    except (TypeError, ValueError):
-        raise InvalidMass(f"mass must be finite and nonnegative, got {mass!r}") from None
-    if not math.isfinite(mass) or mass < 0.0:
-        raise InvalidMass(f"mass must be finite and nonnegative, got {mass}")
-    return mass
+    return check_number(mass, InvalidMass, "mass must be finite and nonnegative", 0.0)
 
 
 def check_sum(total: float, mass: float) -> None:

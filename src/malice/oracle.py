@@ -79,13 +79,18 @@ class GridSpec:
 
 def _grid_points(n: int, m: int) -> int:
     """comb(n + m - 1, m - 1), the points of the grid, if at most SHOWN_COUNT,
-    else some number above SHOWN_COUNT.
+    else some number above SHOWN_COUNT; InvalidRange unless n is an int
+    >= 0 and m an int >= 1, bools excluded.
 
     It is the running product C(k + j, j) for j = 1, 2, ... up to the
     smaller of n and m - 1, with k the larger; each step at least doubles
     it, so it passes SHOWN_COUNT within about 60 steps however large n or
     m is, and stops there.
     """
+    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
+        raise InvalidRange(f"grid resolution must be a nonnegative integer, got {n!r}")
+    if isinstance(m, bool) or not isinstance(m, int) or m < 1:
+        raise InvalidRange(f"link count must be a positive integer, got {m!r}")
     small, k = sorted((n, m - 1))
     count = 1
     for j in range(1, small + 1):

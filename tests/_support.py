@@ -69,7 +69,7 @@ def bisect_waterfill(slopes, intercepts, mass, iters=200):
 def dense_waterfill(slopes, intercepts, mass, order=None):
     """waterfill's (level, loads), its {link: load} dict spread into a list
     of one float per link, 0.0 at every link the dict does not hold."""
-    level, loads, _ = malice.flows.waterfill(slopes, intercepts, mass, order)
+    level, loads = malice.flows.waterfill(slopes, intercepts, mass, order)
     return level, dense(loads, len(slopes))
 
 

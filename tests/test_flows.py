@@ -406,7 +406,7 @@ def test_solver_flows_equal_flows_checked_in_full():
             for slopes in (inst.slopes, inst.doubled_slopes):
                 # D0's precision defect makes some wide-range solves raise:
                 # both constructors must then reject the loads alike
-                _, loads, _ = waterfill(slopes, inst.intercepts, alpha, inst.order)
+                _, loads = waterfill(slopes, inst.intercepts, alpha, inst.order)
                 assert _outcome(dense(loads, inst.m), alpha) == _outcome(loads, alpha, inst.m), (inst, alpha)
             try:
                 x, _ = wardrop_flow(inst, alpha)
@@ -422,12 +422,12 @@ def test_solver_flows_equal_flows_checked_in_full():
 
     # the pinned level splits the rest between the tied zero-slope links 1 and 3
     inst = validate([(1.0, 0.0), (0.0, 0.5), (2.0, 0.1), (0.0, 0.5)])
-    _, loads, links = waterfill(inst.slopes, inst.intercepts, 1.0, inst.order)
-    assert sorted(links) == [0, 1, 2, 3] and loads[1] == loads[3] > 0.0
+    _, loads = waterfill(inst.slopes, inst.intercepts, 1.0, inst.order)
+    assert sorted(loads) == [0, 1, 2, 3] and loads[1] == loads[3] > 0.0
     # link 0 is loaded, but its load underflows to 0.0 and leaves the support
     inst = validate([(1e308, 0.0), (1e-20, 0.0)])
-    _, loads, links = waterfill(inst.slopes, inst.intercepts, 1.0, inst.order)
-    assert 0 in links and loads[0] == 0.0
+    _, loads = waterfill(inst.slopes, inst.intercepts, 1.0, inst.order)
+    assert 0 in loads and loads[0] == 0.0
     assert wardrop_flow(inst, 1.0)[0].nonzero == (1,)
 
 

@@ -4,7 +4,7 @@ import tracemalloc
 import pytest
 
 from malice.flows import waterfill
-from malice.game import _attack, _most_damaging, _scaled_value, _spread, scaled_optimum
+from malice.game import _most_damaging, _scaled_value, _spread, scaled_optimum
 
 from malice import (
     DegenerateInstance,
@@ -355,7 +355,7 @@ def test_scaled_value_is_the_cost_of_the_attack_on_the_scaled_flow_bitwise():
         for v in ystar.values:
             total += (1.0 - alpha) * v
         assert y == Flow(tuple((1.0 - alpha) * v for v in ystar.values), total), (inst, alpha)
-        want = cost(inst, _attack(inst, y, alpha), y)
+        want = cost(inst, mal_best_response(inst, y, alpha).flow, y)
         got = _scaled_value(inst, alpha, ystar, opt_cost, _spread(inst, ystar))
         assert bits(got) == bits(want), (inst, alpha)
         checked += 1

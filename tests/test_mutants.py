@@ -36,8 +36,8 @@ def test_fill_stops_at_an_intercept_the_demand_exactly_reaches():
     # demand reaches the next intercept exactly, so the level is that
     # intercept and the next link stays empty; joining it would shift the
     # level by rounding and, in the second case, load it with 5.6e-17.
-    assert waterfill([1.0, 10.0], [0.3, 1.5], 1.2) == (1.5, {0: 1.2}, [0])
-    assert waterfill([10.0, 2.0], [0.2, 0.5], 0.030000000000000002) == (0.5, {0: 0.030000000000000002}, [0])
+    assert waterfill([1.0, 10.0], [0.3, 1.5], 1.2) == (1.5, {0: 1.2})
+    assert waterfill([10.0, 2.0], [0.2, 0.5], 0.030000000000000002) == (0.5, {0: 0.030000000000000002})
     flow, level = wardrop_flow(validate([(1.0, 0.3), (10.0, 1.5)]), 1.2)
     assert level.level == 1.5 and flow.nonzero == (0,)
 

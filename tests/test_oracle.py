@@ -51,6 +51,20 @@ def test_grid_spec_points():
     assert GridSpec(4).points(2) == 5
 
 
+def test_impossible_grid_sizes_are_invalid_range():
+    # a resolution is an int >= 0 and a link count an int >= 1, bools excluded
+    for n, m in ((-1, 3), (1.5, 3), (True, 2)):
+        with pytest.raises(InvalidRange, match="^grid resolution must be a nonnegative integer"):
+            next(simplex_grid(n, m))
+    for n, m in ((2, 0), (3, -2), (3, 1.0), (3, True)):
+        with pytest.raises(InvalidRange, match="^link count must be a positive integer"):
+            next(simplex_grid(n, m))
+    for m in (0, -4, 2.5, True):
+        with pytest.raises(InvalidRange, match="^link count must be a positive integer"):
+            GridSpec(3).points(m)
+    assert list(simplex_grid(0, 3)) == [(0, 0, 0)]
+
+
 def _admitted(n, m):
     """Whether the caps admit the grid of resolution n on m links."""
     count = math.comb(n + m - 1, m - 1)

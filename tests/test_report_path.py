@@ -78,7 +78,7 @@ def _recording(flows, read_first):
 
 def test_reading_values_before_the_check_changes_nothing(monkeypatch):
     # the recorder reads each flow's values before Flow.__post_init__ runs,
-    # which turns a solver flow's list into its tuple before the check
+    # which builds a solver flow's tuple from its dict before the check
     cases = [(com_report, _links(seed=1, m=10_000), 0.5), (com_sweep, _links(seed=2, m=8), [0.0, 0.25, 0.5, 0.75])]
     for run, inst, alphas in cases:
         expected = run(inst, alphas)
