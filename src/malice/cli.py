@@ -18,12 +18,11 @@ import time
 from .errors import CertificateFailure, ValidationError
 from .families import network, pigou, random_instance, tight
 from .flows import flow_cost, system_optimum, wardrop_flow
-from .game import SweepRow, com_report, com_sweep, pure_equilibrium, scaled_optimum
+from .game import SweepRow, com_report, com_sweep, pure_equilibrium, scale_strategy, unit_optimum
 from .model import (
     CHECK_TOL,
     TOLERANCES,
     Instance,
-    check_alpha,
     dumps,
     emit_instance,
     instance_digest,
@@ -87,10 +86,9 @@ def _cmd_com(args) -> int:
 
 def _cmd_scale(args) -> int:
     inst = _load_instance(args.instance)
-    alpha = check_alpha(args.alpha)
-    ystar, _ = system_optimum(inst, 1.0)
-    opt_cost_1 = flow_cost(inst, ystar)
-    result = scaled_optimum(inst, alpha, ystar, opt_cost_1)
+    alpha = args.alpha
+    result = scale_strategy(inst, alpha)
+    _, opt_cost_1, _ = unit_optimum(inst)  # the memo scale_strategy filled
     return _report({
         "command": "scale",
         "alpha": alpha,

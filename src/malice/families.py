@@ -6,7 +6,7 @@ import random
 from .errors import InvalidM, NonPositiveM
 from .flows import flow_cost, induced_optimum, system_optimum
 from .game import com_sweep  # re-exported, so that families.com_sweep still names the sweep
-from .model import Instance, check_com_alpha, check_number, cost, solver_flow, validate
+from .model import Instance, check_com_alpha, check_integer, check_number, cost, solver_flow, validate
 
 MAX_LINKS = 1_000_000  # largest generated instance; bounds the memory a size input can ask for
 
@@ -24,10 +24,8 @@ def tight(M: float) -> Instance:
 
 
 def _check_m(m: int) -> int:
-    """A generated instance's link count: an integer, not a bool, in [1, MAX_LINKS]."""
-    if isinstance(m, bool) or not isinstance(m, int) or not 1 <= m <= MAX_LINKS:
-        raise InvalidM(f"link count must be an integer in [1, {MAX_LINKS}], got {m!r}")
-    return m
+    """A generated instance's link count, in [1, MAX_LINKS]."""
+    return check_integer(m, InvalidM, f"link count must be an integer in [1, {MAX_LINKS}]", 1, MAX_LINKS)
 
 
 def network(m: int) -> Instance:

@@ -11,14 +11,20 @@ Inputs are checked at the API boundary: each public function checks
 its alpha, masses and flow lengths, then calls an unchecked core
 (`_mal_residual`, `_soc_residual`, `_scaled_value`).
 `scaled_optimum` takes an alpha its caller checked.  `com_report` and
-`com_sweep` check each alpha once and solve the instance's alpha-free
-part once (`_unit_solves`).  Per alpha they call `pure_equilibrium`,
-which checks alpha again as a public function, and `_scaled_value`,
-which computes the scaled optimum's value without building its flow or
-the attack on it.  What a solver's output can fail is checked on every
-alpha: each solver flow's entries and sum, both residuals, and the
-scaled optimum's expansion.  A flow's entries are a `{link: load}` dict
-(see model), so every reader here takes a link it lacks as 0.0.
+`com_sweep` check each alpha once.  Per alpha they call
+`pure_equilibrium`, which checks alpha again as a public function, and
+`_scaled_value`, which computes the scaled optimum's value without
+building its flow or the attack on it.  What a solver's output can fail
+is checked on every alpha: each solver flow's entries and sum, both
+residuals, and the scaled optimum's expansion.  A flow's entries are a
+`{link: load}` dict (see model), so every reader here takes a link it
+lacks as 0.0.
+
+The alpha-free part is solved once per instance, in two halves that
+`unit_wardrop` and `unit_optimum` solve on first use and keep in the
+Instance's memo (see model); `com_report`, `com_sweep`, `scale_strategy`
+and `evasive_response` read only the half they need.  An error is never
+kept: a half that fails to solve is solved, and fails, again next call.
 """
 
 from dataclasses import dataclass
@@ -197,7 +203,7 @@ def evasive_response(inst: Instance, x: Flow) -> BestResponseResult:
     """
     check_links(inst, x)
     beta = _soc_mass(x)
-    s, _ = wardrop_flow(inst, 1.0)
+    s, _ = unit_wardrop(inst)
     sv = s._loads
     xv = x._loads
     loads = {}
@@ -229,8 +235,8 @@ def scale_strategy(inst: Instance, alpha: float) -> BestResponseResult:
     disagreement signals a solver bug.
     """
     alpha = check_alpha(alpha)
-    ystar, _ = system_optimum(inst, 1.0)
-    return scaled_optimum(inst, alpha, ystar, flow_cost(inst, ystar))
+    ystar, opt_cost_1, _ = unit_optimum(inst)
+    return scaled_optimum(inst, alpha, ystar, opt_cost_1)
 
 
 def scaled_optimum(inst: Instance, alpha: float, ystar: Flow,
@@ -305,15 +311,38 @@ def com_report(inst: Instance, alpha: float) -> ComReport:
     )
 
 
+def unit_wardrop(inst: Instance) -> tuple[Flow, float]:
+    """(s, nash_cost_1): the unit Wardrop flow s and its cost, solved on
+    the first call and then read from inst's memo."""
+    unit = inst._unit_wardrop
+    if unit is None:
+        s, _ = wardrop_flow(inst, 1.0)
+        unit = s, flow_cost(inst, s)
+        object.__setattr__(inst, "_unit_wardrop", unit)
+    return unit
+
+
+def unit_optimum(inst: Instance) -> tuple[Flow, float, float]:
+    """(y*, opt_cost_1, _spread(inst, y*)): the unit optimum y*, its cost
+    and the alpha-free factor of the scaled optimum's expansion, solved on
+    the first call and then read from inst's memo."""
+    unit = inst._unit_optimum
+    if unit is None:
+        ystar, _ = system_optimum(inst, 1.0)
+        unit = ystar, flow_cost(inst, ystar), _spread(inst, ystar)
+        object.__setattr__(inst, "_unit_optimum", unit)
+    return unit
+
+
 def _unit_solves(inst: Instance) -> tuple[float, Flow, float, float]:
     """The alpha-free part of a report: (nash_cost_1, unit optimum y*,
-    opt_cost_1, _spread(inst, y*))."""
-    nash_cost_1 = flow_cost(inst, wardrop_flow(inst, 1.0)[0])
-    ystar, _ = system_optimum(inst, 1.0)
-    opt_cost_1 = flow_cost(inst, ystar)
+    opt_cost_1, _spread(inst, y*)); DegenerateInstance, on every call,
+    when opt_cost_1 is zero."""
+    _, nash_cost_1 = unit_wardrop(inst)
+    ystar, opt_cost_1, spread = unit_optimum(inst)
     if opt_cost_1 <= 0.0:
         raise DegenerateInstance("unit optimum cost is zero; cost of malice undefined")
-    return nash_cost_1, ystar, opt_cost_1, _spread(inst, ystar)
+    return nash_cost_1, ystar, opt_cost_1, spread
 
 
 @dataclass(frozen=True)

@@ -37,6 +37,12 @@ construction beside the fields: an Instance's `m`, `intercepts`,
 `doubled_slopes` and `order` (and the tuple its `slopes` property
 returns), and a Flow's `nonzero`.  Each is built once and never
 changed, and none of it enters repr, == or hash.
+An Instance also keeps `_unit_wardrop` and `_unit_optimum`, the memo of
+its alpha-free unit solves (see game.unit_wardrop): None until the game
+first solves one, then a tuple set once and never changed.  As with
+`Flow.values`, two threads may each fill one; the results are equal.
+The memo enters neither repr, == nor hash, and pickles and copies,
+rebuilt from the links, start without it.
 An instance stores a -0.0 coefficient as +0.0, so its intercept order is
 never None and equal instances serialize alike.
 """
@@ -74,6 +80,25 @@ TOLERANCES = {
     "residual_target": RESIDUAL_TARGET,
     "certificate_failure": CERT_FAIL_TOL,
 }
+
+
+SHOWN_COUNT = 10**18  # integers larger in magnitude are printed as a bound, not in full
+
+
+def shown(value) -> str:
+    """value for a message: its repr, but an int beyond SHOWN_COUNT in magnitude
+    as that bound, far from Python's limit on the digits of an int made a string."""
+    if isinstance(value, int) and not -SHOWN_COUNT <= value <= SHOWN_COUNT:
+        return f"more than {SHOWN_COUNT:.0e}" if value > 0 else f"less than {-SHOWN_COUNT:.0e}"
+    return repr(value)
+
+
+def check_integer(value, error, rule: str, low: int, high: float = math.inf) -> int:
+    """value as an int, not a bool, in [low, high], else error("<rule>, got ...")."""
+    # a bool is an int to Python, but True is no size
+    if isinstance(value, bool) or not isinstance(value, int) or not low <= value <= high:
+        raise error(f"{rule}, got {shown(value)}")
+    return value
 
 
 def check_number(value, error, rule: str, low: float, high: float = math.inf) -> float:
@@ -144,7 +169,8 @@ class Instance:
     on every call: `m`, the number of links; `intercepts`, the b_i as a
     tuple; `doubled_slopes`, the slopes 2 a_i of the marginal costs
     2 a_i z + b_i as a read-only array; and `order`, intercept_order of
-    the links.
+    the links.  The memo of the unit solves starts empty (see the module
+    docstring).
     """
 
     links: tuple[tuple[float, float], ...]
@@ -184,9 +210,12 @@ class Instance:
         object.__setattr__(self, "intercepts", intercepts)
         object.__setattr__(self, "doubled_slopes", _frozen("d", [2.0 * a for a in slopes]))
         object.__setattr__(self, "order", intercept_order(slopes, intercepts))
+        object.__setattr__(self, "_unit_wardrop", None)
+        object.__setattr__(self, "_unit_optimum", None)
 
     def __reduce__(self):
-        # memoryviews cannot be pickled; the caches are rebuilt from the links
+        # memoryviews cannot be pickled; the caches are rebuilt from the links,
+        # and the memo of the unit solves starts empty
         return type(self), (self.links,)
 
     # the one property: bench/tracer.py wraps its getter as the span

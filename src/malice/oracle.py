@@ -47,13 +47,12 @@ from dataclasses import dataclass
 
 from .errors import GridTooLarge, InvalidRange
 from .flows import waterfill_rows
-from .model import Instance, check_alpha, check_sum
+from .model import SHOWN_COUNT, Instance, check_alpha, check_integer, check_sum, shown
 
 DEFAULT_POINT_CAP = 2_000_000
 DEFAULT_CELL_CAP = 16_000_000  # points times links: bounds a many-link grid's memory and time
 GRID_CHUNK_ROWS = 2_048  # points per chunk: keeps a chunk of few links in cache
 GRID_CHUNK_CELLS = 2**21  # points times links per chunk: bounds a chunk's memory on many links
-SHOWN_COUNT = 10**18  # grid sizes above it are neither counted nor printed exactly
 
 
 @dataclass(frozen=True)
@@ -63,17 +62,14 @@ class GridSpec:
     resolution: int
 
     def __post_init__(self):
-        # a bool is an int to Python, but True is no resolution
-        if isinstance(self.resolution, bool) or not isinstance(self.resolution, int) \
-                or self.resolution < 1:
-            raise InvalidRange(f"grid resolution must be a positive integer, got {self.resolution}")
+        check_integer(self.resolution, InvalidRange, "grid resolution must be a positive integer", 1)
 
     def points(self, m: int) -> int:
         """Number of grid points on an m-link simplex; GridTooLarge past SHOWN_COUNT."""
         count = _grid_points(self.resolution, m)
         if count > SHOWN_COUNT:
-            raise GridTooLarge(f"{_shown(count)} grid points on {m} links at resolution "
-                               f"{_shown(self.resolution)} are too many to count")
+            raise GridTooLarge(f"{shown(count)} grid points on {shown(m)} links at resolution "
+                               f"{shown(self.resolution)} are too many to count")
         return count
 
 
@@ -87,10 +83,8 @@ def _grid_points(n: int, m: int) -> int:
     it, so it passes SHOWN_COUNT within about 60 steps however large n or
     m is, and stops there.
     """
-    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
-        raise InvalidRange(f"grid resolution must be a nonnegative integer, got {n!r}")
-    if isinstance(m, bool) or not isinstance(m, int) or m < 1:
-        raise InvalidRange(f"link count must be a positive integer, got {m!r}")
+    check_integer(n, InvalidRange, "grid resolution must be a nonnegative integer", 0)
+    check_integer(m, InvalidRange, "link count must be a positive integer", 1)
     small, k = sorted((n, m - 1))
     count = 1
     for j in range(1, small + 1):
@@ -98,12 +92,6 @@ def _grid_points(n: int, m: int) -> int:
         if count > SHOWN_COUNT:
             break
     return count
-
-
-def _shown(count: int) -> str:
-    """count for a message: exact up to SHOWN_COUNT, which it stays far from
-    Python's limit on the digits of an int made a string."""
-    return f"{count}" if count <= SHOWN_COUNT else f"more than {SHOWN_COUNT:.0e}"
 
 
 def _grid_chunks(n: int, m: int):
@@ -134,12 +122,12 @@ def _grid_chunks(n: int, m: int):
     # one link has a single grid point at any resolution, so cap the resolution too
     if max(total, n) > DEFAULT_POINT_CAP:
         raise GridTooLarge(
-            f"{_shown(total)} grid points on {m} links at resolution {_shown(n)} "
+            f"{shown(total)} grid points on {shown(m)} links at resolution {shown(n)} "
             f"exceed the cap {DEFAULT_POINT_CAP}"
         )
     if total * m > DEFAULT_CELL_CAP:
         raise GridTooLarge(
-            f"{total * m} grid cells ({total} points on {m} links at resolution {n}) "
+            f"{shown(total * m)} grid cells ({total} points on {shown(m)} links at resolution {n}) "
             f"exceed the cap {DEFAULT_CELL_CAP}"
         )
     if m == 1:

@@ -10,9 +10,12 @@ from malice import (
     DimensionMismatch,
     Flow,
     GridSpec,
+    GridTooLarge,
     InvalidAlpha,
     InvalidFlow,
+    InvalidM,
     InvalidMass,
+    InvalidRange,
     NonFiniteCoefficient,
     NonPositiveM,
     Profile,
@@ -29,10 +32,12 @@ from malice import (
     mal_best_response,
     mal_soc_value,
     minimax_gap,
+    network,
     network_demo,
     pure_equilibrium,
     random_instance,
     scale_strategy,
+    simplex_grid,
     soc_best_response,
     soc_mal_value,
     system_optimum,
@@ -49,6 +54,7 @@ SHORT = Flow((0.25, 0.25), 0.5)         # one entry too few for INST
 GRID = GridSpec(4)
 
 TOO_BIG = 10**400                       # an integer too large for a float
+HUGE = 10**5000                         # an integer with too many digits to make a string
 NOT_NUMBERS = [None, "x"]               # values float() rejects
 BAD_ALPHAS = [float("nan"), float("inf"), float("-inf"), -0.1, 1.5, TOO_BIG, -TOO_BIG, *NOT_NUMBERS]
 BAD_MASSES = [float("nan"), float("inf"), -1.0, TOO_BIG, -TOO_BIG, *NOT_NUMBERS]
@@ -92,6 +98,29 @@ SHORT_FLOW_ENTRIES = {
     # here the room loop reaches the missing third entry before any cost is taken
     "evasive_response(room)": lambda: evasive_response(validate([(1, 0)] * 3), Flow((0.3, 0.3), 0.6)),
 }
+# entry points that take a size: an int, not a bool, at least their minimum;
+# (call, error class, message) for each
+SIZE_ENTRIES = {
+    "GridSpec": (GridSpec, InvalidRange, "grid resolution must be a positive integer"),
+    "simplex_grid(n)": (lambda n: next(simplex_grid(n, 3)), InvalidRange,
+                        "grid resolution must be a nonnegative integer"),
+    "simplex_grid(m)": (lambda m: next(simplex_grid(3, m)), InvalidRange, "link count must be a positive integer"),
+    "GridSpec.points": (GRID.points, InvalidRange, "link count must be a positive integer"),
+    "network": (network, InvalidM, "link count must be an integer in [1, 1000000]"),
+    "random_instance": (lambda m: random_instance(1, m), InvalidM, "link count must be an integer in [1, 1000000]"),
+}
+BAD_SIZES = [-1, 2.5, True, None, "3", -HUGE]
+# a size too large for its cap: (call, error class, message)
+HUGE_SIZES = {
+    "simplex_grid(n)": (lambda: next(simplex_grid(HUGE, 3)), GridTooLarge,
+                        "more than 1e+18 grid points on 3 links at resolution more than 1e+18 exceed the cap"),
+    "simplex_grid(m)": (lambda: next(simplex_grid(0, HUGE)), GridTooLarge,
+                        "more than 1e+18 grid cells (1 points on more than 1e+18 links at resolution 0)"),
+    "GridSpec.points": (lambda: GRID.points(HUGE), GridTooLarge,
+                        "more than 1e+18 grid points on more than 1e+18 links at resolution 4 are too many"),
+    "network": (lambda: network(HUGE), InvalidM, "in [1, 1000000], got more than 1e+18"),
+    "random_instance": (lambda: random_instance(1, HUGE), InvalidM, "in [1, 1000000], got more than 1e+18"),
+}
 # malformed shapes, not values: (call, error class, what its message names)
 BAD_SHAPES = {
     "validate(short link)": (lambda: validate([(1, 0), (1,)]), ValidationError, "link 1 must be a (slope, intercept) pair, got (1,)"),
@@ -104,9 +133,10 @@ BAD_SHAPES = {
 
 
 def _label(value):
-    """value as it reads in a test id; TOO_BIG by its size, not its 401 digits."""
-    if value in (TOO_BIG, -TOO_BIG):
-        return "-10**400" if value < 0 else "10**400"
+    """value as it reads in a test id; TOO_BIG and HUGE by their size, not their digits."""
+    for big, name in ((TOO_BIG, "10**400"), (HUGE, "10**5000")):
+        if value in (big, -big):
+            return "-" + name if value < 0 else name
     return str(value)
 
 
@@ -169,6 +199,23 @@ def test_non_number_flow_entry_is_invalid_flow():
     for entry in (None, object(), 1j, "x"):
         with pytest.raises(InvalidFlow, match="is not a number"):
             Flow([0.0, entry], 0.0)
+
+
+@pytest.mark.parametrize("entry, size", _table(SIZE_ENTRIES, BAD_SIZES))
+def test_bad_size_is_its_validation_error(entry, size):
+    call, error, rule = entry
+    # an oversized int is shown by its bound, not by digits Python will not print
+    shown = "less than -1e+18" if size == -HUGE else repr(size)
+    with pytest.raises(error, match=re.escape(f"{rule}, got {shown}")) as caught:
+        call(size)
+    assert caught.type is error
+
+
+@pytest.mark.parametrize("call, error, names", HUGE_SIZES.values(), ids=HUGE_SIZES.keys())
+def test_huge_size_is_its_validation_error(call, error, names):
+    with pytest.raises(error, match=re.escape(names)) as caught:
+        call()
+    assert caught.type is error
 
 
 @pytest.mark.parametrize("call, error, names", BAD_SHAPES.values(), ids=BAD_SHAPES.keys())
