@@ -37,6 +37,14 @@ both bounds share them: DEFAULT_POINT_CAP on the points and the
 resolution, and DEFAULT_CELL_CAP on points times links, with which a
 many-link grid's memory and time grow.
 
+A process keeps one grid for both bounds: the last one of at most
+GRID_CHUNK_CELLS cells, divided by its resolution, in read-only chunks,
+keyed by its size and chunk layout.  So `minimax_gap` enumerates its
+grid once, a later call at the same size enumerates nothing, and a
+larger grid is streamed by each bound and never kept.  A kept chunk
+holds the floats that enumerating again would give, so the bounds stay
+pure functions of their arguments.
+
 numpy is imported by the functions that use it, not by this module, so
 `import malice` and every CLI subcommand but `verify` run without it.
 """
@@ -54,6 +62,8 @@ DEFAULT_CELL_CAP = 16_000_000  # points times links: bounds a many-link grid's m
 GRID_CHUNK_ROWS = 2_048  # points per chunk: keeps a chunk of few links in cache
 GRID_CHUNK_CELLS = 2**21  # points times links per chunk: bounds a chunk's memory on many links
 
+_kept_grid = None  # ((n, m, GRID_CHUNK_ROWS, GRID_CHUNK_CELLS), chunks) of _unit_chunks
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -63,6 +73,10 @@ class GridSpec:
 
     def __post_init__(self):
         check_integer(self.resolution, InvalidRange, "grid resolution must be a positive integer", 1)
+
+    def __repr__(self):
+        # the dataclass repr, but a resolution too long to print is shown by its bound
+        return f"GridSpec(resolution={shown(self.resolution)})"
 
     def points(self, m: int) -> int:
         """Number of grid points on an m-link simplex; GridTooLarge past SHOWN_COUNT."""
@@ -171,6 +185,32 @@ def simplex_grid(n: int, m: int):
         yield from map(tuple, chunk.tolist())
 
 
+def _unit_chunks(n: int, m: int):
+    """Yield _grid_chunks(n, m) divided by n, float64, link-major and
+    read-only, from the kept grid if it has this size and chunk layout.
+
+    A grid of at most GRID_CHUNK_CELLS cells replaces the kept one once it
+    has been yielded in full; a larger one, or one whose caller stopped or
+    raised, leaves it as it was.  The memo is read once, so a concurrent
+    call that replaces it changes nothing this one yields.
+    """
+    global _kept_grid
+    key = (n, m, GRID_CHUNK_ROWS, GRID_CHUNK_CELLS)
+    kept = _kept_grid
+    if kept is not None and kept[0] == key:
+        yield from kept[1]
+        return
+    chunks = [] if _grid_points(n, m) * m <= GRID_CHUNK_CELLS else None
+    for parts in _grid_chunks(n, m):
+        unit = parts / n
+        unit.flags.writeable = False
+        if chunks is not None:
+            chunks.append(unit)
+        yield unit
+    if chunks is not None:
+        _kept_grid = (key, tuple(chunks))
+
+
 def _first_max(values):
     """Each row's index of its largest entry, the first one on ties, as
     argmax gives it, from one pass over the contiguous link columns."""
@@ -204,8 +244,8 @@ def soc_mal_value(inst: Instance, alpha: float, grid: GridSpec) -> float:
 
     alpha, a, b = check_alpha(alpha), np.array(inst.slopes), np.array(inst.intercepts)
     best = math.inf
-    for parts in _grid_chunks(grid.resolution, inst.m):
-        y = (1.0 - alpha) * (parts / grid.resolution)
+    for unit in _unit_chunks(grid.resolution, inst.m):
+        y = (1.0 - alpha) * unit
         damage = y * a
         # all adversarial mass lands on the link maximizing a_k y_k (first
         # index on ties); replace that link's cost term accordingly
@@ -232,8 +272,8 @@ def mal_soc_value(inst: Instance, alpha: float, grid: GridSpec) -> float:
     doubled = 2.0 * a
     beta = 1.0 - alpha
     best = -math.inf
-    for parts in _grid_chunks(grid.resolution, inst.m):
-        x = alpha * (parts / grid.resolution)
+    for unit in _unit_chunks(grid.resolution, inst.m):
+        x = alpha * unit
         _, y = waterfill_rows(doubled, a * x + b, beta)
         # summed link by link in index order, as a point-by-point loop and Flow would
         values = _link_sum(y * (a * (x + y) + b))

@@ -46,6 +46,7 @@ from malice import (
     wardrop_flow,
 )
 from malice.cli import _build_parser, run
+from malice.model import SHOWN_COUNT
 
 INST = random_instance(seed=3, m=3)
 X = Flow((0.25, 0.25, 0.0), 0.5)        # a valid adversarial flow of mass 0.5
@@ -216,6 +217,22 @@ def test_huge_size_is_its_validation_error(call, error, names):
     with pytest.raises(error, match=re.escape(names)) as caught:
         call()
     assert caught.type is error
+
+
+# (resolution, how its repr shows it), by name: pytest cannot make an id of HUGE
+GRID_REPRS = {
+    "1": (1, "1"),
+    "100": (100, "100"),
+    "SHOWN_COUNT": (SHOWN_COUNT, str(SHOWN_COUNT)),
+    "SHOWN_COUNT+1": (SHOWN_COUNT + 1, "more than 1e+18"),
+    "HUGE": (HUGE, "more than 1e+18"),
+}
+
+
+@pytest.mark.parametrize("resolution, shown", GRID_REPRS.values(), ids=GRID_REPRS.keys())
+def test_grid_spec_repr_shows_a_huge_resolution_by_its_bound(resolution, shown):
+    # the dataclass repr up to SHOWN_COUNT; past it, digits Python will not print
+    assert repr(GridSpec(resolution)) == str(GridSpec(resolution)) == f"GridSpec(resolution={shown})"
 
 
 @pytest.mark.parametrize("call, error, names", BAD_SHAPES.values(), ids=BAD_SHAPES.keys())

@@ -546,3 +546,20 @@ D0_INSTANCES = {
 def test_unit_solve_on_d0_instances(links, solve):
     flow, _ = solve(validate(links), 1.0)
     assert flow.mass == 1.0
+
+
+def test_unit_solve_mass_error_is_bounded_by_its_condition_number():
+    # D15's bound on D0's ensemble: the loads (L - b_i)/a_i miss the mass by
+    # at most 8 u kappa, where kappa = sum over loaded i of (L + b_i)/a_i / mass
+    # is the condition number of their sum; the largest ratio seen is about 4
+    u = 2.0**-53
+    largest_kappa = 0.0
+    for inst in wide_ensemble(3000):
+        for slopes in (inst.slopes, inst.doubled_slopes):
+            level, loads = waterfill(slopes, inst.intercepts, 1.0, inst.order)
+            kappa = sum((level + inst.intercepts[i]) / slopes[i] for i in loads)
+            error = abs(math.fsum(loads.values()) - 1.0)
+            assert error <= 8.0 * u * kappa, (inst.links, error, kappa)
+            largest_kappa = max(largest_kappa, kappa)
+    # the ensemble reaches the conditioning at which D0's solves are rejected
+    assert largest_kappa > 1e7

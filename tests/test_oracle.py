@@ -1,6 +1,9 @@
 import math
+import sys
+import threading
 import time
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,7 +28,14 @@ from malice import (
 )
 import malice.flows
 import malice.oracle
-from malice.oracle import DEFAULT_CELL_CAP, DEFAULT_POINT_CAP, GRID_CHUNK_CELLS, GRID_CHUNK_ROWS, _grid_chunks
+from malice.oracle import (
+    DEFAULT_CELL_CAP,
+    DEFAULT_POINT_CAP,
+    GRID_CHUNK_CELLS,
+    GRID_CHUNK_ROWS,
+    _grid_chunks,
+    _unit_chunks,
+)
 
 from _support import (
     count_calls,
@@ -231,6 +241,132 @@ def test_grid_chunks_bound_the_memory_of_many_links():
         tracemalloc.stop()
     assert gap >= 0.0
     assert peak < 130_000_000
+
+
+def _bounds_hex(inst, alpha, n):
+    gap, (lower, upper) = minimax_gap(inst, alpha, GridSpec(n))
+    return gap.hex(), lower.hex(), upper.hex()
+
+
+def test_minimax_gap_enumerates_each_grid_once(monkeypatch):
+    monkeypatch.setattr(malice.oracle, "_kept_grid", None)
+    calls = count_calls(monkeypatch, _grid_chunks)
+    first, second = random_instance(seed=38, m=3), random_instance(seed=39, m=3)
+    bounds = _bounds_hex(first, 0.5, 30)
+    assert calls["_grid_chunks"] == 1
+    assert _bounds_hex(first, 0.5, 30) == bounds
+    # another instance and alpha at the same resolution and link count enumerate nothing
+    kept = _bounds_hex(second, 0.2, 30)
+    assert calls["_grid_chunks"] == 1
+    # and give the bounds that a fresh enumeration gives
+    monkeypatch.setattr(malice.oracle, "_kept_grid", None)
+    assert _bounds_hex(second, 0.2, 30) == kept
+    assert _bounds_hex(first, 0.5, 30) == bounds
+    assert calls["_grid_chunks"] == 2
+    # another size replaces the kept grid
+    minimax_gap(first, 0.5, GridSpec(31))
+    minimax_gap(first, 0.5, GridSpec(30))
+    assert calls["_grid_chunks"] == 4
+
+
+def test_a_kept_grid_follows_the_chunk_layout(monkeypatch):
+    inst, alpha = random_instance(seed=33, m=3), 0.6
+
+    def bounds():
+        return soc_mal_value(inst, alpha, GridSpec(40)).hex(), mal_soc_value(inst, alpha, GridSpec(40)).hex()
+
+    default = bounds()
+    assert malice.oracle._kept_grid[0] == (40, 3, GRID_CHUNK_ROWS, GRID_CHUNK_CELLS)
+    # the layout a test sets is the layout it gets, kept grid or not
+    monkeypatch.setattr(malice.oracle, "GRID_CHUNK_ROWS", 7)
+    assert [len(chunk) for chunk in _unit_chunks(40, 3)] == [7] * 123  # 861 points
+    assert bounds() == default
+    monkeypatch.setattr(malice.oracle, "GRID_CHUNK_CELLS", 17)
+    assert [len(chunk) for chunk in _unit_chunks(40, 3)] == [5] * 172 + [1]
+    assert bounds() == default
+    # every chunk holds the points over the resolution, link-major
+    for unit, parts in zip(_unit_chunks(40, 3), _grid_chunks(40, 3)):
+        assert unit.flags.f_contiguous
+        assert np.array_equal(unit, parts / 40)
+
+
+def test_a_grid_above_the_chunk_budget_is_never_kept(monkeypatch):
+    inst = random_instance(seed=34, m=3)
+    minimax_gap(inst, 0.5, GridSpec(12))
+    kept = malice.oracle._kept_grid
+    # 1,449 points on 1,449 links: 2,099,601 cells, just above GRID_CHUNK_CELLS
+    assert 1448**2 <= GRID_CHUNK_CELLS < 1449**2
+    assert sum(chunk.size for chunk in _unit_chunks(1, 1449)) == 1449**2
+    assert malice.oracle._kept_grid is kept
+    # (10, 3) has 66 points, 198 cells: one cell over the budget is streamed
+    # by both bounds, and a budget of exactly its cells keeps it
+    calls = count_calls(monkeypatch, _grid_chunks)
+    monkeypatch.setattr(malice.oracle, "GRID_CHUNK_CELLS", 197)
+    streamed = _bounds_hex(inst, 0.5, 10)
+    assert calls["_grid_chunks"] == 2
+    assert malice.oracle._kept_grid is kept
+    monkeypatch.setattr(malice.oracle, "GRID_CHUNK_CELLS", 198)
+    assert _bounds_hex(inst, 0.5, 10) == streamed
+    assert calls["_grid_chunks"] == 3
+    assert malice.oracle._kept_grid[0] == (10, 3, GRID_CHUNK_ROWS, 198)
+
+
+def test_grid_chunks_are_read_only():
+    minimax_gap(random_instance(seed=35, m=3), 0.5, GridSpec(12))
+    key, chunks = malice.oracle._kept_grid
+    assert key == (12, 3, GRID_CHUNK_ROWS, GRID_CHUNK_CELLS)
+    with pytest.raises(ValueError):
+        chunks[0][0, 0] = 1.0
+    with pytest.raises(ValueError):
+        chunks[0][:, 1] *= 2.0
+    # a streamed chunk too
+    with pytest.raises(ValueError):
+        next(_unit_chunks(1, 1449))[0, 0] = 1.0
+    assert np.array_equal(chunks[0], next(_grid_chunks(12, 3)) / 12)
+
+
+def test_a_failed_or_stopped_enumeration_leaves_the_kept_grid(monkeypatch):
+    inst = random_instance(seed=36, m=3)
+    minimax_gap(inst, 0.5, GridSpec(12))
+    kept = malice.oracle._kept_grid
+    with pytest.raises(GridTooLarge):
+        minimax_gap(validate([(1.0, 0.0)]), 0.5, GridSpec(10**20))  # one cell, but the resolution is capped
+    with pytest.raises(GridTooLarge):
+        minimax_gap(validate([(1.0, 0.0)] * 8), 0.5, GridSpec(200))
+    with pytest.raises(InvalidRange):
+        minimax_gap(inst, 0.5, SimpleNamespace(resolution=-1))  # no GridSpec would hold it
+    chunks = _unit_chunks(400, 3)  # 80,601 points in 40 chunks, of which one is read
+    next(chunks)
+    chunks.close()
+    assert malice.oracle._kept_grid is kept
+    calls = count_calls(monkeypatch, _grid_chunks)
+    minimax_gap(inst, 0.5, GridSpec(12))
+    assert calls["_grid_chunks"] == 0
+
+
+def test_threads_sharing_the_kept_grid_agree():
+    # more threads than cores, switching often, on two sizes that keep
+    # replacing each other's grid
+    inst = random_instance(seed=37, m=3)
+    expected = {n: _bounds_hex(inst, 0.3, n) for n in (20, 21)}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            outcomes = []
+
+            def bracket(sizes):
+                outcomes.append({n: _bounds_hex(inst, 0.3, n) for n in sizes})
+
+            threads = [threading.Thread(target=bracket, args=((20, 21) if k % 2 else (21, 20),)) for k in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+            assert outcomes == [expected] * len(threads)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_single_link_has_no_strategic_choice():
