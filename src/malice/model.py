@@ -481,25 +481,31 @@ def profile_cost(links, xv: dict, x_nonzero, yv: dict, y_nonzero) -> float:
 
 
 def dumps(payload) -> str:
-    """Deterministic JSON: insertion key order, floats at 17 significant digits."""
-    return _render(payload, 0)
+    """Deterministic JSON: insertion key order, floats at 17 significant digits.
+
+    A non-finite float is a ValueError that names the key holding it, the
+    innermost one around it, if any.
+    """
+    return _render(payload, 0, None)
 
 
-def _render(value, depth) -> str:
+def _render(value, depth, key) -> str:
     if isinstance(value, float):
         if not math.isfinite(value):
-            raise ValueError(f"cannot serialize the non-finite number {value}")
+            where = "" if key is None else f" in {json.dumps(key)}"
+            raise ValueError(f"cannot serialize the non-finite number {value}{where}")
         return format(value, ".17g")
     if value is None or isinstance(value, (int, str)):  # bools included
         return json.dumps(value)
     if isinstance(value, dict):
-        items = [f"{json.dumps(str(key))}: {_render(item, depth + 1)}" for key, item in value.items()]
+        items = [f"{json.dumps(name)}: {_render(item, depth + 1, name)}"
+                 for name, item in zip(map(str, value), value.values())]
         brackets = "{}"
     elif isinstance(value, (list, tuple)):
         if all(isinstance(v, (int, float, str)) and not isinstance(v, bool) for v in value):
             # an array of numbers and strings stays on one line
-            return "[" + ", ".join(_render(v, depth) for v in value) + "]"
-        items = [_render(item, depth + 1) for item in value]
+            return "[" + ", ".join(_render(v, depth, key) for v in value) + "]"
+        items = [_render(item, depth + 1, key) for item in value]
         brackets = "[]"
     else:
         raise TypeError(f"cannot serialize {type(value).__name__}")

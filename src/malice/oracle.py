@@ -12,6 +12,18 @@ Their difference brackets the equilibrium value and shrinks as the
 resolution grows; doubling the resolution refines the grid in place, so
 the gap never widens.
 
+The upper bound evaluates every grid point.  The lower bound evaluates
+only the points that can still raise it: SOC's best-reply cost is
+concave in the adversary's strategy, so the cost of SOC's reply to each
+of a few seeds, the grid point nearest MAL's selfish flow and its
+one-unit moves, is a plane above it over the whole grid (Kelley's
+cutting planes).  A point whose lowest plane lies below the seeds' best
+value by more than a margin M, which covers rounding and the mass
+tolerance (see mal_soc_value), cannot exceed that value and is dropped:
+its reply is neither computed nor mass-checked, as it cannot enter the
+bound.  So the bound is the float that evaluating every point gives, and
+the seeds, which come from the solver's kernel, change only its speed.
+
 Grid points are unranked from their lexicographic positions, as in the
 combinatorial number system, in chunks of GRID_CHUNK_ROWS points, or
 fewer on many links so that a chunk holds at most GRID_CHUNK_CELLS
@@ -19,10 +31,10 @@ points times links (the last one may be shorter): Python steps once per
 chunk and part, never per point, and a chunk's memory is bounded at any
 link count.  Each chunk
 is evaluated in numpy at once: the adversary's closed form directly,
-SOC's water-fills through the batched kernel `waterfill_rows`, which is
-bit-identical to the scalar one row by row.  So each point's value, and
-each bound, is the float that a loop over single points would compute,
-however the grid is chunked.
+SOC's water-fills, of the points the planes keep, through the batched
+kernel `waterfill_rows`, which is bit-identical to the scalar one row by
+row.  So each point's value, and each bound, is the float that a loop
+over single points would compute, however the grid is chunked.
 
 Chunks are link-major (Fortran order), one contiguous column per link:
 an elementwise operation with a per-link vector then runs numpy's inner
@@ -50,12 +62,13 @@ numpy is imported by the functions that use it, not by this module, so
 """
 
 import math
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 
 from .errors import GridTooLarge, InvalidRange
 from .flows import waterfill_rows
-from .model import SHOWN_COUNT, Instance, check_alpha, check_integer, check_sum, shown
+from .model import MASS_TOL, SHOWN_COUNT, Instance, check_alpha, check_integer, check_sum, shown
 
 DEFAULT_POINT_CAP = 2_000_000
 DEFAULT_CELL_CAP = 16_000_000  # points times links: bounds a many-link grid's memory and time
@@ -108,6 +121,24 @@ def _grid_points(n: int, m: int) -> int:
     return count
 
 
+def _capped_points(n: int, m: int) -> int:
+    """_grid_points(n, m), GridTooLarge past DEFAULT_POINT_CAP points or
+    resolution or DEFAULT_CELL_CAP cells."""
+    total = _grid_points(n, m)
+    # one link has a single grid point at any resolution, so cap the resolution too
+    if max(total, n) > DEFAULT_POINT_CAP:
+        raise GridTooLarge(
+            f"{shown(total)} grid points on {shown(m)} links at resolution {shown(n)} "
+            f"exceed the cap {DEFAULT_POINT_CAP}"
+        )
+    if total * m > DEFAULT_CELL_CAP:
+        raise GridTooLarge(
+            f"{shown(total * m)} grid cells ({total} points on {shown(m)} links at resolution {n}) "
+            f"exceed the cap {DEFAULT_CELL_CAP}"
+        )
+    return total
+
+
 def _grid_chunks(n: int, m: int):
     """Yield the compositions of n into m nonnegative parts, lexicographically,
     as int64 arrays of min(GRID_CHUNK_ROWS, GRID_CHUNK_CELLS // m) rows (at
@@ -132,18 +163,7 @@ def _grid_chunks(n: int, m: int):
     """
     import numpy as np
 
-    total = _grid_points(n, m)
-    # one link has a single grid point at any resolution, so cap the resolution too
-    if max(total, n) > DEFAULT_POINT_CAP:
-        raise GridTooLarge(
-            f"{shown(total)} grid points on {shown(m)} links at resolution {shown(n)} "
-            f"exceed the cap {DEFAULT_POINT_CAP}"
-        )
-    if total * m > DEFAULT_CELL_CAP:
-        raise GridTooLarge(
-            f"{shown(total * m)} grid cells ({total} points on {shown(m)} links at resolution {n}) "
-            f"exceed the cap {DEFAULT_CELL_CAP}"
-        )
+    total = _capped_points(n, m)
     if m == 1:
         yield np.full((1, 1), n, dtype=np.int64)
         return
@@ -235,6 +255,15 @@ def _link_sum(values):
     return total
 
 
+def _resolution(grid) -> int:
+    """grid's resolution, InvalidRange naming grid if it has none; the
+    grid's enumeration checks the value."""
+    try:
+        return grid.resolution
+    except AttributeError:
+        raise InvalidRange(f"grid must be a GridSpec, got {shown(grid)}") from None
+
+
 def soc_mal_value(inst: Instance, alpha: float, grid: GridSpec) -> float:
     """min over gridded SOC strategies of the exact adversarial best response.
 
@@ -244,7 +273,7 @@ def soc_mal_value(inst: Instance, alpha: float, grid: GridSpec) -> float:
 
     alpha, a, b = check_alpha(alpha), np.array(inst.slopes), np.array(inst.intercepts)
     best = math.inf
-    for unit in _unit_chunks(grid.resolution, inst.m):
+    for unit in _unit_chunks(_resolution(grid), inst.m):
         y = (1.0 - alpha) * unit
         damage = y * a
         # all adversarial mass lands on the link maximizing a_k y_k (first
@@ -259,27 +288,139 @@ def soc_mal_value(inst: Instance, alpha: float, grid: GridSpec) -> float:
     return best
 
 
+def _replies(a, b, doubled, alpha, beta, unit):
+    """(values, y): SOC's exact replies y to the adversarial strategies
+    alpha * unit, one per row, and their costs.
+
+    The one evaluation path of the lower bound.  A reply whose loads miss
+    SOC's mass beta = 1 - alpha raises InvalidMass, as a Flow of those loads
+    would, rather than enter the bound.
+    """
+    import numpy as np
+
+    x = alpha * unit
+    _, y = waterfill_rows(doubled, a * x + b, beta)
+    # summed link by link in index order, as a point-by-point loop and Flow would
+    values = _link_sum(y * (a * (x + y) + b))
+    totals = _link_sum(y)
+    check_sum(float(totals[np.argmax(np.abs(totals - beta))]), beta)
+    return values, y
+
+
+def _seeds(a, b, alpha, n: int, m: int):
+    """The grid point nearest MAL's selfish flow of mass alpha, then its
+    one-unit moves to the cyclically next and previous link, as int64 rows
+    of parts of n; None where their planes cannot prune.
+
+    The nearest point takes floor(n x_k / sum(x)) units on each link k and
+    one more on the links of the largest remainders: as n m is far below
+    1 / epsilon, those floors sum to at most n and more than n - m - 1,
+    so it is a grid point.
+
+    There are no seeds at alpha = 0, where every plane is flat; when they
+    would number at least the grid's points; or when seeds times links
+    exceed GRID_CHUNK_CELLS // GRID_CHUNK_ROWS, one point's share of a
+    chunk.  So the planes of a chunk, its rows times the seeds, stay within
+    GRID_CHUNK_CELLS, and testing a point against them takes at most 1,024
+    multiply-adds.  That admits up to 22 links, where the test still costs
+    less than water-filling the point.
+    """
+    import numpy as np
+
+    count = 1 + (2 * m if m > 2 else m * (m - 1))
+    budget = GRID_CHUNK_CELLS // GRID_CHUNK_ROWS
+    if not alpha > 0.0 or count * m > budget or count >= _capped_points(n, m):
+        return None
+    _, x = waterfill_rows(a, b[None, :], alpha)
+    total = float(x.sum())
+    if not total > 0.0:
+        return None
+    target = x[0] * (n / total)
+    parts = np.floor(target).astype(np.int64)
+    parts[np.argsort(parts - target, kind="stable")[:n - int(parts.sum())]] += 1
+    step = np.eye(m, dtype=np.int64)
+    return np.array([parts, *(parts - step[i] + step[j] for i in np.flatnonzero(parts)
+                               for j in sorted({(i + 1) % m, (i - 1) % m}))])
+
+
 def mal_soc_value(inst: Instance, alpha: float, grid: GridSpec) -> float:
     """max over gridded adversarial strategies of SOC's exact best reply.
 
     A lower bound on the game value, tight to O(1/resolution).  A reply
     whose loads miss SOC's mass 1 - alpha raises InvalidMass, as a Flow
-    of those loads would, rather than enter the bound.
+    of those loads would, rather than enter the bound; a point that the
+    planes below drop has its reply neither computed nor checked.
+
+    It is the largest over the grid of h(x) = min_y C(x, y), SOC's cost
+    at its best reply, evaluated only where it can still be the largest.
+    h is a minimum of functions affine in x, so concave, and the cost of a
+    reply y_j to the seed x_j is a plane above it over the whole grid:
+
+        C(x, y_j) = c_j + x @ w_j,   w_jk = a_k y_jk,
+        c_j = sum_k y_jk (a_k y_jk + b_k).
+
+    The seeds (see _seeds) are the grid point nearest MAL's selfish flow,
+    the paper's optimal adversary, and its one-unit moves; best is the
+    largest of their values.  A grid point whose lowest plane lies below
+    best - M is dropped; the other points, less the seeds, are evaluated
+    chunk by chunk, and the bound is the largest value of all evaluated.
+    With beta = 1 - alpha, eps = MASS_TOL * max(1, beta), the largest
+    bound on a marginal cost L = max_k a_k (alpha + 2 (beta + eps)) + b_k,
+    and rho = 4 (m + 8) machine epsilons,
+
+        M = rho (|best| + beta L) + 4 eps L.
+
+    A plane and a value are sums of nonnegative terms, so in any order of
+    summation (BLAS included) each is within r = (m + 8) epsilons of its
+    size; c_j rides in the matmul as a point's units, which sum to 1
+    within that.  A seed's reply passed the mass check, so it lacks at
+    most eps + r beta of beta, and filling that onto a link raises its
+    cost by at most that times L.  A point's computed reply, optimal for
+    its own mass up to rounding, may carry eps more than beta, which
+    raises its cost by at most eps times its level, below L.  So a dropped
+    point's value is at most its plane plus
+    3 r best + (1 + r)(2 eps + r beta) L, which M covers with room for the
+    rounding of L: no dropped point could raise best, the bound is the
+    float that evaluating every point gives, and a seed changes only the
+    speed, never the value.  On a plateau, where every point ties within
+    M (a zero-slope link pinning SOC's level), every point is evaluated,
+    as without seeds.
     """
     import numpy as np
 
     alpha, a, b = check_alpha(alpha), np.array(inst.slopes), np.array(inst.intercepts)
+    n, m = _resolution(grid), inst.m
     doubled = 2.0 * a
     beta = 1.0 - alpha
     best = -math.inf
-    for unit in _unit_chunks(grid.resolution, inst.m):
-        x = alpha * unit
-        _, y = waterfill_rows(doubled, a * x + b, beta)
-        # summed link by link in index order, as a point-by-point loop and Flow would
-        values = _link_sum(y * (a * (x + y) + b))
-        totals = _link_sum(y)
-        check_sum(float(totals[np.argmax(np.abs(totals - beta))]), beta)
-        best = max(best, float(values.max()))
+    chunks = _unit_chunks(n, m)
+    seeds = _seeds(a, b, alpha, n, m)
+    if seeds is not None:
+        seeds = seeds / n  # the floats of their grid points
+        values, y = _replies(a, b, doubled, alpha, beta, seeds)
+        best = float(values.max())
+        # a point's units sum to 1, so c_j + x @ w_j is unit @ (alpha w_j + c_j)
+        planes = alpha * (a * y) + _link_sum(y * (a * y + b))[:, None]
+        eps = MASS_TOL * max(1.0, beta)
+        marginal = float(np.max(a * (alpha + 2.0 * (beta + eps)) + b))  # L
+        rho = 4 * (m + 8) * sys.float_info.epsilon
+        floor = best - (rho * (abs(best) + beta * marginal) + 4.0 * eps * marginal)
+
+        def kept(unit):
+            """unit if no plane drops a row of it, else its rows that no plane
+            drops, less the seeds, whose values are in best, link-major."""
+            # a NaN plane keeps its point: only one provably below the floor drops it
+            keep = ~((planes @ unit.T).min(axis=0) < floor)
+            if keep.all():
+                return unit
+            unit = unit[np.flatnonzero(keep)]
+            return np.asfortranarray(unit[(unit[:, None, :] != seeds).any(axis=2).all(axis=1)])
+
+        chunks = map(kept, chunks)
+    for unit in chunks:
+        if len(unit):
+            values, _ = _replies(a, b, doubled, alpha, beta, unit)
+            best = max(best, float(values.max()))
     return best
 
 

@@ -122,6 +122,13 @@ HUGE_SIZES = {
     "network": (lambda: network(HUGE), InvalidM, "in [1, 1000000], got more than 1e+18"),
     "random_instance": (lambda: random_instance(1, HUGE), InvalidM, "in [1, 1000000], got more than 1e+18"),
 }
+# entry points that take a grid: a value with no resolution is no grid
+GRID_ENTRIES = {
+    "soc_mal_value": lambda grid: soc_mal_value(INST, 0.5, grid),
+    "mal_soc_value": lambda grid: mal_soc_value(INST, 0.5, grid),
+    "minimax_gap": lambda grid: minimax_gap(INST, 0.5, grid),
+}
+BAD_GRIDS = [100, None, "4"]
 # malformed shapes, not values: (call, error class, what its message names)
 BAD_SHAPES = {
     "validate(short link)": (lambda: validate([(1, 0), (1,)]), ValidationError, "link 1 must be a (slope, intercept) pair, got (1,)"),
@@ -217,6 +224,13 @@ def test_huge_size_is_its_validation_error(call, error, names):
     with pytest.raises(error, match=re.escape(names)) as caught:
         call()
     assert caught.type is error
+
+
+@pytest.mark.parametrize("call, grid", _table(GRID_ENTRIES, BAD_GRIDS))
+def test_a_grid_without_a_resolution_is_invalid_range(call, grid):
+    with pytest.raises(InvalidRange, match=re.escape(f"grid must be a GridSpec, got {grid!r}")) as caught:
+        call(grid)
+    assert caught.type is InvalidRange
 
 
 # (resolution, how its repr shows it), by name: pytest cannot make an id of HUGE

@@ -5,8 +5,8 @@ import sys
 import pytest
 
 import malice.flows
-from malice import emit_instance, instance_digest, pigou, random_instance, tight
-from malice.cli import run
+from malice import emit_instance, instance_digest, pigou, random_instance, tight, validate
+from malice.cli import _build_parser, run
 
 from _support import child_env, count_calls, describe_child
 
@@ -89,6 +89,20 @@ def test_malformed_instance_is_exit_2(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text('{"links": []}')
     assert run(["solve", "--instance", str(path), "--wardrop", "--mass", "1"]) == 2
+
+
+def test_a_cost_that_overflows_names_its_key(tmp_path, capsys):
+    # 1e308 on two sloped links: the loads are finite, their cost is not
+    path = tmp_path / "inst.json"
+    path.write_text(emit_instance(validate([(1, 0), (2, 1)])) + "\n")
+    argv = ["solve", "--instance", str(path), "--optimum", "--mass", "1e308"]
+    args = _build_parser().parse_args(argv)
+    with pytest.raises(ValueError, match='^cannot serialize the non-finite number inf in "cost"$'):
+        args.handler(args)
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == 'error: cannot serialize the non-finite number inf in "cost"\n'
 
 
 def test_scale_report(pigou_file, capsys):

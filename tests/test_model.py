@@ -319,5 +319,8 @@ def test_dumps_and_parse_reject_what_they_cannot_represent():
         dumps({"x": object()})
     with pytest.raises(ValueError, match="non-finite"):
         dumps(math.nan)
+    # the innermost key around the number, through lists
+    with pytest.raises(ValueError, match='^cannot serialize the non-finite number -inf in "soc"$'):
+        dumps({"rows": [{"mal": [0.5], "soc": [0.5, -math.inf]}]})
     with pytest.raises(ValidationError, match="'links' must be an array"):
         parse_instance('{"links": 5}')

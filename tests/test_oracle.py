@@ -28,6 +28,7 @@ from malice import (
 )
 import malice.flows
 import malice.oracle
+from malice.flows import waterfill_rows
 from malice.oracle import (
     DEFAULT_CELL_CAP,
     DEFAULT_POINT_CAP,
@@ -43,6 +44,7 @@ from _support import (
     reference_mal_soc_value,
     reference_simplex_grid,
     reference_soc_mal_value,
+    wide_ensemble,
 )
 
 
@@ -433,6 +435,71 @@ def test_mal_soc_value_equals_point_by_point_reference():
     ]
     for inst, alpha, n in cases:
         assert mal_soc_value(inst, alpha, GridSpec(n)) == reference_mal_soc_value(inst, alpha, n)
+
+
+def _plateau_and_wide_cases():
+    """Lower-bound cases where many points tie at the top, or the range is wide."""
+    cases = [
+        (validate([(0, 1), (1, 0.5), (2, 0)]), 0.6, 40),          # a zero-slope link caps SOC's level
+        (validate([(7.4, 6.7), (0, 9.8), (0, 2.4)]), 0.3, 30),    # SOC's level pinned at every point
+        (validate([(3.5, 0), (0, 0.17), (4, 3.1)]), 0.1, 50),     # pinned on part of the grid
+        (validate([(1, 0), (1, 0), (1, 0), (1, 0)]), 0.5, 12),    # symmetric links
+        (validate([(2, 1), (2, 1)]), 0.4, 30),
+        (random_instance(seed=42, m=3), 0.0, 20),                 # alpha = 0: no planes
+        (random_instance(seed=42, m=3), 1.0, 20),                 # SOC has no mass
+    ]
+    wide = [inst for inst in wide_ensemble(12, seed=5) if inst.m <= 4]
+    cases += [(inst, 0.1 + 0.2 * (k % 4), 12) for k, inst in enumerate(wide)]
+    return cases
+
+
+def _vertex_seeds(a, b, alpha, n, m):
+    """The first vertex and its one-unit moves: seeds far from MAL's optimum."""
+    seeds = np.zeros((m, m), dtype=np.int64)
+    seeds[:, 0] = n
+    seeds[1:, 0] -= 1
+    seeds[np.arange(1, m), np.arange(1, m)] += 1
+    return seeds
+
+
+def _rim_seeds(a, b, alpha, n, m, seeds=malice.oracle._seeds):
+    """The one-unit moves without the nearest point they move from: seeds
+    whose best value lies just below the grid's, which a plane must not drop."""
+    rows = seeds(a, b, alpha, n, m)
+    return rows if rows is None or len(rows) < 3 else rows[1:]
+
+
+@pytest.mark.parametrize("seeds", [None, _vertex_seeds, _rim_seeds])
+def test_mal_soc_value_equals_reference_whatever_the_seeds(monkeypatch, seeds):
+    # plateaus, wide ranges and m = 4, 5, with MAL's seeds and with bad ones
+    cases = [(inst, alpha, n) for inst, alpha in oracle_ensemble(6) for n in (9, 40, 100)]
+    cases += [(random_instance(seed=43 + m, m=m), 0.5, 10) for m in (4, 5)]
+    cases += _plateau_and_wide_cases()
+    assert len(cases) > 30
+    if seeds is not None:
+        monkeypatch.setattr(malice.oracle, "_seeds", seeds)
+    for inst, alpha, n in cases:
+        assert mal_soc_value(inst, alpha, GridSpec(n)) == reference_mal_soc_value(inst, alpha, n), (inst, alpha, n)
+
+
+def test_the_lower_bound_water_fills_few_of_its_points(monkeypatch):
+    rows = []  # of each waterfill_rows call
+
+    def counted(slopes, intercepts, mass):
+        rows.append(len(intercepts))
+        return waterfill_rows(slopes, intercepts, mass)
+
+    monkeypatch.setattr(malice.oracle, "waterfill_rows", counted)
+    inst = random_instance(seed=44, m=3)
+    assert inst.m == 3 and min(inst.slopes) > 0.0
+    assert mal_soc_value(inst, 0.5, GridSpec(100)) == reference_mal_soc_value(inst, 0.5, 100)
+    # MAL's selfish flow, the seeds, and what the planes keep of 5,151 points
+    assert 2 <= len(rows) and sum(rows) < 100
+    # with seeds at a vertex the planes still drop points, and the bound holds
+    rows.clear()
+    monkeypatch.setattr(malice.oracle, "_seeds", _vertex_seeds)
+    assert mal_soc_value(inst, 0.5, GridSpec(100)) == reference_mal_soc_value(inst, 0.5, 100)
+    assert sum(rows) < GridSpec(100).points(3)
 
 
 def test_soc_mal_value_equals_point_by_point_reference(monkeypatch):
