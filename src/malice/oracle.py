@@ -23,6 +23,13 @@ tolerance (see mal_soc_value), cannot exceed that value and is dropped:
 its reply is neither computed nor mass-checked, as it cannot enter the
 bound.  So the bound is the float that evaluating every point gives, and
 the seeds, which come from the solver's kernel, change only its speed.
+The planes cannot prune a whole-grid plateau, where a zero-slope link
+below every positive-slope intercept, by a margin that covers the
+kernel's rounding, pins SOC's level at every point (see _plateau).
+There every point has the same reply, value and mass sum, bit for bit,
+so the bound evaluates one point, the grid's first: it is the float
+that every point gives, and its mass check raises the InvalidMass, with
+the message, that the first point evaluated would.
 
 Grid points are unranked from their lexicographic positions, as in the
 combinatorial number system, in chunks of GRID_CHUNK_ROWS points, or
@@ -343,6 +350,40 @@ def _seeds(a, b, alpha, n: int, m: int):
                                for j in sorted({(i + 1) % m, (i - 1) % m}))])
 
 
+def _plateau(inst: Instance) -> bool:
+    """Whether SOC's level is pinned at one zero-slope intercept c at
+    every grid point, so that every point has the same reply.
+
+    The test: the instance has a zero-slope link, c is the smallest
+    zero-slope intercept, and every positive-slope link (a_k, b_k) has
+    b_k > c (1 + delta), delta = 4 (m + 2) epsilons, with a_k and b_k in
+    [2**-500, 2**500].  At each point x, waterfill_rows caps the level at
+    c and fills the shifted intercepts t_k = a_k x_k + b_k >= b_k
+    (rounding is monotone).  Its level, (beta + sum t_k / s_k) / sum 1 / s_k
+    with s_k = 2 a_k over the nonempty set of links it fills, is at least
+    their smallest t_k.  In the window every 1 / s_k and t_k / s_k and
+    every partial sum is a normal float, but a sum of t_k / s_k may
+    overflow to inf, which makes the level inf.  So the computed level is
+    at least that smallest t_k times (1 - u)**(m + 2) / (1 + u)**m
+    >= 1 - (m + 2) epsilons, with u = epsilon / 2, and the rounded
+    threshold is at least c (1 + delta)(1 - epsilon): the level exceeds c
+    (a zero or subnormal c lies below any level of at least 2**-501).
+    So every point is pinned at c: its positive-slope links load nothing,
+    the zero-slope links tied at c split beta = 1 - alpha equally, and as
+    every cost term is finite, the reply, its value and its mass sum are
+    the same floats at every point (at beta = 0, which loads nothing, too).
+    b_k == c and near-ties within delta fail the test.
+    """
+    sloped, flat = inst.order
+    if not flat:
+        return False
+    links = [inst.links[i] for i in sloped]  # in increasing intercept order
+    c = inst.intercepts[flat[0]]
+    delta = 4 * (inst.m + 2) * sys.float_info.epsilon
+    return not links or (links[0][1] > c * (1.0 + delta)
+                         and all(2.0**-500 <= min(link) and max(link) <= 2.0**500 for link in links))
+
+
 def mal_soc_value(inst: Instance, alpha: float, grid: GridSpec) -> float:
     """max over gridded adversarial strategies of SOC's exact best reply.
 
@@ -382,9 +423,9 @@ def mal_soc_value(inst: Instance, alpha: float, grid: GridSpec) -> float:
     3 r best + (1 + r)(2 eps + r beta) L, which M covers with room for the
     rounding of L: no dropped point could raise best, the bound is the
     float that evaluating every point gives, and a seed changes only the
-    speed, never the value.  On a plateau, where every point ties within
-    M (a zero-slope link pinning SOC's level), every point is evaluated,
-    as without seeds.
+    speed, never the value.  On a whole-grid plateau (see _plateau),
+    where the planes are flat, one point, the grid's first, stands for
+    all, and no seeds or planes are built.
     """
     import numpy as np
 
@@ -392,8 +433,12 @@ def mal_soc_value(inst: Instance, alpha: float, grid: GridSpec) -> float:
     n, m = _resolution(grid), inst.m
     doubled = 2.0 * a
     beta = 1.0 - alpha
-    best = -math.inf
     chunks = _unit_chunks(n, m)
+    if _plateau(inst):
+        # one point, from the grid so that its caps hold, stands for them all
+        values, _ = _replies(a, b, doubled, alpha, beta, next(chunks)[:1])
+        return float(values.max())
+    best = -math.inf
     seeds = _seeds(a, b, alpha, n, m)
     if seeds is not None:
         seeds = seeds / n  # the floats of their grid points

@@ -502,6 +502,104 @@ def test_the_lower_bound_water_fills_few_of_its_points(monkeypatch):
     assert sum(rows) < GridSpec(100).points(3)
 
 
+# whole-grid plateaus: a zero-slope link lies below every positive-slope
+# intercept by more than the margin, so SOC's level is pinned there everywhere
+PLATEAUS = [
+    validate([(1, 2), (0, 1), (3, 1.5)]),          # one zero-slope link
+    validate([(7.4, 6.7), (0, 9.8), (0, 2.4)]),    # and a higher one
+    validate([(0, 0), (1, 1e-3), (4, 0.5)]),       # at intercept 0
+    validate([(0, 1), (2, 4), (0, 1), (0, 3)]),    # two tied at the level
+    validate([(0, 2), (0, 2), (0, 5)]),            # every link flat
+    validate([(0, 5)]),                            # one link
+]
+
+
+def _outcome(fn, inst, alpha, grid):
+    """fn's bound as hex floats, or its error as (class, message)."""
+    try:
+        result = fn(inst, alpha, grid)
+    except (GridTooLarge, InvalidMass, InvalidRange) as exc:
+        return type(exc), str(exc)
+    if isinstance(result, float):
+        return result.hex()
+    gap, (lower, upper) = result
+    return gap.hex(), lower.hex(), upper.hex()
+
+
+def test_a_whole_grid_plateau_gives_the_reference_bounds_bit_for_bit():
+    assert all(malice.oracle._plateau(inst) for inst in PLATEAUS)
+    cases = [(inst, alpha, n) for inst in PLATEAUS for alpha in (0.0, 0.35, 1.0) for n in (1, 9)]
+    cases += [(inst, 0.35, 100 if inst.m < 4 else 20) for inst in PLATEAUS]
+    for inst, alpha, n in cases:
+        lower = reference_mal_soc_value(inst, alpha, n)
+        upper = reference_soc_mal_value(inst, alpha, n)
+        assert _outcome(mal_soc_value, inst, alpha, GridSpec(n)) == lower.hex(), (inst, alpha, n)
+        expected = ((upper - lower).hex(), lower.hex(), upper.hex())
+        assert _outcome(minimax_gap, inst, alpha, GridSpec(n)) == expected, (inst, alpha, n)
+
+
+def test_a_whole_grid_plateau_water_fills_one_row(monkeypatch):
+    rows = []  # of each waterfill_rows call
+
+    def counted(slopes, intercepts, mass):
+        rows.append(len(intercepts))
+        return waterfill_rows(slopes, intercepts, mass)
+
+    monkeypatch.setattr(malice.oracle, "waterfill_rows", counted)
+    inst = PLATEAUS[0]
+    assert mal_soc_value(inst, 0.5, GridSpec(100)) == reference_mal_soc_value(inst, 0.5, 100)
+    assert rows == [1]  # not MAL's selfish flow, the seeds and 5,151 points
+    # the margin is 4 (m + 2) epsilons above c, exclusive
+    c = 1.0
+    threshold = c * (1.0 + 4 * (3 + 2) * sys.float_info.epsilon)
+    for b, plateau in ((threshold, False), (math.nextafter(threshold, math.inf), True)):
+        inst = validate([(1, b), (0, c), (3, b)])
+        rows.clear()
+        assert mal_soc_value(inst, 0.5, GridSpec(100)) == reference_mal_soc_value(inst, 0.5, 100)
+        assert (rows == [1]) is plateau, b
+
+
+def test_near_ties_take_the_full_path():
+    # b_k == c, one float above it and a few within the margin: at some
+    # points a link too flat to lift the level strands SOC's mass, at others
+    # it does not, so no point stands for the grid
+    stranded = [
+        (validate([(0, 1.0), (1e-15, 1.0)]), 0.99),
+        (validate([(0, 0.8348771507992095), (2.6836288719318065e-16, 0.8348771507992097)]), 0.999),
+        (validate([(0, 3.8116551675025145), (1.6391077765223682e-15, 3.8116551675025154),
+                   (3.765859942429265e-14, 3.8116551675025154)]), 0.99),
+    ]
+    for inst, alpha in stranded:
+        assert not malice.oracle._plateau(inst)
+        for bound in (mal_soc_value, minimax_gap):
+            with pytest.raises(InvalidMass, match=f"^flow entries sum to 0.0, declared mass {1.0 - alpha}$"):
+                bound(inst, alpha, GridSpec(10))
+    c = 2.0
+    tied = [
+        validate([(0, c), (1, c), (0.5, 3.0)]),
+        validate([(0, c), (1, math.nextafter(c, math.inf)), (0.5, 3.0)]),
+        validate([(0, c), (1, c * (1.0 + 8 * sys.float_info.epsilon)), (0.5, 3.0)]),
+    ]
+    for inst in tied:
+        assert not malice.oracle._plateau(inst)
+        assert mal_soc_value(inst, 0.4, GridSpec(30)) == reference_mal_soc_value(inst, 0.4, 30)
+    # costs that overflow at some points and not at others leave the window
+    inst = validate([(0, 1.0), (1.5e308, 1.5e308)])
+    assert not malice.oracle._plateau(inst)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert mal_soc_value(inst, 0.5, GridSpec(10)) == reference_mal_soc_value(inst, 0.5, 10)
+
+
+def test_a_whole_grid_plateau_raises_the_full_paths_errors(monkeypatch):
+    inst = PLATEAUS[0]
+    grids = [GridSpec(DEFAULT_POINT_CAP + 1), GridSpec(2000), 7, SimpleNamespace(resolution=-1)]
+    outcomes = [_outcome(bound, inst, 0.5, grid) for bound in (mal_soc_value, minimax_gap) for grid in grids]
+    assert [kind for kind, _ in outcomes] == [GridTooLarge, GridTooLarge, InvalidRange, InvalidRange] * 2
+    # the seeds-and-planes path raises the same errors with the same messages
+    monkeypatch.setattr(malice.oracle, "_plateau", lambda inst: False)
+    assert [_outcome(bound, inst, 0.5, grid) for bound in (mal_soc_value, minimax_gap) for grid in grids] == outcomes
+
+
 def test_soc_mal_value_equals_point_by_point_reference(monkeypatch):
     # numpy's own sum adds eight or more links pairwise, which moved the last
     # bit of both m = 8 and m = 9 at seed 11
