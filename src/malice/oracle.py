@@ -29,7 +29,10 @@ kernel's rounding, pins SOC's level at every point (see _plateau).
 There every point has the same reply, value and mass sum, bit for bit,
 so the bound evaluates one point, the grid's first: it is the float
 that every point gives, and its mass check raises the InvalidMass, with
-the message, that the first point evaluated would.
+the message, that the first point evaluated would.  So it does at
+alpha = 0, where every point is the same input.  Both bounds skip a
+NaN value, as a loop over points does, so that no point whose cost is
+0 * inf or inf - inf hides the finite extremum.
 
 Grid points are unranked from their lexicographic positions, as in the
 combinatorial number system, in chunks of GRID_CHUNK_ROWS points, or
@@ -274,24 +277,30 @@ def _resolution(grid) -> int:
 def soc_mal_value(inst: Instance, alpha: float, grid: GridSpec) -> float:
     """min over gridded SOC strategies of the exact adversarial best response.
 
-    An upper bound on the game value, tight to O(1/resolution).
+    An upper bound on the game value, tight to O(1/resolution).  Costs
+    near the end of the float range overflow as IEEE arithmetic does,
+    without a numpy warning, and a point whose value is NaN (inf - inf)
+    never enters the minimum, as in a point-by-point loop's
+    `if value < best`.
     """
     import numpy as np
 
     alpha, a, b = check_alpha(alpha), np.array(inst.slopes), np.array(inst.intercepts)
     best = math.inf
-    for unit in _unit_chunks(_resolution(grid), inst.m):
-        y = (1.0 - alpha) * unit
-        damage = y * a
-        # all adversarial mass lands on the link maximizing a_k y_k (first
-        # index on ties); replace that link's cost term accordingly
-        t = _first_max(damage)
-        per_link = y * (damage + b)
-        at_t = t * len(y) + np.arange(len(y))  # (row, t) in link-major order
-        yt = y.ravel(order="F").take(at_t)
-        attacked = yt * (a[t] * (alpha + yt) + b[t])
-        values = _link_sum(per_link) - per_link.ravel(order="F").take(at_t) + attacked
-        best = min(best, float(values.min()))
+    with np.errstate(over="ignore", invalid="ignore"):  # IEEE results, as a loop over floats gives
+        for unit in _unit_chunks(_resolution(grid), inst.m):
+            y = (1.0 - alpha) * unit
+            damage = y * a
+            # all adversarial mass lands on the link maximizing a_k y_k (first
+            # index on ties); replace that link's cost term accordingly
+            t = _first_max(damage)
+            per_link = y * (damage + b)
+            at_t = t * len(y) + np.arange(len(y))  # (row, t) in link-major order
+            yt = y.ravel(order="F").take(at_t)
+            attacked = yt * (a[t] * (alpha + yt) + b[t])
+            values = _link_sum(per_link) - per_link.ravel(order="F").take(at_t) + attacked
+            # a NaN value never enters: fmin skips it, and min keeps best
+            best = min(best, float(np.fmin.reduce(values)))
     return best
 
 
@@ -320,7 +329,8 @@ def _seeds(a, b, alpha, n: int, m: int):
     of parts of n; None where their planes cannot prune.
 
     The nearest point takes floor(n x_k / sum(x)) units on each link k and
-    one more on the links of the largest remainders: as n m is far below
+    one more on the links of the largest remainders, the first on ties,
+    with sum(x) added in index order: as n m is far below
     1 / epsilon, those floors sum to at most n and more than n - m - 1,
     so it is a grid point.
 
@@ -330,7 +340,8 @@ def _seeds(a, b, alpha, n: int, m: int):
     chunk.  So the planes of a chunk, its rows times the seeds, stay within
     GRID_CHUNK_CELLS, and testing a point against them takes at most 1,024
     multiply-adds.  That admits up to 22 links, where the test still costs
-    less than water-filling the point.
+    less than water-filling the point.  Nor are there any when MAL's loads
+    have no positive finite sum, which a stranded mass can leave.
     """
     import numpy as np
 
@@ -339,15 +350,21 @@ def _seeds(a, b, alpha, n: int, m: int):
     if not alpha > 0.0 or count * m > budget or count >= _capped_points(n, m):
         return None
     _, x = waterfill_rows(a, b[None, :], alpha)
-    total = float(x.sum())
-    if not total > 0.0:
+    loads = x[0].tolist()  # m Python floats: cheaper to round than m-entry arrays
+    total = 0.0
+    for load in loads:
+        total += load
+    if not 0.0 < total < math.inf:
         return None
-    target = x[0] * (n / total)
-    parts = np.floor(target).astype(np.int64)
-    parts[np.argsort(parts - target, kind="stable")[:n - int(parts.sum())]] += 1
-    step = np.eye(m, dtype=np.int64)
-    return np.array([parts, *(parts - step[i] + step[j] for i in np.flatnonzero(parts)
-                               for j in sorted({(i + 1) % m, (i - 1) % m}))])
+    scale = n / total
+    target = [load * scale for load in loads]
+    parts = [math.floor(share) for share in target]
+    # one more unit on the links of the largest remainders, the first on ties
+    for k in sorted(range(m), key=lambda k: parts[k] - target[k])[:n - sum(parts)]:
+        parts[k] += 1
+    moves = [(i, j) for i in range(m) if parts[i] for j in sorted({(i + 1) % m, (i - 1) % m})]
+    return np.array([parts, *([p - (k == i) + (k == j) for k, p in enumerate(parts)] for i, j in moves)],
+                    dtype=np.int64)
 
 
 def _plateau(inst: Instance) -> bool:
@@ -425,47 +442,60 @@ def mal_soc_value(inst: Instance, alpha: float, grid: GridSpec) -> float:
     float that evaluating every point gives, and a seed changes only the
     speed, never the value.  On a whole-grid plateau (see _plateau),
     where the planes are flat, one point, the grid's first, stands for
-    all, and no seeds or planes are built.
+    all, and no seeds or planes are built; so it does at alpha = 0, where
+    every point is the same input, x = 0.0 * unit.
+
+    Costs overflow as IEEE arithmetic does, without a numpy warning, and
+    a value that is NaN (0 * inf) never enters the maximum, as in a
+    point-by-point loop's `if value > best`: the bound is -inf only if
+    every value is NaN.
     """
     import numpy as np
 
     alpha, a, b = check_alpha(alpha), np.array(inst.slopes), np.array(inst.intercepts)
     n, m = _resolution(grid), inst.m
-    doubled = 2.0 * a
     beta = 1.0 - alpha
     chunks = _unit_chunks(n, m)
-    if _plateau(inst):
-        # one point, from the grid so that its caps hold, stands for them all
-        values, _ = _replies(a, b, doubled, alpha, beta, next(chunks)[:1])
-        return float(values.max())
     best = -math.inf
-    seeds = _seeds(a, b, alpha, n, m)
-    if seeds is not None:
-        seeds = seeds / n  # the floats of their grid points
-        values, y = _replies(a, b, doubled, alpha, beta, seeds)
-        best = float(values.max())
-        # a point's units sum to 1, so c_j + x @ w_j is unit @ (alpha w_j + c_j)
-        planes = alpha * (a * y) + _link_sum(y * (a * y + b))[:, None]
-        eps = MASS_TOL * max(1.0, beta)
-        marginal = float(np.max(a * (alpha + 2.0 * (beta + eps)) + b))  # L
-        rho = 4 * (m + 8) * sys.float_info.epsilon
-        floor = best - (rho * (abs(best) + beta * marginal) + 4.0 * eps * marginal)
+    with np.errstate(over="ignore", invalid="ignore"):  # IEEE results, as a loop over floats gives
+        doubled = 2.0 * a
+        # at alpha = 0 every point is x = 0.0 * unit, the same input
+        plateau = not alpha > 0.0 or _plateau(inst)
+        seeds = None if plateau else _seeds(a, b, alpha, n, m)
+        if plateau:
+            # one point, from the grid so that its caps hold, stands for them all
+            chunks = (next(chunks)[:1],)
+        elif seeds is not None:
+            seeds = seeds / n  # the floats of their grid points
+            values, y = _replies(a, b, doubled, alpha, beta, seeds)
+            # a NaN value never enters: fmax skips it, and max keeps best
+            best = max(best, float(np.fmax.reduce(values)))
+            # a point's units sum to 1, so c_j + x @ w_j is unit @ (alpha w_j + c_j)
+            planes = alpha * (a * y) + _link_sum(y * (a * y + b))[:, None]
+            eps = MASS_TOL * max(1.0, beta)
+            scale = alpha + 2.0 * (beta + eps)
+            marginal = max([ak * scale + bk for ak, bk in inst.links])  # L
+            rho = 4 * (m + 8) * sys.float_info.epsilon
+            floor = best - (rho * (abs(best) + beta * marginal) + 4.0 * eps * marginal)
 
-        def kept(unit):
-            """unit if no plane drops a row of it, else its rows that no plane
-            drops, less the seeds, whose values are in best, link-major."""
-            # a NaN plane keeps its point: only one provably below the floor drops it
-            keep = ~((planes @ unit.T).min(axis=0) < floor)
-            if keep.all():
+            def kept(unit):
+                """The rows of unit that no plane drops, link-major; none if
+                they are all seeds, whose values are in best."""
+                # a NaN plane keeps its point: only one provably below the floor drops it
+                index = (~((planes @ unit.T).min(axis=0) < floor)).nonzero()[0]
+                if len(index) == len(unit):
+                    return unit
+                unit = np.asfortranarray(unit[index])
+                # grid points are distinct, so only as many rows as seeds can all be seeds
+                if len(unit) <= len(seeds) and (unit[:, None, :] == seeds).all(axis=2).any(axis=1).all():
+                    return unit[:0]
                 return unit
-            unit = unit[np.flatnonzero(keep)]
-            return np.asfortranarray(unit[(unit[:, None, :] != seeds).any(axis=2).all(axis=1)])
 
-        chunks = map(kept, chunks)
-    for unit in chunks:
-        if len(unit):
-            values, _ = _replies(a, b, doubled, alpha, beta, unit)
-            best = max(best, float(values.max()))
+            chunks = map(kept, chunks)
+        for unit in chunks:
+            if len(unit):
+                values, _ = _replies(a, b, doubled, alpha, beta, unit)
+                best = max(best, float(np.fmax.reduce(values)))
     return best
 
 

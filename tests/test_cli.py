@@ -137,6 +137,20 @@ def test_verify_pigou(pigou_file, capsys):
     assert "points per direction" in captured.err
 
 
+def test_verify_brackets_a_game_whose_grid_costs_overflow(tmp_path, capsys):
+    # some grid points cost 0 * inf or inf - inf, which is NaN; neither bound hides behind them
+    path = tmp_path / "huge.json"
+    path.write_text('{"links": [{"a": 0, "b": 1}, {"a": 1.5e308, "b": 1.5e308}]}\n')
+    code = run(["verify", "--instance", str(path), "--alpha", "0.5", "--grid", "10"])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    doc = json.loads(captured.out)
+    assert doc["mal_soc"] <= 0.5 <= doc["soc_mal"]
+    assert doc["equilibrium_value"] == 0.5
+    assert doc["bracket_contains_value"] is True and doc["ok"] is True
+    assert "Warning" not in captured.err
+
+
 def test_verify_failure_is_exit_3(pigou_file, capsys, monkeypatch):
     monkeypatch.setattr("malice.oracle.soc_mal_value", lambda *args, **kwargs: -1.0)
     code = run(["verify", "--instance", pigou_file, "--alpha", "0.5", "--grid", "10"])

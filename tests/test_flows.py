@@ -282,8 +282,41 @@ def test_waterfill_rows_bitwise_equal_to_scalar_on_edge_cases():
         # a zero mass loads nothing at the smallest intercept
         ((1.0, 0.0, 2.0), [[2.0, 3.0, 1.0], [0.0, 0.0, 0.0]], 0.0),
     ]
+    cases += [
+        # subnormal intercepts, below and among the loaded links
+        ((1.0, 2.0, 3.0), [[5e-324, 1e-310, 2.2e-308], [0.0, 5e-324, 5e-324], [1e-310, 1.0, 0.0]], 1e-9),
+        ((0.0, 2.0, 3.0), [[1e-310, 5e-324, 0.0], [5e-324, 1e-310, 1e-310]], 0.5),
+        # no zero slope, so nothing caps the level
+        ((0.5, 2.0, 7.0, 1.0), [[3.0, 0.0, 1.0, 1.0], [0.0, 0.0, 0.0, 9.0], [2.0, 2.0, 2.0, 2.0]], 0.6),
+        # only zero slopes: the level is the smallest intercept, tied links share
+        ((0.0, 0.0, 0.0), [[2.0, 1.0, 1.0], [0.0, 3.0, 0.0], [5.0, 5.0, 5.0]], 0.9),
+        # a mass of 1e300 stops no fill before the last link
+        ((1.0, 0.0, 2.0), [[0.0, 5.0, 1.0], [6.0, 5.0, 0.0]], 1e300),
+        ((3.0, 1.0, 0.25), [[1.0, 2.0, 1e300], [0.0, 0.0, 0.0]], 1e300),
+        # a mass too small to lift the level off the first intercept loads nothing
+        ((1.0, 0.1, 1.0), [[1.8819520021759981, 1.0, 0.2]], 1e-17),
+    ]
     for slopes, rows, mass in cases:
         _assert_rows_bitwise_equal_scalar(slopes, rows, mass)
+    # rows that overflow: intercepts near the largest float and slopes of
+    # 1e300 give inf sums and levels, and NaN stop tests and loads
+    overflowing = [
+        ((1e300, 0.5, 1.0), [[1.7e308, 1.0e308, 1.5e308], [1e308, 1.7e308, 0.0], [1.0, 1.0, 1.5e308]], 1.0),
+        ((2.0, 1e300, 0.0), [[1.5e308, 1.6e308, 1.7e308], [1.7e308, 1e308, 1.0]], 0.5),
+        ((0.5, 0.5), [[1.7e308, 1.7e308], [0.0, 1.7e308]], 1e300),
+    ]
+    with np.errstate(over="ignore", invalid="ignore"):  # the scalar kernel overflows silently
+        levels, loads = waterfill_rows(*overflowing[0][:2], 1.0)
+        for slopes, rows, mass in overflowing:
+            _assert_rows_bitwise_equal_scalar(slopes, rows, mass)
+    assert math.isinf(levels[0]) and np.isinf(loads[0]).all()
+    # one batch of more than 2,048 rows, pinned and not
+    rng = random.Random(BASE_SEED + 13)
+    rows = [[rng.uniform(0.0, 3.0) for _ in range(3)] for _ in range(2500)]
+    levels, _ = waterfill_rows((0.0, 1.0, 2.0), np.array(rows), 1.0)
+    pinned = levels == np.array(rows)[:, 0]
+    assert 0 < pinned.sum() < len(rows)
+    _assert_rows_bitwise_equal_scalar((0.0, 1.0, 2.0), rows, 1.0)
     levels, loads = waterfill_rows((0.0, 0.0, 2.0), np.array([[1.0, 1.0, 0.0]]), 1.0)
     assert levels.tolist() == [1.0]
     assert loads.tolist() == [[0.25, 0.25, 0.5]]

@@ -1,4 +1,5 @@
 import math
+import random
 import sys
 import threading
 import time
@@ -25,6 +26,7 @@ from malice import (
     system_optimum,
     tight,
     validate,
+    wardrop_flow,
 )
 import malice.flows
 import malice.oracle
@@ -35,6 +37,9 @@ from malice.oracle import (
     GRID_CHUNK_CELLS,
     GRID_CHUNK_ROWS,
     _grid_chunks,
+    _replies,
+    _resolution,
+    _seeds,
     _unit_chunks,
 )
 
@@ -598,6 +603,126 @@ def test_a_whole_grid_plateau_raises_the_full_paths_errors(monkeypatch):
     # the seeds-and-planes path raises the same errors with the same messages
     monkeypatch.setattr(malice.oracle, "_plateau", lambda inst: False)
     assert [_outcome(bound, inst, 0.5, grid) for bound in (mal_soc_value, minimax_gap) for grid in grids] == outcomes
+
+
+def _every_point(inst, alpha, grid):
+    """The lower bound over every grid point, through the one evaluation path."""
+    a, b = np.array(inst.slopes), np.array(inst.intercepts)
+    best = -math.inf
+    for unit in _unit_chunks(_resolution(grid), inst.m):
+        values, _ = _replies(a, b, 2.0 * a, alpha, 1.0 - alpha, unit)
+        best = max(best, float(np.fmax.reduce(values)))
+    return best
+
+
+def test_at_alpha_zero_one_point_stands_for_the_grid(monkeypatch):
+    rows = []  # of each waterfill_rows call
+
+    def counted(slopes, intercepts, mass):
+        rows.append(len(intercepts))
+        return waterfill_rows(slopes, intercepts, mass)
+
+    # every point is x = 0.0 * unit, so SOC's reply is the same everywhere
+    instances = [random_instance(seed=60 + k, m=1 + k % 5) for k in range(25)]
+    instances += [inst for inst in wide_ensemble(12, seed=9) if inst.m <= 5] + PLATEAUS
+    monkeypatch.setattr(malice.oracle, "waterfill_rows", counted)
+    for inst in instances:
+        for n in (1, 3, 20):
+            rows.clear()
+            outcome = _outcome(mal_soc_value, inst, 0.0, GridSpec(n))
+            assert rows == [1], (inst, n)
+            if isinstance(outcome, str):  # not a wide instance's InvalidMass
+                assert outcome == reference_mal_soc_value(inst, 0.0, n).hex(), (inst, n)
+            assert outcome == _outcome(_every_point, inst, 0.0, GridSpec(n)), (inst, n)
+    # and it raises what evaluating every point raises, with the message
+    stranded = [validate([(1e-17, 1.0)]), validate([(1e-17, 1.0), (3e-17, 1.0)])]
+    grids = [GridSpec(4), GridSpec(DEFAULT_POINT_CAP + 1), GridSpec(2000), 7, SimpleNamespace(resolution=-1)]
+    outcomes = [_outcome(mal_soc_value, inst, 0.0, grid) for inst in stranded + PLATEAUS[:1] for grid in grids]
+    assert [kind for kind, _ in outcomes[:2]] == [InvalidMass, GridTooLarge]
+    assert outcomes == [_outcome(_every_point, inst, 0.0, grid) for inst in stranded + PLATEAUS[:1] for grid in grids]
+
+
+def test_a_nan_row_hides_neither_bound():
+    # 0 * inf costs are NaN at the points that load the huge link, and the
+    # inf - inf of the upper bound's swap at others; every bound is still
+    # the reference's float, with no RuntimeWarning
+    cases = [(validate([(0, 1), (1.5e308, 1.5e308)]), alpha, n)
+             for alpha in (0.0, 0.3, 0.5, 0.9, 1.0) for n in (1, 2, 10, 30, 100)]
+    # one of whose seeds, a one-unit move onto the huge link, costs NaN
+    cases += [(validate([(9e307, 1.7e308), (0, 1), (3e307, 1.6)]), 0.7, n) for n in (5, 10)]
+    for inst, alpha, n in cases:
+        lower = reference_mal_soc_value(inst, alpha, n)
+        upper = reference_soc_mal_value(inst, alpha, n)
+        assert math.isfinite(lower) and math.isfinite(upper)
+        assert mal_soc_value(inst, alpha, GridSpec(n)).hex() == lower.hex(), (inst, alpha, n)
+        assert soc_mal_value(inst, alpha, GridSpec(n)).hex() == upper.hex(), (inst, alpha, n)
+
+
+def _nearest_point(inst, alpha, n):
+    """n times MAL's selfish flow, from the scalar solver, rounded down and
+    then up on the links of the largest remainders, the first on ties."""
+    loads = wardrop_flow(inst, alpha)[0].values
+    total = 0.0
+    for load in loads:
+        total += load
+    target = [load * (n / total) for load in loads]
+    parts = [math.floor(share) for share in target]
+    for k in sorted(range(inst.m), key=lambda k: (parts[k] - target[k], k))[:n - sum(parts)]:
+        parts[k] += 1
+    return parts
+
+
+def test_seeds_are_the_nearest_point_and_its_one_unit_moves():
+    rng = random.Random(71)
+    cases = []
+    for k in range(200):
+        m = (1, 2, 3, 3, 4, 5, 6, 8)[k % 8]
+        n = rng.choice([3, 10, 40, 100] if m <= 3 else [3, 10, 20])
+        cases.append((random_instance(seed=800 + k, m=m), rng.choice([rng.uniform(0.05, 1.0), 1.0]), n))
+    cases += [(inst, 0.5, 30) for inst in PLATEAUS[:4]]
+    # equal remainders: the extra units go to the first links
+    cases += [(validate([(1, 0)] * 3), 0.5, 10), (validate([(2, 1)] * 4), 0.3, 10), (validate([(1, 0)] * 2), 0.5, 5)]
+    assert sum(0.0 in inst.slopes for inst, _, _ in cases) > 20
+    full = 0
+    for inst, alpha, n in cases:
+        m = inst.m
+        seeds = _seeds(np.array(inst.slopes), np.array(inst.intercepts), alpha, n, m)
+        count = 1 + (2 * m if m > 2 else m * (m - 1))
+        if count >= GridSpec(n).points(m):
+            assert seeds is None, (inst, alpha, n)
+            continue
+        rows = seeds.tolist()
+        parts = rows[0]
+        assert parts == _nearest_point(inst, alpha, n), (inst, alpha, n)
+        moves = []
+        for i in range(m):
+            if parts[i]:
+                for j in sorted({(i + 1) % m, (i - 1) % m}):
+                    move = list(parts)
+                    move[i] -= 1
+                    move[j] += 1
+                    moves.append(move)
+        assert rows[1:] == moves
+        assert len({tuple(row) for row in rows}) == len(rows)
+        assert all(sum(row) == n and min(row) >= 0 for row in rows)
+        assert len(rows) <= count
+        full += len(rows) == count
+    assert full > 10  # every link loaded: 2m + 1 rows, or m(m - 1) + 1 on two links
+    # none at alpha = 0, as many as the grid's points, above the budget, or
+    # on a flow that is empty or infinite
+    inst = random_instance(seed=90, m=22)
+    a, b = np.array(inst.slopes), np.array(inst.intercepts)
+    assert len(_seeds(a, b, 0.5, 3, 22)) > 1
+    assert _seeds(a, b, 0.0, 3, 22) is None
+    wider = random_instance(seed=90, m=23)
+    assert _seeds(np.array(wider.slopes), np.array(wider.intercepts), 0.5, 3, 23) is None
+    three = random_instance(seed=91, m=3)
+    a, b = np.array(three.slopes), np.array(three.intercepts)
+    assert _seeds(a, b, 0.5, 2, 3) is None and len(_seeds(a, b, 0.5, 3, 3)) > 1
+    for links in ([(1e-17, 1.0), (1e-17, 1.0), (2e-17, 1.0)], [(1e-300, 1e308), (1e-300, 1.5e308), (2.0, 1.6e308)]):
+        inst = validate(links)
+        with np.errstate(over="ignore", invalid="ignore"):  # as inside the bound
+            assert _seeds(np.array(inst.slopes), np.array(inst.intercepts), 0.5, 10, 3) is None
 
 
 def test_soc_mal_value_equals_point_by_point_reference(monkeypatch):
