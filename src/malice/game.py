@@ -10,8 +10,7 @@ response machine-checkably.
 Inputs are checked at the API boundary: each public function checks
 its alpha, masses and flow lengths, then calls an unchecked core
 (`_mal_residual`, `_soc_residual`, `_scaled_value`).
-`scaled_optimum` takes an alpha its caller checked.  `com_report` and
-`com_sweep` check each alpha once.  Per alpha they call
+`com_report` and `com_sweep` check each alpha once.  Per alpha they call
 `pure_equilibrium`, which checks alpha again as a public function, and
 `_scaled_value`, which computes the scaled optimum's value without
 building its flow or the attack on it.  What a solver's output can fail
@@ -235,14 +234,7 @@ def scale_strategy(inst: Instance, alpha: float) -> BestResponseResult:
     disagreement signals a solver bug.
     """
     alpha = check_alpha(alpha)
-    ystar, opt_cost_1, _ = unit_optimum(inst)
-    return scaled_optimum(inst, alpha, ystar, opt_cost_1)
-
-
-def scaled_optimum(inst: Instance, alpha: float, ystar: Flow,
-                   opt_cost: float) -> BestResponseResult:
-    """scale_strategy at a checked alpha, given the unit optimum
-    ystar = system_optimum(inst, 1.0) and its cost opt_cost."""
+    ystar, opt_cost_1, spread = unit_optimum(inst)
     scale = 1.0 - alpha
     v = ystar._loads
     loads = {}
@@ -251,24 +243,15 @@ def scaled_optimum(inst: Instance, alpha: float, ystar: Flow,
         loads[k] = scale * v[k]
         total += loads[k]
     y = solver_flow(loads, inst.m, total)
-    return BestResponseResult(y, _scaled_value(inst, alpha, ystar, opt_cost, _spread(inst, ystar)))
-
-
-def _spread(inst: Instance, ystar: Flow) -> float:
-    """a_t y*_t + sum_k b_k y*_k, the alpha-free factor of the expansion."""
-    v = ystar._loads
-    t = _most_damaging(inst.slopes, v, ystar.nonzero)
-    spread = inst.slopes[t] * v.get(t, 0.0)
-    spread += sum(inst.intercepts[k] * v[k] for k in ystar.nonzero)
-    return spread
+    return BestResponseResult(y, _scaled_value(inst, alpha, ystar, opt_cost_1, spread))
 
 
 def _scaled_value(inst: Instance, alpha: float, ystar: Flow, opt_cost: float,
                   spread: float) -> float:
-    """scaled_optimum's value, given also _spread(inst, ystar).
+    """scale_strategy's value, given also the spread that unit_optimum keeps.
 
     That is cost(inst, mal_best_response(inst, y, alpha).flow, y) for the
-    flow y that scaled_optimum builds, with the same floating-point
+    flow y that scale_strategy builds, with the same floating-point
     operations in the same order, but on y's entries alone: neither y nor
     the attack is built as a Flow.  Their checks cannot fail here: y's
     entries are (1 - alpha) y*_k, finite and nonnegative, and sum to y's
@@ -323,21 +306,26 @@ def unit_wardrop(inst: Instance) -> tuple[Flow, float]:
 
 
 def unit_optimum(inst: Instance) -> tuple[Flow, float, float]:
-    """(y*, opt_cost_1, _spread(inst, y*)): the unit optimum y*, its cost
-    and the alpha-free factor of the scaled optimum's expansion, solved on
-    the first call and then read from inst's memo."""
+    """(y*, opt_cost_1, spread): the unit optimum y*, its cost and
+    a_t y*_t + sum_k b_k y*_k, the alpha-free factor of the scaled
+    optimum's expansion (t the link maximizing a_k y*_k), solved on the
+    first call and then read from inst's memo."""
     unit = inst._unit_optimum
     if unit is None:
         ystar, _ = system_optimum(inst, 1.0)
-        unit = ystar, flow_cost(inst, ystar), _spread(inst, ystar)
+        v = ystar._loads
+        t = _most_damaging(inst.slopes, v, ystar.nonzero)
+        spread = inst.slopes[t] * v.get(t, 0.0)
+        spread += sum(inst.intercepts[k] * v[k] for k in ystar.nonzero)
+        unit = ystar, flow_cost(inst, ystar), spread
         object.__setattr__(inst, "_unit_optimum", unit)
     return unit
 
 
 def _unit_solves(inst: Instance) -> tuple[float, Flow, float, float]:
     """The alpha-free part of a report: (nash_cost_1, unit optimum y*,
-    opt_cost_1, _spread(inst, y*)); DegenerateInstance, on every call,
-    when opt_cost_1 is zero."""
+    opt_cost_1, spread), as unit_optimum gives them; DegenerateInstance,
+    on every call, when opt_cost_1 is zero."""
     _, nash_cost_1 = unit_wardrop(inst)
     ystar, opt_cost_1, spread = unit_optimum(inst)
     if opt_cost_1 <= 0.0:

@@ -52,7 +52,7 @@ import json
 import math
 import sys
 from array import array
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 
 from .errors import (
     DimensionMismatch,
@@ -262,6 +262,7 @@ def _entry(v) -> float:
 _set = object.__setattr__  # writes a slot of a Flow, whose own __setattr__ refuses
 
 
+@dataclass(frozen=True, init=False)
 class Flow:
     """A nonnegative allocation over links together with its declared mass.
 
@@ -281,12 +282,15 @@ class Flow:
     links that library code wrote (see solver_flow).  It sums them, and
     applies `_entry` in place to a negative or non-finite one, which
     only a library dict can hold.
-    Equality, hash, repr, pickling and copies are those of a frozen
-    dataclass with the fields values and mass.
+    It is a frozen dataclass with the fields values and mass, which give
+    its equality, hash, repr and match pattern; pickles and copies are
+    rebuilt from them.  `values` is the lazy property below, so
+    dataclasses.fields(Flow) shows that property as the field's default.
     """
 
     __slots__ = ("_loads", "_m", "_values", "mass", "nonzero")
-    __match_args__ = ("values", "mass")
+    values: tuple[float, ...]
+    mass: float
 
     def __init__(self, values, mass):
         _set(self, "mass", check_mass(mass))
@@ -333,23 +337,6 @@ class Flow:
     @property
     def support(self) -> frozenset[int]:
         return frozenset(self.nonzero)
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __repr__(self):
-        return f"{type(self).__qualname__}(values={self.values!r}, mass={self.mass!r})"
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.values, self.mass) == (other.values, other.mass)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.values, self.mass))
 
     def __reduce__(self):
         return type(self), (self.values, self.mass)

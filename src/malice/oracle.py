@@ -30,9 +30,12 @@ There every point has the same reply, value and mass sum, bit for bit,
 so the bound evaluates one point, the grid's first: it is the float
 that every point gives, and its mass check raises the InvalidMass, with
 the message, that the first point evaluated would.  So it does at
-alpha = 0, where every point is the same input.  Both bounds skip a
-NaN value, as a loop over points does, so that no point whose cost is
-0 * inf or inf - inf hides the finite extremum.
+alpha = 0, where every point is the same input, and at alpha = 1, where
+every reply is empty and every value +0.0.  A link that SOC's reply
+leaves empty adds +0.0 to its cost, as a loop that skips it does, not
+the NaN of 0 * inf; and both bounds skip a NaN value, as a loop over
+points does, so that no point whose cost is inf - inf hides the finite
+extremum.
 
 Grid points are unranked from their lexicographic positions, as in the
 combinatorial number system, in chunks of GRID_CHUNK_ROWS points, or
@@ -316,8 +319,9 @@ def _replies(a, b, doubled, alpha, beta, unit):
 
     x = alpha * unit
     _, y = waterfill_rows(doubled, a * x + b, beta)
-    # summed link by link in index order, as a point-by-point loop and Flow would
-    values = _link_sum(y * (a * (x + y) + b))
+    # summed link by link in index order, as a point-by-point loop and Flow
+    # would; a link SOC leaves empty adds +0.0, not the NaN of 0 * inf
+    values = _link_sum(np.where(y != 0.0, y * (a * (x + y) + b), 0.0))
     totals = _link_sum(y)
     check_sum(float(totals[np.argmax(np.abs(totals - beta))]), beta)
     return values, y
@@ -443,12 +447,14 @@ def mal_soc_value(inst: Instance, alpha: float, grid: GridSpec) -> float:
     speed, never the value.  On a whole-grid plateau (see _plateau),
     where the planes are flat, one point, the grid's first, stands for
     all, and no seeds or planes are built; so it does at alpha = 0, where
-    every point is the same input, x = 0.0 * unit.
+    every point is the same input, x = 0.0 * unit, and at alpha = 1, where
+    every reply is empty and every value +0.0.
 
-    Costs overflow as IEEE arithmetic does, without a numpy warning, and
-    a value that is NaN (0 * inf) never enters the maximum, as in a
-    point-by-point loop's `if value > best`: the bound is -inf only if
-    every value is NaN.
+    Costs overflow as IEEE arithmetic does, without a numpy warning.  A
+    link that a reply leaves empty adds +0.0, not the NaN of 0 * inf that
+    its overflowing latency would give, as in a point-by-point loop that
+    skips it; and a NaN value never enters the maximum, as in such a
+    loop's `if value > best`.
     """
     import numpy as np
 
@@ -459,8 +465,9 @@ def mal_soc_value(inst: Instance, alpha: float, grid: GridSpec) -> float:
     best = -math.inf
     with np.errstate(over="ignore", invalid="ignore"):  # IEEE results, as a loop over floats gives
         doubled = 2.0 * a
-        # at alpha = 0 every point is x = 0.0 * unit, the same input
-        plateau = not alpha > 0.0 or _plateau(inst)
+        # at alpha = 0 every point is x = 0.0 * unit, the same input, and at
+        # alpha = 1 every reply is empty and every value +0.0
+        plateau = not 0.0 < alpha < 1.0 or _plateau(inst)
         seeds = None if plateau else _seeds(a, b, alpha, n, m)
         if plateau:
             # one point, from the grid so that its caps hold, stands for them all

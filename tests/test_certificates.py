@@ -18,7 +18,7 @@ from malice import (
     validate,
 )
 from malice.cli import run
-from malice.game import scaled_optimum
+from malice.game import _scaled_value, unit_optimum
 
 INST = validate([(1.0, 0.0), (2.0, 1.0), (3.0, 0.5)])  # every slope positive
 
@@ -81,7 +81,7 @@ def test_corrupt_soc_reply_is_cli_exit_3(corrupt_soc_reply, inst_file, capsys):
 def test_wrong_scale_expansion_fails(corrupt_scaled_value):
     ystar, _ = system_optimum(INST, 1.0)
     with pytest.raises(CertificateFailure, match="expansion"):
-        scaled_optimum(INST, 0.5, ystar, flow_cost(INST, ystar))
+        _scaled_value(INST, 0.5, ystar, flow_cost(INST, ystar), unit_optimum(INST)[2])
     with pytest.raises(CertificateFailure, match="expansion"):
         scale_strategy(INST, 0.5)
     with pytest.raises(CertificateFailure, match="expansion"):
@@ -91,6 +91,7 @@ def test_wrong_scale_expansion_fails(corrupt_scaled_value):
 def test_scale_expansion_judges_the_given_optimum_cost():
     ystar, _ = system_optimum(INST, 1.0)
     opt_cost = flow_cost(INST, ystar)
-    assert scaled_optimum(INST, 0.5, ystar, opt_cost).value > 0.0
+    spread = unit_optimum(INST)[2]
+    assert _scaled_value(INST, 0.5, ystar, opt_cost, spread) > 0.0
     with pytest.raises(CertificateFailure, match="expansion"):
-        scaled_optimum(INST, 0.5, ystar, 1.01 * opt_cost)
+        _scaled_value(INST, 0.5, ystar, 1.01 * opt_cost, spread)

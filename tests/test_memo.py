@@ -14,6 +14,7 @@ import pytest
 
 from malice import (
     DegenerateInstance,
+    Flow,
     InvalidMass,
     com_report,
     com_sweep,
@@ -43,10 +44,10 @@ def _plain(value):
     """Reports, sweep rows, replies and flows as nested tuples of their fields."""
     if isinstance(value, list):
         return [_plain(v) for v in value]
+    if isinstance(value, Flow):  # a dataclass too, whose fields omit nonzero
+        return value.values, value.mass, value.nonzero
     if hasattr(value, "__dataclass_fields__"):
         return tuple(_plain(getattr(value, name)) for name in value.__dataclass_fields__)
-    if hasattr(value, "_loads"):  # a Flow
-        return value.values, value.mass, value.nonzero
     return value
 
 

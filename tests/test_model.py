@@ -3,7 +3,7 @@ import math
 import pickle
 import random
 import sys
-from dataclasses import FrozenInstanceError
+from dataclasses import MISSING, FrozenInstanceError, asdict, fields, replace
 
 import pytest
 
@@ -293,20 +293,32 @@ def test_flow_checks_short_and_long_flows_alike(pad):
 def test_instance_and_flow_attributes_are_read_only():
     inst = validate([(2, 1), (0, 3)])
     f = Flow((0.0, 1.0), 1.0)
-    for obj, attrs in ((inst, ("links", "m", "slopes", "intercepts", "doubled_slopes", "order")),
-                       (f, ("values", "mass", "nonzero", "support"))):
+    for obj, attrs in ((inst, ("links", "m", "slopes", "intercepts", "doubled_slopes", "order", "other")),
+                       (f, ("values", "mass", "nonzero", "support", "_loads", "other"))):
         for name in attrs:
             with pytest.raises(FrozenInstanceError):
                 setattr(obj, name, None)
             with pytest.raises(FrozenInstanceError):
                 delattr(obj, name)
     assert (inst.m, inst.intercepts, f.nonzero) == (2, (1.0, 3.0), (1,))
+    # Flow is a frozen dataclass over values, the lazy property, and mass;
+    # a replaced flow is built, and checked, anew
+    assert [(field.name, field.default) for field in fields(Flow)] == [("values", Flow.__dict__["values"]),
+                                                                         ("mass", MISSING)]
+    g = replace(f, values=(0.5, 0.5))
+    assert (g, g.nonzero) == (Flow((0.5, 0.5), 1.0), (0, 1))
+    with pytest.raises(InvalidMass, match="sum to 1.0, declared mass 2.0"):
+        replace(f, mass=2.0)
 
 
 def test_flow_equals_only_flows():
     f = Flow((0.25, 0.75), 1.0)
     assert f.__eq__((f.values, f.mass)) is NotImplemented
     assert (f == (f.values, f.mass)) is False
+    # as a record, a flow is its two fields
+    profile = Profile(mal=Flow((0.25, 0.0), 0.25), soc=Flow((0.25, 0.5), 0.75), alpha=0.25)
+    assert asdict(profile) == {"mal": {"values": (0.25, 0.0), "mass": 0.25},
+                               "soc": {"values": (0.25, 0.5), "mass": 0.75}, "alpha": 0.25}
 
 
 def test_profile_rejects_a_social_mass_off_one_minus_alpha():

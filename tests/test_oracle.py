@@ -606,12 +606,14 @@ def test_a_whole_grid_plateau_raises_the_full_paths_errors(monkeypatch):
 
 
 def _every_point(inst, alpha, grid):
-    """The lower bound over every grid point, through the one evaluation path."""
+    """The lower bound over every grid point, through the one evaluation
+    path, overflowing as the bound does, without a numpy warning."""
     a, b = np.array(inst.slopes), np.array(inst.intercepts)
     best = -math.inf
-    for unit in _unit_chunks(_resolution(grid), inst.m):
-        values, _ = _replies(a, b, 2.0 * a, alpha, 1.0 - alpha, unit)
-        best = max(best, float(np.fmax.reduce(values)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for unit in _unit_chunks(_resolution(grid), inst.m):
+            values, _ = _replies(a, b, 2.0 * a, alpha, 1.0 - alpha, unit)
+            best = max(best, float(np.fmax.reduce(values)))
     return best
 
 
@@ -622,29 +624,37 @@ def test_at_alpha_zero_one_point_stands_for_the_grid(monkeypatch):
         rows.append(len(intercepts))
         return waterfill_rows(slopes, intercepts, mass)
 
-    # every point is x = 0.0 * unit, so SOC's reply is the same everywhere
+    # at alpha = 0 every point is x = 0.0 * unit, so SOC's reply is the same
+    # everywhere; at alpha = 1 every reply is empty and costs +0.0, also
+    # where a link's shifted latency overflows
     instances = [random_instance(seed=60 + k, m=1 + k % 5) for k in range(25)]
     instances += [inst for inst in wide_ensemble(12, seed=9) if inst.m <= 5] + PLATEAUS
+    instances += [validate([(0, 1), (1.5e308, 1.5e308)]),
+                  validate([(1.1899077126981167e308, 1.5197918592478728e308),
+                            (1.6683424528743423e308, 7.773237168161442e307)])]
     monkeypatch.setattr(malice.oracle, "waterfill_rows", counted)
-    for inst in instances:
-        for n in (1, 3, 20):
-            rows.clear()
-            outcome = _outcome(mal_soc_value, inst, 0.0, GridSpec(n))
-            assert rows == [1], (inst, n)
-            if isinstance(outcome, str):  # not a wide instance's InvalidMass
-                assert outcome == reference_mal_soc_value(inst, 0.0, n).hex(), (inst, n)
-            assert outcome == _outcome(_every_point, inst, 0.0, GridSpec(n)), (inst, n)
+    for alpha in (0.0, 1.0):
+        for inst in instances:
+            for n in (1, 3, 20):
+                rows.clear()
+                outcome = _outcome(mal_soc_value, inst, alpha, GridSpec(n))
+                assert rows == [1], (inst, alpha, n)
+                if isinstance(outcome, str):  # not a wide instance's InvalidMass
+                    assert outcome == reference_mal_soc_value(inst, alpha, n).hex(), (inst, alpha, n)
+                assert outcome == _outcome(_every_point, inst, alpha, GridSpec(n)), (inst, alpha, n)
     # and it raises what evaluating every point raises, with the message
     stranded = [validate([(1e-17, 1.0)]), validate([(1e-17, 1.0), (3e-17, 1.0)])]
     grids = [GridSpec(4), GridSpec(DEFAULT_POINT_CAP + 1), GridSpec(2000), 7, SimpleNamespace(resolution=-1)]
-    outcomes = [_outcome(mal_soc_value, inst, 0.0, grid) for inst in stranded + PLATEAUS[:1] for grid in grids]
-    assert [kind for kind, _ in outcomes[:2]] == [InvalidMass, GridTooLarge]
-    assert outcomes == [_outcome(_every_point, inst, 0.0, grid) for inst in stranded + PLATEAUS[:1] for grid in grids]
+    cases = [(inst, grid) for inst in stranded + PLATEAUS[:1] for grid in grids]
+    for alpha, first in ((0.0, InvalidMass), (1.0, "0x0.0p+0")):  # at alpha = 1 no mass is missed
+        outcomes = [_outcome(mal_soc_value, inst, alpha, grid) for inst, grid in cases]
+        assert [o if isinstance(o, str) else o[0] for o in outcomes[:2]] == [first, GridTooLarge]
+        assert outcomes == [_outcome(_every_point, inst, alpha, grid) for inst, grid in cases]
 
 
 def test_a_nan_row_hides_neither_bound():
-    # 0 * inf costs are NaN at the points that load the huge link, and the
-    # inf - inf of the upper bound's swap at others; every bound is still
+    # replies that leave the huge link empty, which 0 * inf would make NaN,
+    # and the inf - inf of the upper bound's swap; every bound is still
     # the reference's float, with no RuntimeWarning
     cases = [(validate([(0, 1), (1.5e308, 1.5e308)]), alpha, n)
              for alpha in (0.0, 0.3, 0.5, 0.9, 1.0) for n in (1, 2, 10, 30, 100)]
@@ -656,6 +666,30 @@ def test_a_nan_row_hides_neither_bound():
         assert math.isfinite(lower) and math.isfinite(upper)
         assert mal_soc_value(inst, alpha, GridSpec(n)).hex() == lower.hex(), (inst, alpha, n)
         assert soc_mal_value(inst, alpha, GridSpec(n)).hex() == upper.hex(), (inst, alpha, n)
+    # every point's reply leaves empty a link whose shifted latency
+    # overflows: that link adds +0.0 to the cost, not the NaN of 0 * inf
+    inst = validate([(1.1899077126981167e308, 1.5197918592478728e308),
+                     (1.6683424528743423e308, 7.773237168161442e307)])
+    lower = mal_soc_value(inst, 0.9, GridSpec(2))
+    assert lower.hex() == reference_mal_soc_value(inst, 0.9, 2).hex() == (1.6949120658970322e307).hex()
+    # all-huge links, whose replies' masses often overflow: wherever no
+    # reply misses its mass, both bounds are the references' floats
+    rng = random.Random(41)
+    compared = 0
+    for _ in range(300):
+        inst = validate([(rng.uniform(1e307, 1.7e308), rng.uniform(1e307, 1.7e308))
+                         for _ in range(rng.choice([2, 3]))])
+        alpha = rng.choice([0.0, 0.3, 0.5, 0.9, 1.0, rng.random()])
+        n = rng.choice([1, 2, 3, 5, 10])
+        upper = reference_soc_mal_value(inst, alpha, n)
+        assert soc_mal_value(inst, alpha, GridSpec(n)).hex() == upper.hex(), (inst, alpha, n)
+        try:
+            lower = mal_soc_value(inst, alpha, GridSpec(n))
+        except InvalidMass:
+            continue
+        assert lower.hex() == reference_mal_soc_value(inst, alpha, n).hex(), (inst, alpha, n)
+        compared += 1
+    assert compared > 150
 
 
 def _nearest_point(inst, alpha, n):
