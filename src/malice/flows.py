@@ -224,7 +224,7 @@ def _solve(slopes, intercepts, beta, order) -> tuple[Flow, WaterLevel]:
     beta = check_mass(beta)
     level, loads = waterfill(slopes, intercepts, beta, order)
     flow = solver_flow(loads, len(slopes), beta)
-    return flow, WaterLevel(level, flow.support)
+    return flow, WaterLevel(level, frozenset(flow.nonzero))
 
 
 def wardrop_flow(inst: Instance, beta: float) -> tuple[Flow, WaterLevel]:

@@ -8,12 +8,12 @@ latencies, and the two residual checks below certify mutual best
 response machine-checkably.
 
 Inputs are checked at the API boundary: each public function checks
-its alpha, masses and flow lengths, then calls an unchecked core
-(`_mal_residual`, `_soc_residual`, `_scaled_value`).
+its alpha, masses and flow lengths.  `pure_equilibrium` certifies its
+profile with the public residuals `check_mal_br` and `check_soc_br`.
 `com_report` and `com_sweep` check each alpha once.  Per alpha they call
 `pure_equilibrium`, which checks alpha again as a public function, and
-`_scaled_value`, which computes the scaled optimum's value without
-building its flow or the attack on it.  What a solver's output can fail
+`_scaled_optimum`, which gives the entries and value of `scale_strategy`'s
+flow without building it or the attack on it.  What a solver's output can fail
 is checked on every alpha: each solver flow's entries and sum, both
 residuals, and the scaled optimum's expansion.  A flow's entries are a
 `{link: load}` dict (see model), so every reader here takes a link it
@@ -111,11 +111,6 @@ def check_mal_br(inst: Instance, x: Flow, y: Flow) -> float:
     link's a_i y_i, and zero when x has no support above CHECK_TOL.
     """
     check_links(inst, x, y)
-    return _mal_residual(inst, x, y)
-
-
-def _mal_residual(inst: Instance, x: Flow, y: Flow) -> float:
-    """check_mal_br on flows of inst's length."""
     a = inst.slopes
     xv = x._loads
     yv = y._loads
@@ -131,14 +126,10 @@ def check_soc_br(inst: Instance, x: Flow, y: Flow) -> float:
 
     y is optimal iff every loaded link has minimal induced marginal cost
     2 a_i y_i + a_i x_i + b_i; the residual is the worst loaded marginal
-    minus the smallest marginal anywhere, floored at zero.
+    minus the smallest marginal anywhere, floored at zero.  A NaN
+    residual stays NaN, so that no certificate passes on it.
     """
     check_links(inst, x, y)
-    return _soc_residual(inst, x, y)
-
-
-def _soc_residual(inst: Instance, x: Flow, y: Flow) -> float:
-    """check_soc_br on flows of inst's length."""
     a = inst.slopes
     b = inst.intercepts
     xv = x._loads
@@ -157,11 +148,13 @@ def _soc_residual(inst: Instance, x: Flow, y: Flow) -> float:
             yk = yv.get(k, 0.0)
             if yk > CHECK_TOL:
                 continue
-            marginal = 2.0 * a[k] * yk + a[k] * xv.get(k, 0.0) + b[k]
+            # an unloaded link's 2 a_k y_k is 0.0, not the NaN of
+            # 2 a_k = inf times 0.0 when a_k > 2**1023
+            marginal = (2.0 * a[k] * yk if yk else 0.0) + a[k] * xv.get(k, 0.0) + b[k]
             if marginal < low:
                 low = marginal
     residual = max(loaded) - low
-    return residual if residual > 0.0 else 0.0
+    return 0.0 if residual < 0.0 else residual
 
 
 def pure_equilibrium(inst: Instance, alpha: float) -> tuple[Profile, EquilibriumCertificate]:
@@ -180,10 +173,10 @@ def pure_equilibrium(inst: Instance, alpha: float) -> tuple[Profile, Equilibrium
     x, _ = wardrop_flow(inst, alpha)
     y, _ = induced_optimum(inst, x, _soc_mass(x))
     value = cost(inst, x, y)
-    mal_residual = _mal_residual(inst, x, y)
-    soc_residual = _soc_residual(inst, x, y)
+    mal_residual = check_mal_br(inst, x, y)
+    soc_residual = check_soc_br(inst, x, y)
     certificate = EquilibriumCertificate(mal_residual, soc_residual, value)
-    if mal_residual > CERT_FAIL_TOL or soc_residual > CERT_FAIL_TOL:
+    if not (mal_residual <= CERT_FAIL_TOL and soc_residual <= CERT_FAIL_TOL):  # NaN fails too
         raise CertificateFailure(
             f"equilibrium residuals ({mal_residual}, {soc_residual}) exceed {CERT_FAIL_TOL}"
         )
@@ -234,28 +227,24 @@ def scale_strategy(inst: Instance, alpha: float) -> BestResponseResult:
     disagreement signals a solver bug.
     """
     alpha = check_alpha(alpha)
-    ystar, opt_cost_1, spread = unit_optimum(inst)
-    scale = 1.0 - alpha
-    v = ystar._loads
-    loads = {}
+    loads, value = _scaled_optimum(inst, alpha, *unit_optimum(inst))
     total = 0.0
-    for k in ystar.nonzero:
-        loads[k] = scale * v[k]
-        total += loads[k]
-    y = solver_flow(loads, inst.m, total)
-    return BestResponseResult(y, _scaled_value(inst, alpha, ystar, opt_cost_1, spread))
+    for v in loads.values():
+        total += v
+    return BestResponseResult(solver_flow(loads, inst.m, total), value)
 
 
-def _scaled_value(inst: Instance, alpha: float, ystar: Flow, opt_cost: float,
-                  spread: float) -> float:
-    """scale_strategy's value, given also the spread that unit_optimum keeps.
+def _scaled_optimum(inst: Instance, alpha: float, ystar: Flow, opt_cost: float,
+                    spread: float) -> tuple[dict, float]:
+    """(loads, value): the entries {k: (1 - alpha) y*_k} of scale_strategy's
+    flow y and its value, given also the spread that unit_optimum keeps.
 
-    That is cost(inst, mal_best_response(inst, y, alpha).flow, y) for the
-    flow y that scale_strategy builds, with the same floating-point
-    operations in the same order, but on y's entries alone: neither y nor
-    the attack is built as a Flow.  Their checks cannot fail here: y's
-    entries are (1 - alpha) y*_k, finite and nonnegative, and sum to y's
-    mass in the order the check sums them.
+    The value is cost(inst, mal_best_response(inst, y, alpha).flow, y),
+    with the same floating-point operations in the same order, but on
+    y's entries alone: neither y nor the attack is built as a Flow.
+    Their checks cannot fail here: the entries are finite and
+    nonnegative, and sum, in the dict's order, to the mass that
+    scale_strategy declares.
     """
     scale = 1.0 - alpha
     v = ystar._loads
@@ -268,7 +257,7 @@ def _scaled_value(inst: Instance, alpha: float, ystar: Flow, opt_cost: float,
         raise CertificateFailure(
             f"scaled-optimum value {value} disagrees with its expansion {expansion}"
         )
-    return value
+    return y, value
 
 
 def com_report(inst: Instance, alpha: float) -> ComReport:
@@ -280,7 +269,7 @@ def com_report(inst: Instance, alpha: float) -> ComReport:
     alpha = check_com_alpha(alpha)
     nash_cost_1, ystar, opt_cost_1, spread = _unit_solves(inst)
     _, certificate = pure_equilibrium(inst, alpha)
-    scale_value = _scaled_value(inst, alpha, ystar, opt_cost_1, spread)
+    _, scale_value = _scaled_optimum(inst, alpha, ystar, opt_cost_1, spread)
     return ComReport(
         alpha=alpha,
         eq_value=certificate.value,
@@ -365,7 +354,7 @@ def com_sweep(inst: Instance, alphas) -> list[SweepRow]:
             unit = _unit_solves(inst)
         _, ystar, opt_cost_1, spread = unit
         _, certificate = pure_equilibrium(inst, alpha)
-        scale_value = _scaled_value(inst, alpha, ystar, opt_cost_1, spread)
+        _, scale_value = _scaled_optimum(inst, alpha, ystar, opt_cost_1, spread)
         baseline = (1.0 - alpha) * opt_cost_1
         rows.append(
             SweepRow(

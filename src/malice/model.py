@@ -27,8 +27,7 @@ A Flow stores its length and its entries as such a dict: every link
 that is not in it holds +0.0, so a report that never reads `values`
 costs O(support), not O(m).  The public constructor keeps every entry
 that is not +0.0, so a -0.0 entry reads back as itself.  The dense tuple
-`values` is built on first read and kept.  Two threads reading it first
-at once may each build one; the tuples are equal, and either is kept.
+`values` is built from the dict on each read.
 
 Every type in this module is immutable after construction and every
 operation is a pure function, so everything here is safe to share across
@@ -39,8 +38,8 @@ returns), and a Flow's `nonzero`.  Each is built once and never
 changed, and none of it enters repr, == or hash.
 An Instance also keeps `_unit_wardrop` and `_unit_optimum`, the memo of
 its alpha-free unit solves (see game.unit_wardrop): None until the game
-first solves one, then a tuple set once and never changed.  As with
-`Flow.values`, two threads may each fill one; the results are equal.
+first solves one, then a tuple set once and never changed.  Two
+threads may each fill one; the results are equal.
 The memo enters neither repr, == nor hash, and pickles and copies,
 rebuilt from the links, start without it.
 An instance stores a -0.0 coefficient as +0.0, so its intercept order is
@@ -284,11 +283,11 @@ class Flow:
     only a library dict can hold.
     It is a frozen dataclass with the fields values and mass, which give
     its equality, hash, repr and match pattern; pickles and copies are
-    rebuilt from them.  `values` is the lazy property below, so
+    rebuilt from them.  `values` is the property below, so
     dataclasses.fields(Flow) shows that property as the field's default.
     """
 
-    __slots__ = ("_loads", "_m", "_values", "mass", "nonzero")
+    __slots__ = ("_loads", "_m", "mass", "nonzero")
     values: tuple[float, ...]
     mass: float
 
@@ -302,7 +301,6 @@ class Flow:
         _set(self, "_m", len(entries))
         # every entry but +0.0, so that a -0.0 one reads back as itself
         _set(self, "_loads", {i: v for i, v in enumerate(entries) if v or math.copysign(1.0, v) < 0.0})
-        _set(self, "_values", None)
         self.__post_init__()
 
     def __post_init__(self):
@@ -315,7 +313,6 @@ class Flow:
                 if not 0.0 < v < math.inf:
                     # only a library dict holds such an entry
                     loads[i] = _entry(v)  # raises, or clamps noise to 0.0
-                    _set(self, "_values", None)  # an early read of values holds the noise
                     continue
                 total += v
                 nonzero.append(i)
@@ -325,18 +322,10 @@ class Flow:
     @property
     def values(self) -> tuple[float, ...]:
         """The entries as a tuple of floats, one per link."""
-        values = self._values
-        if values is None:
-            dense = [0.0] * self._m
-            for i, v in self._loads.items():
-                dense[i] = v
-            values = tuple(dense)
-            _set(self, "_values", values)
-        return values
-
-    @property
-    def support(self) -> frozenset[int]:
-        return frozenset(self.nonzero)
+        dense = [0.0] * self._m
+        for i, v in self._loads.items():
+            dense[i] = v
+        return tuple(dense)
 
     def __reduce__(self):
         return type(self), (self.values, self.mass)
@@ -356,7 +345,6 @@ def solver_flow(loads: dict, m: int, mass: float) -> Flow:
     flow = Flow.__new__(Flow)
     _set(flow, "_loads", loads)
     _set(flow, "_m", m)
-    _set(flow, "_values", None)
     _set(flow, "mass", mass)
     flow.__post_init__()
     return flow

@@ -2,12 +2,18 @@
 makes every entry point that relies on it raise CertificateFailure, and the
 CLI exit with status 3."""
 
+import math
+import random
+
 import pytest
 
 import malice.game
 from malice import (
     CertificateFailure,
     Flow,
+    InvalidFlow,
+    check_mal_br,
+    check_soc_br,
     com_report,
     com_sweep,
     emit_instance,
@@ -18,7 +24,7 @@ from malice import (
     validate,
 )
 from malice.cli import run
-from malice.game import _scaled_value, unit_optimum
+from malice.game import _scaled_optimum, unit_optimum
 
 INST = validate([(1.0, 0.0), (2.0, 1.0), (3.0, 0.5)])  # every slope positive
 
@@ -81,7 +87,7 @@ def test_corrupt_soc_reply_is_cli_exit_3(corrupt_soc_reply, inst_file, capsys):
 def test_wrong_scale_expansion_fails(corrupt_scaled_value):
     ystar, _ = system_optimum(INST, 1.0)
     with pytest.raises(CertificateFailure, match="expansion"):
-        _scaled_value(INST, 0.5, ystar, flow_cost(INST, ystar), unit_optimum(INST)[2])
+        _scaled_optimum(INST, 0.5, ystar, flow_cost(INST, ystar), unit_optimum(INST)[2])
     with pytest.raises(CertificateFailure, match="expansion"):
         scale_strategy(INST, 0.5)
     with pytest.raises(CertificateFailure, match="expansion"):
@@ -92,6 +98,50 @@ def test_scale_expansion_judges_the_given_optimum_cost():
     ystar, _ = system_optimum(INST, 1.0)
     opt_cost = flow_cost(INST, ystar)
     spread = unit_optimum(INST)[2]
-    assert _scaled_value(INST, 0.5, ystar, opt_cost, spread) > 0.0
+    assert _scaled_optimum(INST, 0.5, ystar, opt_cost, spread)[1] > 0.0
     with pytest.raises(CertificateFailure, match="expansion"):
-        _scaled_value(INST, 0.5, ystar, 1.01 * opt_cost, spread)
+        _scaled_optimum(INST, 0.5, ystar, 1.01 * opt_cost, spread)
+
+
+# D18: where a_k > 2**1023, 2 a_k overflows to inf.  The residual scan must
+# not read an unloaded link's 2 a_k y_k as inf * 0.0 = NaN, which never
+# lowers the smallest marginal, and a NaN residual must fail the certificate
+TOP_OF_RANGE = [(6.189197494123352e+307, 2.8455958946280706e+307),
+                (1.0393195227402131e+308, 6.364327650675484e+307)]
+
+
+def test_a_top_of_range_equilibrium_is_not_certified(tmp_path, capsys):
+    inst = validate(TOP_OF_RANGE)
+    with pytest.raises(CertificateFailure, match="equilibrium residuals"):
+        pure_equilibrium(inst, 0.5)
+    path = tmp_path / "top.json"
+    path.write_text(emit_instance(inst) + "\n")
+    assert run(["equilibrium", "--instance", str(path), "--alpha", "0.5"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "equilibrium residuals" in captured.err
+
+
+def test_a_nan_soc_residual_stays_nan():
+    # both loaded marginals read inf, and inf - inf is NaN, not a zero residual
+    inst = validate([(1.7e308, 0.0), (1.7e308, 0.0)])
+    assert math.isnan(check_soc_br(inst, Flow((0.0, 0.0), 0.0), Flow((0.5, 0.5), 1.0)))
+
+
+def test_top_of_range_certificates_hold_on_the_scaled_instance():
+    # scaling every coefficient by 2**-1024 is exact here and leaves the
+    # equilibrium as it is, so a certified profile must pass there too
+    rng = random.Random(0)
+    certified = 0
+    for _ in range(1000):
+        m = rng.choice((2, 3))
+        links = [(rng.uniform(1e307, 1.7e308), rng.uniform(1e307, 1.7e308)) for _ in range(m)]
+        try:
+            profile, _ = pure_equilibrium(validate(links), 0.5)
+        except (CertificateFailure, InvalidFlow):
+            continue
+        small = validate([(math.ldexp(a, -1024), math.ldexp(b, -1024)) for a, b in links])
+        x, y = profile.mal, profile.soc
+        assert check_mal_br(small, x, y) <= 1e-6 and check_soc_br(small, x, y) <= 1e-6, links
+        certified += 1
+    assert certified >= 200

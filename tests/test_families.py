@@ -12,6 +12,7 @@ from malice import (
     network_demo,
     pigou,
     random_instance,
+    scale_strategy,
     system_optimum,
     tight,
     validate,
@@ -21,7 +22,7 @@ from malice import (
 from malice.families import MAX_LINKS
 from malice.flows import waterfill
 
-from _support import count_calls, wide_ensemble
+from _support import bits, count_calls, wide_ensemble
 
 
 def test_pigou_constructor():
@@ -179,6 +180,7 @@ def test_sweep_rows_match_com_report():
             assert (row.eq_value, row.com, row.bound_43, row.bound_scale) == (
                 report.eq_value, report.com, report.bound_43, report.bound_scale)
             assert row.scale_com == report.scale_value / ((1 - row.alpha) * report.opt_cost_1)
+            assert bits(scale_strategy(inst, row.alpha).value) == bits(report.scale_value)
 
 
 def test_sweep_solves_unit_flows_once(monkeypatch):

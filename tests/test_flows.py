@@ -395,7 +395,7 @@ def test_induced_optimum_on_arbitrary_loads_equals_dense_solve_bitwise():
             continue
         flow, level = induced_optimum(inst, x, beta)
         assert bits((level.level, flow.values)) == bits((want_level, want.values)), (inst, x, beta)
-        assert level.support == want.support
+        assert level.support == frozenset(want.nonzero)
 
 
 def _solver_flow_cases():
@@ -527,7 +527,6 @@ def test_unread_solver_flows_behave_as_flows_checked_in_full():
             for f, g in zip(_fresh_flows(inst, alpha), full):
                 assert pickle.loads(pickle.dumps(f)) == g and copy.deepcopy(f) == g
     f = wardrop_flow(random_instance(seed=BASE_SEED + 18, m=6), 1.0)[0]
-    assert f.values is f.values
     assert type(f.values) is tuple
     with pytest.raises(AttributeError):
         f.mass = 2.0

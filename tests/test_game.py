@@ -5,7 +5,7 @@ import tracemalloc
 import pytest
 
 from malice.flows import waterfill
-from malice.game import _most_damaging, _scaled_value, unit_optimum
+from malice.game import _most_damaging, _scaled_optimum, unit_optimum
 
 from malice import (
     DegenerateInstance,
@@ -357,7 +357,7 @@ def test_scaled_value_is_the_cost_of_the_attack_on_the_scaled_flow_bitwise():
             total += (1.0 - alpha) * v
         assert y == Flow(tuple((1.0 - alpha) * v for v in ystar.values), total), (inst, alpha)
         want = cost(inst, mal_best_response(inst, y, alpha).flow, y)
-        got = _scaled_value(inst, alpha, ystar, opt_cost, unit_optimum(inst)[2])
+        _, got = _scaled_optimum(inst, alpha, ystar, opt_cost, unit_optimum(inst)[2])
         assert bits(got) == bits(want), (inst, alpha)
         checked += 1
     assert checked > 1400
@@ -365,7 +365,7 @@ def test_scaled_value_is_the_cost_of_the_attack_on_the_scaled_flow_bitwise():
     # overflows: both sides read 0 * inf there
     inst = validate([(1e308, 1e308), (0.0, 0.0)])
     ystar, _ = system_optimum(inst, 1.0)
-    assert bits(_scaled_value(inst, 0.9, ystar, 0.0, unit_optimum(inst)[2])) == "nan"
+    assert bits(_scaled_optimum(inst, 0.9, ystar, 0.0, unit_optimum(inst)[2])[1]) == "nan"
 
 
 def test_pure_equilibrium_profile_equals_the_checked_profile():

@@ -137,7 +137,7 @@ def test_cost_zero_adversary_equals_flow_cost_bitwise():
 def test_flow_clamps_tiny_negative():
     f = Flow((-1e-13, 0.5), 0.5)
     assert f.values == (0.0, 0.5)
-    assert f.support == frozenset({1})
+    assert frozenset(f.nonzero) == frozenset({1})
 
 
 def test_flow_rejects_bad_entries():
@@ -160,7 +160,7 @@ def test_zero_flow():
     f = Flow((0.0,) * 3, 0.0)
     assert f.values == (0.0, 0.0, 0.0)
     assert f.mass == 0.0
-    assert f.support == frozenset()
+    assert frozenset(f.nonzero) == frozenset()
 
 
 def test_profile_checks():

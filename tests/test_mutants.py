@@ -43,7 +43,7 @@ def test_fill_stops_at_an_intercept_the_demand_exactly_reaches():
 
 
 def test_an_adversary_entry_of_exactly_the_tolerance_is_not_support():
-    # game._mal_residual: only x entries above CHECK_TOL (1e-9) count as
+    # game.check_mal_br: only x entries above CHECK_TOL (1e-9) count as
     # loaded; link 0, at exactly 1e-9, would otherwise add a 0.3 shortfall
     inst = validate([(1.0, 0.0), (1.0, 0.0)])
     y = Flow((0.1, 0.4), 0.5)
@@ -52,7 +52,7 @@ def test_an_adversary_entry_of_exactly_the_tolerance_is_not_support():
 
 
 def test_a_social_entry_of_exactly_the_tolerance_is_scanned():
-    # game._soc_residual: the intercept-order scan skips only the links whose
+    # game.check_soc_br: the intercept-order scan skips only the links whose
     # y entries are above CHECK_TOL (1e-9), whose marginals it already has;
     # link 0, at exactly 1e-9, has the smallest marginal, 2e-9, which sets
     # the residual (skipped, it would leave the residual at 0.0)
