@@ -120,7 +120,7 @@ def _cmd_verify(args) -> int:
         "bracket_contains_value": contains,
         "ok": ok,
     }, inst)
-    print(f"verify: {points} points per direction in {elapsed:.3f}s", file=sys.stderr)
+    print(f"verify: {points} grid points per direction in {elapsed:.3f}s", file=sys.stderr)
     return EXIT_OK if ok else EXIT_CERTIFICATE
 
 

@@ -58,7 +58,8 @@ class InvalidRange(ValidationError):
 
 
 class DegenerateInstance(ValidationError):
-    """Cost-of-malice ratios are undefined when the unit optimum cost is zero."""
+    """Cost-of-malice ratios are undefined where (1 - alpha) times the unit
+    optimum cost is not positive: zero, or a product that underflows."""
 
 
 class GridTooLarge(ValidationError):

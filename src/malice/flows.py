@@ -307,4 +307,4 @@ def flow_cost(inst: Instance, f: Flow) -> float:
     """Total cost sum_k f_k * (a_k f_k + b_k) of a single flow: its cost
     against no adversary, as 0.0 + f_k is f_k bit for bit for f_k != 0."""
     check_links(inst, f)
-    return profile_cost(inst.links, {}, (), f._loads, f.nonzero)
+    return profile_cost(inst.links, {}, f._loads, f.nonzero)

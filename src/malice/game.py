@@ -251,7 +251,7 @@ def _scaled_optimum(inst: Instance, alpha: float, ystar: Flow, opt_cost: float,
     y = {k: scale * v[k] for k in ystar.nonzero}
     nonzero = [k for k in ystar.nonzero if y[k]]
     t = _most_damaging(inst.slopes, y, nonzero)
-    value = profile_cost(inst.links, {t: alpha}, (t,) if alpha else (), y, nonzero)
+    value = profile_cost(inst.links, {t: alpha}, y, nonzero)
     expansion = (1.0 - alpha) ** 2 * opt_cost + alpha * (1.0 - alpha) * spread
     if abs(value - expansion) > CERT_FAIL_TOL * max(1.0, abs(value)):
         raise CertificateFailure(
@@ -263,11 +263,12 @@ def _scaled_optimum(inst: Instance, alpha: float, ystar: Flow, opt_cost: float,
 def com_report(inst: Instance, alpha: float) -> ComReport:
     """Assemble the equilibrium value, cost of malice, and all bounds.
 
-    Undefined at alpha = 1 (the ratio divides by the social mass) and on
-    instances whose unit optimum cost is zero.
+    Undefined at alpha = 1 (the ratio divides by the social mass) and
+    where (1 - alpha) * opt_cost_1 is not positive (see _baseline).
     """
     alpha = check_com_alpha(alpha)
     nash_cost_1, ystar, opt_cost_1, spread = _unit_solves(inst)
+    baseline = _baseline(alpha, opt_cost_1)
     _, certificate = pure_equilibrium(inst, alpha)
     _, scale_value = _scaled_optimum(inst, alpha, ystar, opt_cost_1, spread)
     return ComReport(
@@ -275,7 +276,7 @@ def com_report(inst: Instance, alpha: float) -> ComReport:
         eq_value=certificate.value,
         nash_cost_1=nash_cost_1,
         opt_cost_1=opt_cost_1,
-        com=certificate.value / ((1.0 - alpha) * opt_cost_1),
+        com=certificate.value / baseline,
         bound_43=4.0 / 3.0,
         bound_scale=1.0 + alpha / 2.0,
         scale_value=scale_value,
@@ -313,13 +314,20 @@ def unit_optimum(inst: Instance) -> tuple[Flow, float, float]:
 
 def _unit_solves(inst: Instance) -> tuple[float, Flow, float, float]:
     """The alpha-free part of a report: (nash_cost_1, unit optimum y*,
-    opt_cost_1, spread), as unit_optimum gives them; DegenerateInstance,
-    on every call, when opt_cost_1 is zero."""
+    opt_cost_1, spread), as unit_optimum gives them."""
     _, nash_cost_1 = unit_wardrop(inst)
-    ystar, opt_cost_1, spread = unit_optimum(inst)
-    if opt_cost_1 <= 0.0:
-        raise DegenerateInstance("unit optimum cost is zero; cost of malice undefined")
-    return nash_cost_1, ystar, opt_cost_1, spread
+    return (nash_cost_1, *unit_optimum(inst))
+
+
+def _baseline(alpha: float, opt_cost_1: float) -> float:
+    """(1 - alpha) * opt_cost_1, the divisor of every cost-of-malice ratio;
+    DegenerateInstance, checked before the equilibrium is solved, where it
+    is not positive: a zero opt_cost_1, or a product that underflows."""
+    baseline = (1.0 - alpha) * opt_cost_1
+    if not baseline > 0.0:
+        reason = "is zero" if opt_cost_1 == 0.0 else f"times {1.0 - alpha} underflows to 0.0"
+        raise DegenerateInstance(f"unit optimum cost {reason}; cost of malice undefined")
+    return baseline
 
 
 @dataclass(frozen=True)
@@ -353,9 +361,9 @@ def com_sweep(inst: Instance, alphas) -> list[SweepRow]:
         if unit is None:
             unit = _unit_solves(inst)
         _, ystar, opt_cost_1, spread = unit
+        baseline = _baseline(alpha, opt_cost_1)
         _, certificate = pure_equilibrium(inst, alpha)
         _, scale_value = _scaled_optimum(inst, alpha, ystar, opt_cost_1, spread)
-        baseline = (1.0 - alpha) * opt_cost_1
         rows.append(
             SweepRow(
                 alpha=alpha,

@@ -422,27 +422,22 @@ class ComReport:
 def cost(inst: Instance, x: Flow, y: Flow) -> float:
     """SOC's cost sum_k y_k * (a_k (x_k + y_k) + b_k) at the profile (x, y).
 
-    Summed in index order over the links y loads.  Elsewhere a term is
-    0 * (a_k x_k + b_k): exactly zero, which leaves the sum as it is, or
-    NaN where a_k x_k + b_k overflows, which makes it NaN wherever it is
-    added; so those terms are added only where x loads the link.
+    Summed in index order over the links y loads.  A link that y leaves
+    empty adds nothing: not its term 0 * (a_k x_k + b_k), which is NaN
+    where that latency overflows.  Every cost of SOC in this package,
+    its best replies' and the oracle's bounds included, follows this rule.
     """
     check_links(inst, x, y)
-    return profile_cost(inst.links, x._loads, x.nonzero, y._loads, y.nonzero)
+    return profile_cost(inst.links, x._loads, y._loads, y.nonzero)
 
 
-def profile_cost(links, xv: dict, x_nonzero, yv: dict, y_nonzero) -> float:
-    """cost on the entries and nonzero indices of two flows of links' length."""
+def profile_cost(links, xv: dict, yv: dict, y_nonzero) -> float:
+    """cost on the entries of two flows of links' length and y's nonzero indices."""
     total = 0.0
     for k in y_nonzero:
         a, b = links[k]
         yk = yv[k]
         total += yk * (a * (xv.get(k, 0.0) + yk) + b)
-    for k in x_nonzero:
-        yk = yv.get(k, 0.0)
-        if not yk:
-            a, b = links[k]
-            total += yk * (a * (xv[k] + yk) + b)
     return total
 
 

@@ -31,11 +31,10 @@ so the bound evaluates one point, the grid's first: it is the float
 that every point gives, and its mass check raises the InvalidMass, with
 the message, that the first point evaluated would.  So it does at
 alpha = 0, where every point is the same input, and at alpha = 1, where
-every reply is empty and every value +0.0.  A link that SOC's reply
-leaves empty adds +0.0 to its cost, as a loop that skips it does, not
-the NaN of 0 * inf; and both bounds skip a NaN value, as a loop over
-points does, so that no point whose cost is inf - inf hides the finite
-extremum.
+every reply is empty and every value +0.0.  Both bounds score a point
+by model.cost's rule, with nothing for a link that SOC's flow leaves
+empty; and the lower bound skips a NaN value, as a loop over points
+does.
 
 Grid points are unranked from their lexicographic positions, as in the
 combinatorial number system, in chunks of GRID_CHUNK_ROWS points, or
@@ -269,22 +268,23 @@ def _link_sum(values):
 
 
 def _resolution(grid) -> int:
-    """grid's resolution, InvalidRange naming grid if it has none; the
-    grid's enumeration checks the value."""
+    """grid's resolution, checked by GridSpec's rule; InvalidRange naming
+    grid if it has none."""
     try:
-        return grid.resolution
+        resolution = grid.resolution
     except AttributeError:
         raise InvalidRange(f"grid must be a GridSpec, got {shown(grid)}") from None
+    return check_integer(resolution, InvalidRange, "grid resolution must be a positive integer", 1)
 
 
 def soc_mal_value(inst: Instance, alpha: float, grid: GridSpec) -> float:
     """min over gridded SOC strategies of the exact adversarial best response.
 
-    An upper bound on the game value, tight to O(1/resolution).  Costs
-    near the end of the float range overflow as IEEE arithmetic does,
-    without a numpy warning, and a point whose value is NaN (inf - inf)
-    never enters the minimum, as in a point-by-point loop's
-    `if value < best`.
+    An upper bound on the game value, tight to O(1/resolution).  Each
+    point's value is mal_best_response(inst, y, alpha).value bit for bit:
+    the same terms, summed link by link in index order.  Costs near the
+    end of the float range overflow as IEEE arithmetic does, without a
+    numpy warning; no value is NaN, as no empty link is charged.
     """
     import numpy as np
 
@@ -293,17 +293,14 @@ def soc_mal_value(inst: Instance, alpha: float, grid: GridSpec) -> float:
     with np.errstate(over="ignore", invalid="ignore"):  # IEEE results, as a loop over floats gives
         for unit in _unit_chunks(_resolution(grid), inst.m):
             y = (1.0 - alpha) * unit
-            damage = y * a
-            # all adversarial mass lands on the link maximizing a_k y_k (first
-            # index on ties); replace that link's cost term accordingly
-            t = _first_max(damage)
-            per_link = y * (damage + b)
-            at_t = t * len(y) + np.arange(len(y))  # (row, t) in link-major order
-            yt = y.ravel(order="F").take(at_t)
-            attacked = yt * (a[t] * (alpha + yt) + b[t])
-            values = _link_sum(per_link) - per_link.ravel(order="F").take(at_t) + attacked
-            # a NaN value never enters: fmin skips it, and min keeps best
-            best = min(best, float(np.fmin.reduce(values)))
+            # x + y for MAL's best response x, as mal_best_response plays
+            # it: all of alpha on the first link t maximizing a_k y_k, added
+            # only where y_t != 0, as cost adds nothing for an empty link
+            at_t = _first_max(y * a) * len(y) + np.arange(len(y))  # (row, t), link-major
+            load = y.copy(order="F")
+            yt = y.ravel(order="F")[at_t]
+            load.ravel(order="F")[at_t] = yt + alpha * (yt != 0.0)
+            best = min(best, float(_link_sum(y * (a * load + b)).min()))
     return best
 
 
@@ -320,7 +317,7 @@ def _replies(a, b, doubled, alpha, beta, unit):
     x = alpha * unit
     _, y = waterfill_rows(doubled, a * x + b, beta)
     # summed link by link in index order, as a point-by-point loop and Flow
-    # would; a link SOC leaves empty adds +0.0, not the NaN of 0 * inf
+    # would; a link SOC leaves empty adds +0.0, by model.cost's rule
     values = _link_sum(np.where(y != 0.0, y * (a * (x + y) + b), 0.0))
     totals = _link_sum(y)
     check_sum(float(totals[np.argmax(np.abs(totals - beta))]), beta)
@@ -451,9 +448,8 @@ def mal_soc_value(inst: Instance, alpha: float, grid: GridSpec) -> float:
     every reply is empty and every value +0.0.
 
     Costs overflow as IEEE arithmetic does, without a numpy warning.  A
-    link that a reply leaves empty adds +0.0, not the NaN of 0 * inf that
-    its overflowing latency would give, as in a point-by-point loop that
-    skips it; and a NaN value never enters the maximum, as in such a
+    link that a reply leaves empty adds nothing, by model.cost's rule;
+    and a NaN value never enters the maximum, as in a point-by-point
     loop's `if value > best`.
     """
     import numpy as np

@@ -146,10 +146,12 @@ def dense_induced_optimum(inst, x, beta):
 
 
 def dense_cost(inst, x, y):
-    """model.cost summed over all m links in index order."""
+    """model.cost summed over all m links in index order, skipping the
+    links that y leaves empty."""
     total = 0.0
     for (a, b), xi, yi in zip(inst.links, x.values, y.values):
-        total += yi * (a * (xi + yi) + b)
+        if yi:
+            total += yi * (a * (xi + yi) + b)
     return total
 
 
@@ -355,24 +357,14 @@ def reference_mal_soc_value(inst, alpha, n):
 
 
 def reference_soc_mal_value(inst, alpha, n):
-    """The oracle's upper bound point by point: the adversary's whole mass on
-    the first link that maximizes a_k y_k, and SOC's cost summed link by link
-    in index order before that link's term is swapped for the attacked one."""
-    a = inst.slopes
-    b = inst.intercepts
+    """The oracle's upper bound point by point: the value of the scalar
+    game layer's mal_best_response to each gridded SOC strategy."""
     beta = 1.0 - alpha
     fractions = [k / n for k in range(n + 1)]
     best = math.inf
     for comp in reference_simplex_grid(n, inst.m):
-        y = [beta * fractions[k] for k in comp]
-        damage = [yi * ai for yi, ai in zip(y, a)]
-        t = damage.index(max(damage))
-        per_link = [yi * (di + bi) for yi, di, bi in zip(y, damage, b)]
-        total = 0.0
-        for term in per_link:
-            total += term
-        yt = y[t]
-        value = total - per_link[t] + yt * (a[t] * (alpha + yt) + b[t])
+        y = malice.Flow([beta * fractions[k] for k in comp], beta)
+        value = malice.mal_best_response(inst, y, alpha).value
         if value < best:
             best = value
     return best

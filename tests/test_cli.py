@@ -1,6 +1,8 @@
 import json
+import random
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -8,7 +10,7 @@ import malice.flows
 from malice import emit_instance, instance_digest, pigou, random_instance, tight, validate
 from malice.cli import _build_parser, run
 
-from _support import child_env, count_calls, describe_child
+from _support import BASE_SEED, child_env, count_calls, describe_child
 
 
 @pytest.fixture
@@ -138,7 +140,7 @@ def test_verify_pigou(pigou_file, capsys):
 
 
 def test_verify_brackets_a_game_whose_grid_costs_overflow(tmp_path, capsys):
-    # some grid points cost 0 * inf or inf - inf, which is NaN; neither bound hides behind them
+    # some grid points would cost 0 * inf, which is NaN, if the empty huge link were charged
     path = tmp_path / "huge.json"
     path.write_text('{"links": [{"a": 0, "b": 1}, {"a": 1.5e308, "b": 1.5e308}]}\n')
     code = run(["verify", "--instance", str(path), "--alpha", "0.5", "--grid", "10"])
@@ -149,6 +151,59 @@ def test_verify_brackets_a_game_whose_grid_costs_overflow(tmp_path, capsys):
     assert doc["equilibrium_value"] == 0.5
     assert doc["bracket_contains_value"] is True and doc["ok"] is True
     assert "Warning" not in captured.err
+
+
+def test_an_underflowing_baseline_is_exit_2(tmp_path, capsys):
+    # (1 - alpha) times the unit optimum's cost of 5e-324 rounds to 0.0
+    path = tmp_path / "tiny.json"
+    path.write_text(emit_instance(validate([(0, 5e-324), (1e9, 1e-300)])) + "\n")
+    for argv in (["com", "--alpha", "0.5"], ["sweep", "--alphas", "0:0.5:0.5"]):
+        assert run([argv[0], "--instance", str(path), *argv[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "cost of malice undefined" in captured.err
+
+
+def test_scale_charges_no_empty_link(tmp_path, capsys):
+    # MAL attacks link 0, whose latency overflows, but the scaled optimum
+    # leaves it empty: it adds nothing to the value, not 0 * inf
+    path = tmp_path / "huge.json"
+    path.write_text(emit_instance(validate([(1e308, 1e308), (0, 0)])) + "\n")
+    code, doc = _run_json(capsys, ["scale", "--instance", str(path), "--alpha", "0.9"])
+    assert code == 0
+    assert doc["value"] == 0.0 and doc["soc"] == [0, 0.09999999999999998]
+
+
+# coefficients from zero through subnormals, tiny and huge normals to the
+# largest float, where costs, levels and ratios underflow or overflow
+EDGE_COEFFICIENTS = [0.0, 5e-324, 1e-320, 2.2250738585072014e-308, 1e-300, 1e-17, 0.5, 1.0, 1e9, 1e300,
+                     8.98846567431158e307, 1.7976931348623157e308]
+EDGE_ALPHAS = ["0", "1e-12", "0.5", "0.999999", "1"]
+
+
+def test_seeded_edge_instances_exit_0_2_or_3(tmp_path, capsys):
+    rng = random.Random(BASE_SEED + 27)
+    codes = Counter()
+    for k in range(120):
+        path = tmp_path / f"edge{k}.json"
+        links = [(rng.choice(EDGE_COEFFICIENTS), rng.choice(EDGE_COEFFICIENTS)) for _ in range(rng.randint(1, 4))]
+        path.write_text(json.dumps({"links": [{"a": a, "b": b} for a, b in links]}) + "\n")
+        for command in ("solve", "equilibrium", "com", "scale", "verify", "sweep"):
+            alpha = rng.choice(EDGE_ALPHAS)
+            argv = [command, "--instance", str(path)]
+            if command == "solve":
+                argv += [rng.choice(["--wardrop", "--optimum"]), "--mass", alpha]
+            elif command == "sweep":
+                argv += ["--alphas", alpha]
+            else:
+                argv += ["--alpha", alpha]
+            if command == "verify":
+                argv += ["--grid", str(rng.randint(1, 20))]
+            code = run(argv)  # an escaped exception fails the test, a RuntimeWarning too
+            capsys.readouterr()
+            assert code in (0, 2, 3), (links, argv)
+            codes[code] += 1
+    assert codes[0] > 200 and codes[2] > 200, codes
 
 
 def test_verify_failure_is_exit_3(pigou_file, capsys, monkeypatch):

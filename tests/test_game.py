@@ -267,6 +267,18 @@ def test_com_report_rejections():
         com_report(validate([(0, 0), (0, 0)]), 0.5)
 
 
+def test_an_underflowing_baseline_is_degenerate():
+    # the unit optimum costs 5e-324, and half of that rounds to 0.0
+    inst = validate([(0, 5e-324), (1e9, 1e-300)])
+    assert unit_optimum(inst)[1] == 5e-324
+    for _ in range(2):
+        with pytest.raises(DegenerateInstance, match="cost of malice undefined"):
+            com_report(inst, 0.5)
+        with pytest.raises(DegenerateInstance, match="cost of malice undefined"):
+            com_sweep(inst, [0.0, 0.5])
+    assert com_report(inst, 0.0).com == com_sweep(inst, [0.0])[0].com == 1.0
+
+
 def test_com_report_invariants_on_ensemble():
     checked = 0
     for inst, alpha in standard_ensemble(200):
@@ -324,9 +336,9 @@ def test_sparse_sums_and_checks_equal_dense_references_bitwise():
     assert bits(inst.slopes) == ["0x0.0p+0"] * 2
     x = y = Flow((0.0, 1.0), 1.0)
     assert bits(check_mal_br(inst, x, y)) == bits(dense_check_mal_br(inst, x, y)) == "0x0.0p+0"
-    # a_0 x_0 + b_0 overflows where y is zero: the dense sum is NaN, and so is cost
+    # a_0 x_0 + b_0 overflows where y is zero: that link adds nothing, not 0 * inf
     inst = validate([(1e308, 1e308), (1.0, 0.0)])
-    assert bits(cost(inst, Flow((1.0, 0.0), 1.0), Flow((0.0, 1.0), 1.0))) == "nan"
+    assert bits(cost(inst, Flow((1.0, 0.0), 1.0), Flow((0.0, 1.0), 1.0))) == bits(1.0)
 
 
 def _offset_cases():
@@ -362,10 +374,10 @@ def test_scaled_value_is_the_cost_of_the_attack_on_the_scaled_flow_bitwise():
         checked += 1
     assert checked > 1400
     # y only on the zero-slope link 1, so MAL attacks link 0, whose latency
-    # overflows: both sides read 0 * inf there
+    # overflows: y leaves link 0 empty, so it adds nothing, not 0 * inf
     inst = validate([(1e308, 1e308), (0.0, 0.0)])
     ystar, _ = system_optimum(inst, 1.0)
-    assert bits(_scaled_optimum(inst, 0.9, ystar, 0.0, unit_optimum(inst)[2])[1]) == "nan"
+    assert bits(_scaled_optimum(inst, 0.9, ystar, 0.0, unit_optimum(inst)[2])[1]) == bits(0.0)
 
 
 def test_pure_equilibrium_profile_equals_the_checked_profile():

@@ -340,8 +340,9 @@ def test_a_failed_or_stopped_enumeration_leaves_the_kept_grid(monkeypatch):
         minimax_gap(validate([(1.0, 0.0)]), 0.5, GridSpec(10**20))  # one cell, but the resolution is capped
     with pytest.raises(GridTooLarge):
         minimax_gap(validate([(1.0, 0.0)] * 8), 0.5, GridSpec(200))
-    with pytest.raises(InvalidRange):
-        minimax_gap(inst, 0.5, SimpleNamespace(resolution=-1))  # no GridSpec would hold it
+    for resolution in (-1, 0):  # no GridSpec would hold either
+        with pytest.raises(InvalidRange, match="^grid resolution must be a positive integer"):
+            minimax_gap(inst, 0.5, SimpleNamespace(resolution=resolution))
     chunks = _unit_chunks(400, 3)  # 80,601 points in 40 chunks, of which one is read
     next(chunks)
     chunks.close()
@@ -597,9 +598,12 @@ def test_near_ties_take_the_full_path():
 
 def test_a_whole_grid_plateau_raises_the_full_paths_errors(monkeypatch):
     inst = PLATEAUS[0]
-    grids = [GridSpec(DEFAULT_POINT_CAP + 1), GridSpec(2000), 7, SimpleNamespace(resolution=-1)]
+    grids = [GridSpec(DEFAULT_POINT_CAP + 1), GridSpec(2000), 7, SimpleNamespace(resolution=-1),
+             SimpleNamespace(resolution=0)]
     outcomes = [_outcome(bound, inst, 0.5, grid) for bound in (mal_soc_value, minimax_gap) for grid in grids]
-    assert [kind for kind, _ in outcomes] == [GridTooLarge, GridTooLarge, InvalidRange, InvalidRange] * 2
+    assert [kind for kind, _ in outcomes] == ([GridTooLarge] * 2 + [InvalidRange] * 3) * 2
+    # the upper bound applies GridSpec's rule too, so resolution 0 is no empty grid
+    assert _outcome(soc_mal_value, inst, 0.5, grids[-1]) == outcomes[-1]
     # the seeds-and-planes path raises the same errors with the same messages
     monkeypatch.setattr(malice.oracle, "_plateau", lambda inst: False)
     assert [_outcome(bound, inst, 0.5, grid) for bound in (mal_soc_value, minimax_gap) for grid in grids] == outcomes
@@ -644,7 +648,8 @@ def test_at_alpha_zero_one_point_stands_for_the_grid(monkeypatch):
                 assert outcome == _outcome(_every_point, inst, alpha, GridSpec(n)), (inst, alpha, n)
     # and it raises what evaluating every point raises, with the message
     stranded = [validate([(1e-17, 1.0)]), validate([(1e-17, 1.0), (3e-17, 1.0)])]
-    grids = [GridSpec(4), GridSpec(DEFAULT_POINT_CAP + 1), GridSpec(2000), 7, SimpleNamespace(resolution=-1)]
+    grids = [GridSpec(4), GridSpec(DEFAULT_POINT_CAP + 1), GridSpec(2000), 7, SimpleNamespace(resolution=-1),
+             SimpleNamespace(resolution=0)]
     cases = [(inst, grid) for inst in stranded + PLATEAUS[:1] for grid in grids]
     for alpha, first in ((0.0, InvalidMass), (1.0, "0x0.0p+0")):  # at alpha = 1 no mass is missed
         outcomes = [_outcome(mal_soc_value, inst, alpha, grid) for inst, grid in cases]
@@ -653,9 +658,9 @@ def test_at_alpha_zero_one_point_stands_for_the_grid(monkeypatch):
 
 
 def test_a_nan_row_hides_neither_bound():
-    # replies that leave the huge link empty, which 0 * inf would make NaN,
-    # and the inf - inf of the upper bound's swap; every bound is still
-    # the reference's float, with no RuntimeWarning
+    # replies, and SOC strategies under attack, that leave the huge link
+    # empty, which 0 * inf would make NaN; every bound is still the
+    # reference's float, with no RuntimeWarning
     cases = [(validate([(0, 1), (1.5e308, 1.5e308)]), alpha, n)
              for alpha in (0.0, 0.3, 0.5, 0.9, 1.0) for n in (1, 2, 10, 30, 100)]
     # one of whose seeds, a one-unit move onto the huge link, costs NaN
