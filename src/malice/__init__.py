@@ -4,6 +4,10 @@ Solvers for equalized-latency and minimum-cost flows, best responses
 and pure equilibria of the zero-sum game between an adversarial and a
 cost-minimizing router, the scaled-optimum strategy, cost-of-malice
 reports, and an independent brute-force bracket of the game value.
+
+`oracle` and `families` load on the first use of one of their names:
+only `malice verify` runs the oracle and only `malice gen` a family, and
+every other CLI process would compile both for nothing.
 """
 
 from .errors import (
@@ -24,7 +28,6 @@ from .errors import (
     SubnormalSlope,
     ValidationError,
 )
-from .families import network, network_demo, pigou, random_instance, tight
 from .flows import (
     WaterLevel,
     flow_cost,
@@ -60,7 +63,6 @@ from .model import (
     parse_instance,
     validate,
 )
-from .oracle import GridSpec, mal_soc_value, minimax_gap, simplex_grid, soc_mal_value
 
 __version__ = "0.1.0"
 
@@ -121,3 +123,22 @@ __all__ = [
     "waterfill",
     "waterfill_rows",
 ]
+
+_LAZY = {  # name -> the module that defines it, imported on first use (PEP 562)
+    **dict.fromkeys(["GridSpec", "mal_soc_value", "minimax_gap", "simplex_grid", "soc_mal_value"], "oracle"),
+    **dict.fromkeys(["network", "network_demo", "pigou", "random_instance", "tight"], "families"),
+}
+
+
+def __getattr__(name):
+    from importlib import import_module
+
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value  # kept, so that later reads are plain lookups
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))

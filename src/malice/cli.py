@@ -16,7 +16,6 @@ import sys
 import time
 
 from .errors import CertificateFailure, ValidationError
-from .families import network, pigou, random_instance, tight
 from .flows import flow_cost, system_optimum, wardrop_flow
 from .game import SweepRow, com_report, com_sweep, pure_equilibrium, scale_strategy, unit_optimum
 from .model import (
@@ -28,7 +27,6 @@ from .model import (
     instance_digest,
     parse_instance,
 )
-from .oracle import GridSpec, minimax_gap
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -99,6 +97,8 @@ def _cmd_scale(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .oracle import GridSpec, minimax_gap  # only verify runs the oracle
+
     inst = _load_instance(args.instance)
     grid = GridSpec(args.grid)
     started = time.perf_counter()
@@ -125,6 +125,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    from .families import network, pigou, random_instance, tight  # only gen runs a family
+
     family = args.family
     if family == "pigou":
         inst = pigou()
@@ -234,9 +236,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = None  # built by the first run and kept: parsing leaves no state in it
+
+
 def run(argv=None) -> int:
     """Parse argv, dispatch, and map errors to the exit-code contract."""
-    args = _build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = _build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.handler(args)
     except CertificateFailure as exc:

@@ -305,8 +305,10 @@ def unit_optimum(inst: Instance) -> tuple[Flow, float, float]:
         ystar, _ = system_optimum(inst, 1.0)
         v = ystar._loads
         t = _most_damaging(inst.slopes, v, ystar.nonzero)
-        spread = inst.slopes[t] * v.get(t, 0.0)
-        spread += sum(inst.intercepts[k] * v[k] for k in ystar.nonzero)
+        intercepts = 0.0  # in index order, as profile_cost sums: sum() compensates on Python >= 3.12
+        for k in ystar.nonzero:
+            intercepts += inst.intercepts[k] * v[k]
+        spread = inst.slopes[t] * v.get(t, 0.0) + intercepts
         unit = ystar, flow_cost(inst, ystar), spread
         object.__setattr__(inst, "_unit_optimum", unit)
     return unit

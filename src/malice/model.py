@@ -46,7 +46,6 @@ An instance stores a -0.0 coefficient as +0.0, so its intercept order is
 never None and equal instances serialize alike.
 """
 
-import hashlib
 import json
 import math
 import sys
@@ -517,4 +516,6 @@ def parse_instance(text: str) -> Instance:
 
 def instance_digest(inst: Instance) -> str:
     """sha256 of the canonical instance document; echoed by CLI reports."""
+    import hashlib  # only reports need it, and not `malice gen`
+
     return hashlib.sha256(emit_instance(inst).encode("ascii")).hexdigest()

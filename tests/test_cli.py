@@ -6,6 +6,7 @@ from collections import Counter
 
 import pytest
 
+import malice.cli
 import malice.flows
 from malice import emit_instance, instance_digest, pigou, random_instance, tight, validate
 from malice.cli import _build_parser, run
@@ -432,3 +433,43 @@ sys.exit("numpy loaded by " + loaded[0] if loaded else 0)
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, cwd=tmp_path, env=child_env())
     assert proc.returncode == 0, describe_child(proc)
     assert b'"links"' in proc.stdout
+
+
+def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path, pigou_file):
+    # oracle and families load on first use, so that only verify pays for
+    # the oracle (and numpy) and only gen for the families
+    unused = {"malice.oracle", "malice.families", "numpy"}
+    for args in (
+        ["solve", "--instance", pigou_file, "--wardrop", "--mass", "1"],
+        ["equilibrium", "--instance", pigou_file, "--alpha", "0.5"],
+        ["com", "--instance", pigou_file, "--alpha", "0.5"],
+        ["scale", "--instance", pigou_file, "--alpha", "0.5"],
+        ["sweep", "--instance", pigou_file, "--alphas", "0:0.5:0.25"],
+        ["gen", "--family", "random", "--seed", "3", "--m", "4"],
+        ["verify", "--instance", pigou_file, "--alpha", "0.5", "--grid", "10"],
+    ):
+        proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "malice", *args],
+                              capture_output=True, cwd=tmp_path, env=child_env())
+        assert proc.returncode == 0, describe_child(proc)
+        lines = proc.stderr.decode().splitlines()
+        loaded = {line.rsplit("|", 1)[1].strip() for line in lines if line.startswith("import time:")} & unused
+        if args[0] == "gen":
+            assert loaded == {"malice.families"}
+        elif args[0] == "verify":
+            assert loaded == {"malice.oracle", "numpy"}
+            doc = json.loads(proc.stdout)
+            assert doc["bracket_contains_value"] is True and doc["ok"] is True
+        else:
+            assert loaded == set(), args
+
+
+def test_run_builds_its_parser_once(pigou_file, capsys, monkeypatch):
+    monkeypatch.setattr(malice.cli, "_parser", None)
+    calls = count_calls(monkeypatch, malice.cli._build_parser)
+    argv = ["com", "--instance", pigou_file, "--alpha", "0.5"]
+    outputs = []
+    for _ in range(2):
+        assert run(argv) == 0
+        outputs.append(capsys.readouterr().out)
+    assert calls["_build_parser"] == 1
+    assert outputs[0] == outputs[1] and outputs[0].startswith('{\n  "command": "com"')
