@@ -146,7 +146,9 @@ def waterfill_rows(slopes, intercepts, mass) -> "tuple[np.ndarray, np.ndarray]":
     whatever the batch: on 3 links a call took 35 to 60 us on 1 to 55
     rows, 160 us on 2,048 and 400 to 600 us on 5,151 (best of 30 runs,
     x86-64, numpy 2.4, a shared host), where the scalar kernel takes
-    about 6 us per row.  So it pays only for many rows of few links.
+    about 6 us per row.  So it pays only for many rows of few links: the
+    oracle's lower bound runs it on its grid chunks and the scalar kernel
+    on its few seeds.
     Without a zero slope nothing can pin the level, and the cap, its
     masks and the tied links' shares are skipped.
     """

@@ -45,8 +45,11 @@ link count.  Each chunk
 is evaluated in numpy at once: the adversary's closed form directly,
 SOC's water-fills, of the points the planes keep, through the batched
 kernel `waterfill_rows`, which is bit-identical to the scalar one row by
-row.  So each point's value, and each bound, is the float that a loop
-over single points would compute, however the grid is chunked.
+row.  The lower bound's seeds, a handful of rows that do not come from
+the grid, are water-filled by the scalar kernel `waterfill`, which
+costs a few microseconds a row where a batched call costs tens.  So
+each point's value, and each bound, is the float that a loop over
+single points would compute, however the grid is chunked.
 
 Chunks are link-major (Fortran order), one contiguous column per link:
 an elementwise operation with a per-link vector then runs numpy's inner
@@ -77,9 +80,11 @@ import math
 import sys
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 from .errors import GridTooLarge, InvalidRange
-from .flows import waterfill_rows
+from .flows import waterfill, waterfill_rows
 from .model import MASS_TOL, SHOWN_COUNT, Instance, check_alpha, check_integer, check_sum, shown
 
 DEFAULT_POINT_CAP = 2_000_000
@@ -308,9 +313,10 @@ def _replies(a, b, doubled, alpha, beta, unit):
     """(values, y): SOC's exact replies y to the adversarial strategies
     alpha * unit, one per row, and their costs.
 
-    The one evaluation path of the lower bound.  A reply whose loads miss
-    SOC's mass beta = 1 - alpha raises InvalidMass, as a Flow of those loads
-    would, rather than enter the bound.
+    The lower bound's evaluation path for the rows it reads from the grid;
+    _seed_replies runs the same operations on the seeds.  A reply whose
+    loads miss SOC's mass beta = 1 - alpha raises InvalidMass, as a Flow of
+    those loads would, rather than enter the bound.
     """
     import numpy as np
 
@@ -324,11 +330,13 @@ def _replies(a, b, doubled, alpha, beta, unit):
     return values, y
 
 
-def _seeds(a, b, alpha, n: int, m: int):
+def _seeds(inst: Instance, alpha: float, n: int):
     """The grid point nearest MAL's selfish flow of mass alpha, then its
-    one-unit moves to the cyclically next and previous link, as int64 rows
-    of parts of n; None where their planes cannot prune.
+    one-unit moves to the cyclically next and previous link, as lists of
+    parts of n; None where their planes cannot prune.
 
+    MAL's flow is the scalar kernel's, not wardrop_flow's, so a flow that
+    strands or overflows its mass gives no seeds rather than an error.
     The nearest point takes floor(n x_k / sum(x)) units on each link k and
     one more on the links of the largest remainders, the first on ties,
     with sum(x) added in index order: as n m is far below
@@ -344,14 +352,13 @@ def _seeds(a, b, alpha, n: int, m: int):
     less than water-filling the point.  Nor are there any when MAL's loads
     have no positive finite sum, which a stranded mass can leave.
     """
-    import numpy as np
-
+    m = inst.m
     count = 1 + (2 * m if m > 2 else m * (m - 1))
     budget = GRID_CHUNK_CELLS // GRID_CHUNK_ROWS
     if not alpha > 0.0 or count * m > budget or count >= _capped_points(n, m):
         return None
-    _, x = waterfill_rows(a, b[None, :], alpha)
-    loads = x[0].tolist()  # m Python floats: cheaper to round than m-entry arrays
+    _, written = waterfill(inst.slopes, inst.intercepts, alpha, inst.order)
+    loads = [written.get(k, 0.0) for k in range(m)]
     total = 0.0
     for load in loads:
         total += load
@@ -364,8 +371,49 @@ def _seeds(a, b, alpha, n: int, m: int):
     for k in sorted(range(m), key=lambda k: parts[k] - target[k])[:n - sum(parts)]:
         parts[k] += 1
     moves = [(i, j) for i in range(m) if parts[i] for j in sorted({(i + 1) % m, (i - 1) % m})]
-    return np.array([parts, *([p - (k == i) + (k == j) for k, p in enumerate(parts)] for i, j in moves)],
-                    dtype=np.int64)
+    return [parts, *([p - (k == i) + (k == j) for k, p in enumerate(parts)] for i, j in moves)]
+
+
+def _worst(totals, beta: float) -> float:
+    """The total that np.argmax(np.abs(totals - beta)) picks: the first
+    whose miss is NaN, else the first of the largest misses."""
+    worst, miss = totals[0], abs(totals[0] - beta)
+    for total in totals[1:]:
+        if miss != miss:
+            break
+        gap = abs(total - beta)
+        if gap > miss or gap != gap:
+            worst, miss = total, gap
+    return worst
+
+
+def _seed_replies(inst: Instance, alpha: float, beta: float, seeds, n: int):
+    """(values, planes) of SOC's replies to the seeds, rows of parts of n:
+    each reply's cost and its plane row alpha a_k y_k + c (see
+    mal_soc_value), water-filled one row at a time by the scalar kernel.
+
+    Each row runs _replies' operations in the same order, so each value
+    is the same float, and a mass miss raises the same InvalidMass, on
+    the total that _replies would report (see _worst): the kernel's own
+    (intercept, index) sort is waterfill_rows' stable argsort, and every
+    link it does not write carries 0.0.
+    """
+    a, b = inst.slopes, inst.intercepts
+    links = range(inst.m)
+    values, totals, planes = [], [], []
+    for parts in seeds:
+        x = [alpha * (p / n) for p in parts]
+        _, written = waterfill(inst.doubled_slopes, [a[k] * x[k] + b[k] for k in links], beta)
+        y = [written.get(k, 0.0) for k in links]
+        # each summed link by link in index order from link 0's term, as
+        # _link_sum adds the columns; a link SOC leaves empty adds +0.0 to
+        # the value, by model.cost's rule
+        values.append(reduce(add, [y[k] * (a[k] * (x[k] + y[k]) + b[k]) if y[k] != 0.0 else 0.0 for k in links]))
+        totals.append(reduce(add, y))
+        c = reduce(add, [y[k] * (a[k] * y[k] + b[k]) for k in links])
+        planes.append([alpha * (a[k] * y[k]) + c for k in links])
+    check_sum(_worst(totals, beta), beta)
+    return values, planes
 
 
 def _plateau(inst: Instance) -> bool:
@@ -464,17 +512,18 @@ def mal_soc_value(inst: Instance, alpha: float, grid: GridSpec) -> float:
         # at alpha = 0 every point is x = 0.0 * unit, the same input, and at
         # alpha = 1 every reply is empty and every value +0.0
         plateau = not 0.0 < alpha < 1.0 or _plateau(inst)
-        seeds = None if plateau else _seeds(a, b, alpha, n, m)
+        seeds = None if plateau else _seeds(inst, alpha, n)
         if plateau:
             # one point, from the grid so that its caps hold, stands for them all
             chunks = (next(chunks)[:1],)
         elif seeds is not None:
-            seeds = seeds / n  # the floats of their grid points
-            values, y = _replies(a, b, doubled, alpha, beta, seeds)
-            # a NaN value never enters: fmax skips it, and max keeps best
-            best = max(best, float(np.fmax.reduce(values)))
             # a point's units sum to 1, so c_j + x @ w_j is unit @ (alpha w_j + c_j)
-            planes = alpha * (a * y) + _link_sum(y * (a * y + b))[:, None]
+            values, planes = _seed_replies(inst, alpha, beta, seeds, n)
+            for value in values:
+                if value > best:  # a NaN value never enters
+                    best = value
+            planes = np.array(planes)
+            seeds = np.array(seeds) / n  # the floats of their grid points
             eps = MASS_TOL * max(1.0, beta)
             scale = alpha + 2.0 * (beta + eps)
             marginal = max([ak * scale + bk for ak, bk in inst.links])  # L

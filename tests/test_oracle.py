@@ -4,6 +4,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -30,17 +31,20 @@ from malice import (
 )
 import malice.flows
 import malice.oracle
-from malice.flows import waterfill_rows
+from malice.flows import waterfill, waterfill_rows
 from malice.oracle import (
     DEFAULT_CELL_CAP,
     DEFAULT_POINT_CAP,
     GRID_CHUNK_CELLS,
     GRID_CHUNK_ROWS,
     _grid_chunks,
+    _link_sum,
     _replies,
     _resolution,
+    _seed_replies,
     _seeds,
     _unit_chunks,
+    _worst,
 )
 
 from _support import (
@@ -459,19 +463,20 @@ def _plateau_and_wide_cases():
     return cases
 
 
-def _vertex_seeds(a, b, alpha, n, m):
+def _vertex_seeds(inst, alpha, n):
     """The first vertex and its one-unit moves: seeds far from MAL's optimum."""
+    m = inst.m
     seeds = np.zeros((m, m), dtype=np.int64)
     seeds[:, 0] = n
     seeds[1:, 0] -= 1
     seeds[np.arange(1, m), np.arange(1, m)] += 1
-    return seeds
+    return seeds.tolist()
 
 
-def _rim_seeds(a, b, alpha, n, m, seeds=malice.oracle._seeds):
+def _rim_seeds(inst, alpha, n, seeds=malice.oracle._seeds):
     """The one-unit moves without the nearest point they move from: seeds
     whose best value lies just below the grid's, which a plane must not drop."""
-    rows = seeds(a, b, alpha, n, m)
+    rows = seeds(inst, alpha, n)
     return rows if rows is None or len(rows) < 3 else rows[1:]
 
 
@@ -489,23 +494,32 @@ def test_mal_soc_value_equals_reference_whatever_the_seeds(monkeypatch, seeds):
 
 
 def test_the_lower_bound_water_fills_few_of_its_points(monkeypatch):
-    rows = []  # of each waterfill_rows call
+    calls = []  # (kernel, rows) of each water-fill, in call order
 
-    def counted(slopes, intercepts, mass):
-        rows.append(len(intercepts))
+    def counted_rows(slopes, intercepts, mass):
+        calls.append(("waterfill_rows", len(intercepts)))
         return waterfill_rows(slopes, intercepts, mass)
 
-    monkeypatch.setattr(malice.oracle, "waterfill_rows", counted)
+    def counted(*args):
+        calls.append(("waterfill", 1))
+        return waterfill(*args)
+
     inst = random_instance(seed=44, m=3)
     assert inst.m == 3 and min(inst.slopes) > 0.0
+    scalar = 1 + len(_seeds(inst, 0.5, 100))
+    monkeypatch.setattr(malice.oracle, "waterfill_rows", counted_rows)
+    monkeypatch.setattr(malice.oracle, "waterfill", counted)
     assert mal_soc_value(inst, 0.5, GridSpec(100)) == reference_mal_soc_value(inst, 0.5, 100)
-    # MAL's selfish flow, the seeds, and what the planes keep of 5,151 points
-    assert 2 <= len(rows) and sum(rows) < 100
+    # MAL's selfish flow and the seeds on the scalar kernel, with no batched
+    # call among them, then what the planes keep of 5,151 points
+    assert [kernel for kernel, _ in calls[:scalar]] == ["waterfill"] * scalar
+    assert all(kernel == "waterfill_rows" for kernel, _ in calls[scalar:])
+    assert sum(rows for _, rows in calls) < 100
     # with seeds at a vertex the planes still drop points, and the bound holds
-    rows.clear()
+    calls.clear()
     monkeypatch.setattr(malice.oracle, "_seeds", _vertex_seeds)
     assert mal_soc_value(inst, 0.5, GridSpec(100)) == reference_mal_soc_value(inst, 0.5, 100)
-    assert sum(rows) < GridSpec(100).points(3)
+    assert sum(rows for _, rows in calls) < GridSpec(100).points(3)
 
 
 # whole-grid plateaus: a zero-slope link lies below every positive-slope
@@ -725,12 +739,11 @@ def test_seeds_are_the_nearest_point_and_its_one_unit_moves():
     full = 0
     for inst, alpha, n in cases:
         m = inst.m
-        seeds = _seeds(np.array(inst.slopes), np.array(inst.intercepts), alpha, n, m)
+        rows = _seeds(inst, alpha, n)
         count = 1 + (2 * m if m > 2 else m * (m - 1))
         if count >= GridSpec(n).points(m):
-            assert seeds is None, (inst, alpha, n)
+            assert rows is None, (inst, alpha, n)
             continue
-        rows = seeds.tolist()
         parts = rows[0]
         assert parts == _nearest_point(inst, alpha, n), (inst, alpha, n)
         moves = []
@@ -750,18 +763,91 @@ def test_seeds_are_the_nearest_point_and_its_one_unit_moves():
     # none at alpha = 0, as many as the grid's points, above the budget, or
     # on a flow that is empty or infinite
     inst = random_instance(seed=90, m=22)
-    a, b = np.array(inst.slopes), np.array(inst.intercepts)
-    assert len(_seeds(a, b, 0.5, 3, 22)) > 1
-    assert _seeds(a, b, 0.0, 3, 22) is None
-    wider = random_instance(seed=90, m=23)
-    assert _seeds(np.array(wider.slopes), np.array(wider.intercepts), 0.5, 3, 23) is None
+    assert len(_seeds(inst, 0.5, 3)) > 1
+    assert _seeds(inst, 0.0, 3) is None
+    assert _seeds(random_instance(seed=90, m=23), 0.5, 3) is None
     three = random_instance(seed=91, m=3)
-    a, b = np.array(three.slopes), np.array(three.intercepts)
-    assert _seeds(a, b, 0.5, 2, 3) is None and len(_seeds(a, b, 0.5, 3, 3)) > 1
+    assert _seeds(three, 0.5, 2) is None and len(_seeds(three, 0.5, 3)) > 1
     for links in ([(1e-17, 1.0), (1e-17, 1.0), (2e-17, 1.0)], [(1e-300, 1e308), (1e-300, 1.5e308), (2.0, 1.6e308)]):
-        inst = validate(links)
-        with np.errstate(over="ignore", invalid="ignore"):  # as inside the bound
-            assert _seeds(np.array(inst.slopes), np.array(inst.intercepts), 0.5, 10, 3) is None
+        assert _seeds(validate(links), 0.5, 10) is None
+
+
+def _seed_outcome(replies, inst, alpha, n, seeds):
+    """replies' values and plane rows for the seeds as hex floats, or its
+    InvalidMass as (class, message)."""
+    try:
+        values, planes = replies(inst, alpha, 1.0 - alpha, seeds, n)
+    except InvalidMass as exc:
+        return InvalidMass, str(exc)
+    return [float(v).hex() for v in values], [[float(p).hex() for p in row] for row in planes]
+
+
+def _batched_seed_replies(inst, alpha, beta, seeds, n):
+    """The seeds' values and planes from _replies, the grid chunks' path."""
+    a, b = np.array(inst.slopes), np.array(inst.intercepts)
+    with np.errstate(over="ignore", invalid="ignore"):  # as inside the bound
+        values, y = _replies(a, b, 2.0 * a, alpha, beta, np.array(seeds) / n)
+        return values, alpha * (a * y) + _link_sum(y * (a * y + b))[:, None]
+
+
+def test_the_seeds_scalar_replies_are_the_batched_ones():
+    alphas = (0.1, 0.3, 0.5, 0.7, 0.9)
+    cases = [(inst, alpha, n) for inst, alpha in oracle_ensemble(40) for n in (10, 100)]
+    wide = [inst for inst in wide_ensemble(60, seed=11) if inst.m <= 5]
+    cases += [(inst, alphas[k % 5], (3, 12)[k % 2]) for k, inst in enumerate(wide)]
+    # near ties of a zero-slope link, some of which strand SOC's mass
+    c = 2.0
+    near = [validate([(0, 1.0), (1e-15, 1.0)]),
+            validate([(0, 0.8348771507992095), (2.6836288719318065e-16, 0.8348771507992097)]),
+            validate([(0, 3.8116551675025145), (1.6391077765223682e-15, 3.8116551675025154),
+                      (3.765859942429265e-14, 3.8116551675025154)]),
+            validate([(0, c), (1, c), (0.5, 3.0)]),
+            validate([(0, c), (1, math.nextafter(c, math.inf)), (0.5, 3.0)]),
+            validate([(0, c), (1, c * (1.0 + 8 * sys.float_info.epsilon)), (0.5, 3.0)]),
+            validate([(0, 1.0), (1.5e308, 1.5e308)])]
+    cases += [(inst, alpha, n) for inst in near for alpha in (0.4, 0.99, 0.999) for n in (10, 30)]
+    # all-huge links, whose costs and masses overflow
+    rng = random.Random(43)
+    for _ in range(300):
+        inst = validate([(rng.uniform(1e307, 1.7e308), rng.uniform(1e307, 1.7e308))
+                         for _ in range(rng.choice([2, 3]))])
+        cases.append((inst, rng.choice([0.3, 0.5, 0.9, rng.random()]), rng.choice([3, 5, 10])))
+    outcomes = Counter()
+    for inst, alpha, n in cases:
+        # MAL's seeds, and the points of a coarse grid, together and one by
+        # one, whose rows reach the huge links that the seeds avoid
+        grid = [list(p) for p in simplex_grid(3, inst.m)]
+        for rows, n in ((_seeds(inst, alpha, n), n), (grid, 3), *(([row], 3) for row in grid)):
+            if rows is None:
+                continue
+            scalar = _seed_outcome(_seed_replies, inst, alpha, n, rows)
+            assert scalar == _seed_outcome(_batched_seed_replies, inst, alpha, n, rows), (inst, alpha, n, rows)
+            if scalar[0] is InvalidMass:
+                outcomes["nan total" if "sum to nan" in scalar[1] else InvalidMass] += 1
+            else:
+                outcomes["inf value" if "inf" in scalar[0] else "value"] += 1
+    assert outcomes["value"] > 1000 and outcomes[InvalidMass] > 30, outcomes
+    assert outcomes["nan total"] > 100 and outcomes["inf value"] > 3, outcomes
+
+
+def test_the_worst_mass_miss_is_the_one_argmax_picks():
+    nan, inf = math.nan, math.inf
+    # the first NaN, else the first of the largest misses
+    assert math.isnan(_worst([0.75, nan, 1.0], 0.5))
+    assert math.isnan(_worst([nan, 1.0, inf], 0.5))
+    assert math.isnan(_worst([inf, 0.5, nan], 0.5))
+    assert _worst([0.25, 0.75], 0.5) == 0.25 and _worst([0.75, 0.25], 0.5) == 0.75
+    assert _worst([0.5, 0.75, 0.25, 1.0, 0.0], 0.5) == 1.0
+    assert _worst([0.5, inf, 0.0], 0.5) == inf
+    assert _worst([0.5], 0.5) == 0.5
+    # as argmax picks it over random totals with NaNs, infinities and ties
+    rng = random.Random(45)
+    for _ in range(2000):
+        beta = rng.choice([0.25, 0.5, 1.0 - rng.random()])
+        pool = [nan, inf, 0.0, beta, 2 * beta, beta + 0.125, beta - 0.125, beta + 0.25, beta - 0.25]
+        totals = [rng.choice(pool) for _ in range(rng.randint(1, 7))]
+        picked = totals[np.argmax(np.abs(np.array(totals) - beta))]
+        assert _worst(totals, beta).hex() == picked.hex(), (totals, beta)
 
 
 def test_soc_mal_value_equals_point_by_point_reference(monkeypatch):
@@ -782,10 +868,13 @@ def test_soc_mal_value_equals_point_by_point_reference(monkeypatch):
     assert [soc_mal_value(inst, alpha, GridSpec(n)) for inst, alpha, n in cases] == expected
 
 
-def test_mal_soc_value_runs_no_scalar_waterfill(monkeypatch):
+def test_mal_soc_value_runs_the_scalar_kernel_only_on_its_seeds(monkeypatch):
+    # MAL's selfish flow and one reply per seed, not one per grid point
+    inst = random_instance(seed=34, m=3)
+    seeds = _seeds(inst, 0.5, 30)
     calls = count_calls(monkeypatch, malice.flows.waterfill)
-    mal_soc_value(random_instance(seed=34, m=3), 0.5, GridSpec(30))
-    assert calls["waterfill"] == 0
+    mal_soc_value(inst, 0.5, GridSpec(30))
+    assert 0 < calls["waterfill"] <= 1 + len(seeds) < GridSpec(30).points(3)
 
 
 def test_weak_duality_convergence_and_bracketing():
