@@ -12,19 +12,26 @@ Their difference brackets the equilibrium value and shrinks as the
 resolution grows; doubling the resolution refines the grid in place, so
 the gap never widens.
 
-The upper bound evaluates every grid point.  The lower bound evaluates
-only the points that can still raise it: SOC's best-reply cost is
-concave in the adversary's strategy, so the cost of SOC's reply to each
-of a few seeds, the grid point nearest MAL's selfish flow and its
-one-unit moves, is a plane above it over the whole grid (Kelley's
-cutting planes).  A point whose lowest plane lies below the seeds' best
-value by more than a margin M, which covers rounding and the mass
-tolerance (see mal_soc_value), cannot exceed that value and is dropped:
-its reply is neither computed nor mass-checked, as it cannot enter the
-bound.  So the bound is the float that evaluating every point gives, and
-the seeds, which come from the solver's kernel, change only its speed.
-The planes cannot prune a whole-grid plateau, where a zero-slope link
-below every positive-slope intercept, by a margin that covers the
+Each bound evaluates only the grid points that can still move it.  A
+few seeds are scored first, and a point whose estimate (below) lies past
+their best value by more than a margin M, which covers rounding (see
+each bound), cannot move the bound and is dropped.  So each bound is the
+float that evaluating every point gives, and the seeds, which come from
+the solver's kernel, change only its speed.
+
+The upper bound's value at y, MAL's best-response cost f(y), lies on or
+above the bowl C(x, y), SOC's cost under MAL's selfish flow x, the
+paper's optimal adversary (weak duality).  The bowl is separable, so m
+tables of n + 1 entries give each point's bowl in m lookups; the seeds
+are the grid point nearest SOC's reply to x and its one-unit moves.
+
+The lower bound's value at x, SOC's best-reply cost h(x), is concave in
+the adversary's strategy, so the cost of SOC's reply to each seed, the
+grid point nearest MAL's selfish flow and its one-unit moves, is a plane
+above h over the whole grid (Kelley's cutting planes); a dropped point's
+reply is neither computed nor mass-checked, as it cannot enter the
+bound.  The planes cannot prune a whole-grid plateau, where a zero-slope
+link below every positive-slope intercept, by a margin that covers the
 kernel's rounding, pins SOC's level at every point (see _plateau).
 There every point has the same reply, value and mass sum, bit for bit,
 so the bound evaluates one point, the grid's first: it is the float
@@ -42,11 +49,12 @@ fewer on many links so that a chunk holds at most GRID_CHUNK_CELLS
 points times links (the last one may be shorter): Python steps once per
 chunk and part, never per point, and a chunk's memory is bounded at any
 link count.  Each chunk
-is evaluated in numpy at once: the adversary's closed form directly,
-SOC's water-fills, of the points the planes keep, through the batched
-kernel `waterfill_rows`, which is bit-identical to the scalar one row by
-row.  The lower bound's seeds, a handful of rows that do not come from
-the grid, are water-filled by the scalar kernel `waterfill`, which
+is evaluated in numpy at once, less the points the bowl or the planes
+drop: the adversary's closed form directly, SOC's water-fills through
+the batched kernel `waterfill_rows`, which is bit-identical to the
+scalar one row by row.  The seeds, a handful of rows that do not come
+from the grid, are scored in Python floats with the same operations in
+the same order, SOC's replies by the scalar kernel `waterfill`, which
 costs a few microseconds a row where a batched call costs tens.  So
 each point's value, and each bound, is the float that a loop over
 single points would compute, however the grid is chunked.
@@ -65,12 +73,12 @@ resolution, and DEFAULT_CELL_CAP on points times links, with which a
 many-link grid's memory and time grow.
 
 A process keeps one grid for both bounds: the last one of at most
-GRID_CHUNK_CELLS cells, divided by its resolution, in read-only chunks,
-keyed by its size and chunk layout.  So `minimax_gap` enumerates its
-grid once, a later call at the same size enumerates nothing, and a
-larger grid is streamed by each bound and never kept.  A kept chunk
-holds the floats that enumerating again would give, so the bounds stay
-pure functions of their arguments.
+GRID_CHUNK_CELLS cells, in read-only chunks of its parts and of them
+divided by its resolution, keyed by its size and chunk layout.  So
+`minimax_gap` enumerates its grid once, a later call at the same size
+enumerates nothing, and a larger grid is streamed by each bound and
+never kept.  A kept chunk holds the numbers that enumerating again would
+give, so the bounds stay pure functions of their arguments.
 
 numpy is imported by the functions that use it, not by this module, so
 `import malice` and every CLI subcommand but `verify` run without it.
@@ -223,8 +231,9 @@ def simplex_grid(n: int, m: int):
 
 
 def _unit_chunks(n: int, m: int):
-    """Yield _grid_chunks(n, m) divided by n, float64, link-major and
-    read-only, from the kept grid if it has this size and chunk layout.
+    """Yield (parts, unit) per chunk of _grid_chunks(n, m): its parts and
+    the parts divided by n, float64, both link-major and read-only, from
+    the kept grid if it has this size and chunk layout.
 
     A grid of at most GRID_CHUNK_CELLS cells replaces the kept one once it
     has been yielded in full; a larger one, or one whose caller stopped or
@@ -240,10 +249,10 @@ def _unit_chunks(n: int, m: int):
     chunks = [] if _grid_points(n, m) * m <= GRID_CHUNK_CELLS else None
     for parts in _grid_chunks(n, m):
         unit = parts / n
-        unit.flags.writeable = False
+        parts.flags.writeable = unit.flags.writeable = False
         if chunks is not None:
-            chunks.append(unit)
-        yield unit
+            chunks.append((parts, unit))
+        yield parts, unit
     if chunks is not None:
         _kept_grid = (key, tuple(chunks))
 
@@ -282,6 +291,176 @@ def _resolution(grid) -> int:
     return check_integer(resolution, InvalidRange, "grid resolution must be a positive integer", 1)
 
 
+def _kept(chunks, dropped, seeds):
+    """Yield, link-major, the rows of each chunk (parts, unit) that the
+    mask dropped(parts, unit) does not mark, or the chunk itself if it
+    marks none; a chunk whose kept rows are all seeds, lists of parts
+    whose values are already in the bound, yields nothing."""
+    import numpy as np
+
+    seeds = {tuple(parts) for parts in seeds}
+    for parts, unit in chunks:
+        mask = dropped(parts, unit)
+        count = len(unit) - np.count_nonzero(mask)
+        if count == len(unit):
+            yield unit
+        elif count:
+            # grid points are distinct, so only as many rows as seeds can all be seeds
+            index = (~mask).nonzero()[0]
+            if count > len(seeds) or not seeds.issuperset(map(tuple, parts[index].tolist())):
+                yield np.asfortranarray(unit[index])
+
+
+def _attacks(a, b, alpha, unit):
+    """The costs of the SOC strategies (1 - alpha) * unit, one per row,
+    under MAL's best response, as mal_best_response plays it: all of
+    alpha on the first link t maximizing a_k y_k, added only where
+    y_t != 0, as cost adds nothing for an empty link.
+
+    The upper bound's evaluation path for the rows it reads from the
+    grid; _seed_attacks runs the same operations on the seeds.
+    """
+    import numpy as np
+
+    y = (1.0 - alpha) * unit
+    at_t = _first_max(y * a) * len(y) + np.arange(len(y))  # (row, t), link-major
+    load = y.copy(order="F")
+    yt = y.ravel(order="F")[at_t]
+    load.ravel(order="F")[at_t] = yt + alpha * (yt != 0.0)
+    return _link_sum(y * (a * load + b))
+
+
+def _seed_attacks(inst: Instance, alpha: float, seeds, n: int):
+    """_attacks' costs of the seeds, rows of parts of n, in Python floats:
+    the same operations in the same order, so the same floats, with t the
+    first link of the largest a_k y_k, as _first_max picks it, and each
+    cost summed from link 0's term in index order, as _link_sum adds."""
+    a, b = inst.slopes, inst.intercepts
+    beta = 1.0 - alpha
+    values = []
+    for parts in seeds:
+        y = [beta * (p / n) for p in parts]
+        damage = [yk * ak for yk, ak in zip(y, a)]
+        t = damage.index(max(damage))
+        terms = [yk * (ak * yk + bk) for yk, ak, bk in zip(y, a, b)]
+        yt = y[t]
+        terms[t] = yt * (a[t] * (yt + alpha * (yt != 0.0)) + b[t])
+        values.append(reduce(add, terms))
+    return values
+
+
+def _seeded(m: int, n: int) -> bool:
+    """Whether a grid point and its one-unit moves, 1 + 2m rows or
+    m(m - 1) + 1 on fewer than three links, can seed a bound on the grid
+    of resolution n on m links: they must number fewer than its points,
+    and seeds times links must stay within GRID_CHUNK_CELLS //
+    GRID_CHUNK_ROWS, one point's share of a chunk.
+
+    So the lower bound's planes of a chunk, its rows times the seeds, stay
+    within GRID_CHUNK_CELLS, and testing a point against them takes at
+    most 1,024 multiply-adds.  That admits up to 22 links, where the test
+    still costs less than water-filling the point.
+    """
+    count = 1 + (2 * m if m > 2 else m * (m - 1))
+    return count * m <= GRID_CHUNK_CELLS // GRID_CHUNK_ROWS and count < _capped_points(n, m)
+
+
+def _rounded(loads, n: int):
+    """The grid point nearest a flow's loads, then its one-unit moves to
+    the cyclically next and previous link, as lists of parts of n; None
+    unless the loads' sum, added in index order, is positive and finite,
+    and n over it finite too.
+
+    The nearest point takes floor(n l_k / sum(l)) units on each link k and
+    one more on the links of the largest remainders, the first on ties:
+    as n m is far below 1 / epsilon, those floors sum to at most n and
+    more than n - m - 1, so it is a grid point.
+    """
+    m = len(loads)
+    total = reduce(add, loads)
+    scale = n / total if 0.0 < total < math.inf else math.inf
+    if scale == math.inf:  # no sum, or one so small that n / sum overflows
+        return None
+    target = [load * scale for load in loads]
+    parts = [math.floor(share) for share in target]
+    # one more unit on the links of the largest remainders, the first on ties
+    for k in sorted(range(m), key=lambda k: parts[k] - target[k])[:n - sum(parts)]:
+        parts[k] += 1
+    seeds = [parts]
+    for i in range(m):
+        if parts[i]:
+            for j in sorted({(i + 1) % m, (i - 1) % m}):
+                move = parts.copy()
+                move[i] -= 1
+                move[j] += 1
+                seeds.append(move)
+    return seeds
+
+
+def _selfish(inst: Instance, alpha: float):
+    """MAL's selfish flow of mass alpha from the scalar kernel, a load per
+    link, 0.0 on each link it leaves empty: where both bounds' seeds
+    start."""
+    _, written = waterfill(inst.slopes, inst.intercepts, alpha, inst.order)
+    return [written.get(k, 0.0) for k in range(inst.m)]
+
+
+def _bowl(inst: Instance, alpha: float, n: int):
+    """(seeds, best, tables, limit) of the upper bound's pruning (see
+    soc_mal_value), or None where there are no seeds.
+
+    x is MAL's selfish flow of mass alpha from the scalar kernel, t its sum
+    in index order and s_k = a_k x_k + b_k its shifted intercepts.  The
+    seeds are the grid point nearest SOC's reply to x, the scalar kernel's
+    water-fill of mass 1 - alpha on the doubled slopes and shifted
+    intercepts, and its one-unit moves (see _rounded), as lists of parts
+    of n; best is the smallest of their values.  tables[k, j] is T_k at
+    the grid's float v_j, NaN where it overflowed, and limit is best + M.
+    There are no seeds where _seeded admits none, where t is not finite,
+    which an overflowed flow leaves, or where the reply has no usable sum:
+    at alpha = 1, where it is empty, or where it overflows.  Nor are there
+    any where the tables, m (n + 1) entries, would hold more cells than a
+    chunk may, GRID_CHUNK_CELLS: that is only two links past resolution
+    2**20 - 1, a line of over a million points, where two links' closed
+    form costs about what dropping its points would.
+    """
+    import numpy as np
+
+    m = inst.m
+    if m * (n + 1) > GRID_CHUNK_CELLS or not _seeded(m, n):
+        return None
+    a, b = inst.slopes, inst.intercepts
+    x = _selfish(inst, alpha)
+    total = reduce(add, x)
+    if not total < math.inf:
+        return None
+    shifted = [a[k] * x[k] + b[k] for k in range(m)]
+    beta = 1.0 - alpha
+    _, reply = waterfill(inst.doubled_slopes, shifted, beta)
+    seeds = _rounded([reply.get(k, 0.0) for k in range(m)], n)
+    if seeds is None:
+        return None
+    best = min(_seed_attacks(inst, alpha, seeds, n))
+    rho = 4 * (m + 8) * sys.float_info.epsilon
+    limit = best + (rho * (best + sys.float_info.min) + 2.0 * (abs(total - alpha) + rho * total) * beta * max(a))
+    v = np.arange(n + 1) / n
+    v *= beta
+    tables = np.multiply.outer(a, v)
+    tables += np.array(shifted)[:, None]
+    tables *= v
+    tables[np.isinf(tables)] = np.nan  # an entry that overflowed bounds nothing
+    return seeds, best, tables, limit
+
+
+def _above(tables, parts, limit):
+    """Whether each row's bowl, its parts' table entries summed in index
+    order, is above limit: a NaN bowl is not, so it keeps its point."""
+    bowl = tables[0][parts[:, 0]]
+    for k in range(1, len(tables)):
+        bowl += tables[k][parts[:, k]]
+    return bowl > limit
+
+
 def soc_mal_value(inst: Instance, alpha: float, grid: GridSpec) -> float:
     """min over gridded SOC strategies of the exact adversarial best response.
 
@@ -290,22 +469,59 @@ def soc_mal_value(inst: Instance, alpha: float, grid: GridSpec) -> float:
     the same terms, summed link by link in index order.  Costs near the
     end of the float range overflow as IEEE arithmetic does, without a
     numpy warning; no value is NaN, as no empty link is charged.
+
+    It is the smallest over the grid of f(y) = max_x' C(x', y), MAL's cost
+    at its best response, evaluated only where it can still be the
+    smallest.  For any adversary x, f lies on or above the bowl C(x, y)
+    (weak duality), which is separable in y:
+
+        C(x, y) = sum_k T_k(y_k),   T_k(v) = v (a_k v + s_k),
+        s_k = a_k x_k + b_k.
+
+    x is MAL's selfish flow, the paper's optimal adversary, so the bowl
+    touches f at the equilibrium.  Each link takes only the n + 1 values
+    v_j = (1 - alpha)(j / n), the grid's own floats, so the bowl is m
+    tables T_k[j], and a point's bowl is their entries at its parts,
+    summed in index order.  The seeds (see _bowl) are the grid point
+    nearest SOC's reply to x and its one-unit moves; best is the smallest
+    of their values.  A grid point whose bowl exceeds best + M is
+    dropped; the other points, less the seeds, are evaluated chunk by
+    chunk, and the bound is the smallest value of all evaluated.  With
+    beta = 1 - alpha, A = max_k a_k, t the sum of x in index order,
+    rho = 4 (m + 8) machine epsilons and lambda the smallest normal float,
+
+        M = rho (best + lambda) + 2 (|t - alpha| + rho t) beta A.
+
+    The bowl and f are sums of products of nonnegative floats.  So with
+    u half an epsilon, a computed bowl is at most (1 + u)**(m + 3) times
+    its exact value, and a computed f at least (1 - u)**(m + 5) times f
+    (two of its roundings pick the attacked link), each with lambda u more
+    per rounding where a result is subnormal; a sum that overflows stands
+    for at least the largest float.  x's exact mass is within rho t / 2
+    of t, and mass beyond alpha raises the bowl above f by at most that
+    mass times max_k a_k y_k <= beta A.  M covers both with room for its
+    own rounding and that of best + M, so a point whose computed bowl
+    exceeds best + M has a computed value of at least best: dropping it
+    cannot lower the bound, which is the float that evaluating every
+    point gives, and a seed changes only the speed, never the value.  A
+    table entry whose s_k or a_k v_j + s_k overflowed bounds nothing and
+    is made NaN; a NaN bowl, like an inf best, drops nothing.  Where there
+    are no seeds every point is evaluated.
     """
     import numpy as np
 
     alpha, a, b = check_alpha(alpha), np.array(inst.slopes), np.array(inst.intercepts)
+    n = _resolution(grid)
+    chunks = _unit_chunks(n, inst.m)
+    units = (unit for _, unit in chunks)
     best = math.inf
-    with np.errstate(over="ignore", invalid="ignore"):  # IEEE results, as a loop over floats gives
-        for unit in _unit_chunks(_resolution(grid), inst.m):
-            y = (1.0 - alpha) * unit
-            # x + y for MAL's best response x, as mal_best_response plays
-            # it: all of alpha on the first link t maximizing a_k y_k, added
-            # only where y_t != 0, as cost adds nothing for an empty link
-            at_t = _first_max(y * a) * len(y) + np.arange(len(y))  # (row, t), link-major
-            load = y.copy(order="F")
-            yt = y.ravel(order="F")[at_t]
-            load.ravel(order="F")[at_t] = yt + alpha * (yt != 0.0)
-            best = min(best, float(_link_sum(y * (a * load + b)).min()))
+    with np.errstate(all="ignore"):  # IEEE results, as a loop over floats gives
+        bowl = _bowl(inst, alpha, n)
+        if bowl is not None:
+            seeds, best, tables, limit = bowl
+            units = _kept(chunks, lambda parts, unit: _above(tables, parts, limit), seeds)
+        for unit in units:
+            best = min(best, float(_attacks(a, b, alpha, unit).min()))
     return best
 
 
@@ -331,47 +547,19 @@ def _replies(a, b, doubled, alpha, beta, unit):
 
 
 def _seeds(inst: Instance, alpha: float, n: int):
-    """The grid point nearest MAL's selfish flow of mass alpha, then its
-    one-unit moves to the cyclically next and previous link, as lists of
-    parts of n; None where their planes cannot prune.
+    """The lower bound's seeds: the grid point nearest MAL's selfish flow
+    of mass alpha and its one-unit moves (see _rounded), as lists of parts
+    of n; None where their planes cannot prune.
 
     MAL's flow is the scalar kernel's, not wardrop_flow's, so a flow that
     strands or overflows its mass gives no seeds rather than an error.
-    The nearest point takes floor(n x_k / sum(x)) units on each link k and
-    one more on the links of the largest remainders, the first on ties,
-    with sum(x) added in index order: as n m is far below
-    1 / epsilon, those floors sum to at most n and more than n - m - 1,
-    so it is a grid point.
-
-    There are no seeds at alpha = 0, where every plane is flat; when they
-    would number at least the grid's points; or when seeds times links
-    exceed GRID_CHUNK_CELLS // GRID_CHUNK_ROWS, one point's share of a
-    chunk.  So the planes of a chunk, its rows times the seeds, stay within
-    GRID_CHUNK_CELLS, and testing a point against them takes at most 1,024
-    multiply-adds.  That admits up to 22 links, where the test still costs
-    less than water-filling the point.  Nor are there any when MAL's loads
-    have no positive finite sum, which a stranded mass can leave.
+    There are no seeds at alpha = 0, where every plane is flat, where
+    _seeded admits none, or where MAL's loads have no usable sum, which a
+    stranded mass or a subnormal alpha can leave.
     """
-    m = inst.m
-    count = 1 + (2 * m if m > 2 else m * (m - 1))
-    budget = GRID_CHUNK_CELLS // GRID_CHUNK_ROWS
-    if not alpha > 0.0 or count * m > budget or count >= _capped_points(n, m):
+    if not alpha > 0.0 or not _seeded(inst.m, n):
         return None
-    _, written = waterfill(inst.slopes, inst.intercepts, alpha, inst.order)
-    loads = [written.get(k, 0.0) for k in range(m)]
-    total = 0.0
-    for load in loads:
-        total += load
-    if not 0.0 < total < math.inf:
-        return None
-    scale = n / total
-    target = [load * scale for load in loads]
-    parts = [math.floor(share) for share in target]
-    # one more unit on the links of the largest remainders, the first on ties
-    for k in sorted(range(m), key=lambda k: parts[k] - target[k])[:n - sum(parts)]:
-        parts[k] += 1
-    moves = [(i, j) for i in range(m) if parts[i] for j in sorted({(i + 1) % m, (i - 1) % m})]
-    return [parts, *([p - (k == i) + (k == j) for k, p in enumerate(parts)] for i, j in moves)]
+    return _rounded(_selfish(inst, alpha), n)
 
 
 def _worst(totals, beta: float) -> float:
@@ -506,8 +694,9 @@ def mal_soc_value(inst: Instance, alpha: float, grid: GridSpec) -> float:
     n, m = _resolution(grid), inst.m
     beta = 1.0 - alpha
     chunks = _unit_chunks(n, m)
+    units = (unit for _, unit in chunks)
     best = -math.inf
-    with np.errstate(over="ignore", invalid="ignore"):  # IEEE results, as a loop over floats gives
+    with np.errstate(all="ignore"):  # IEEE results, as a loop over floats gives
         doubled = 2.0 * a
         # at alpha = 0 every point is x = 0.0 * unit, the same input, and at
         # alpha = 1 every reply is empty and every value +0.0
@@ -515,7 +704,7 @@ def mal_soc_value(inst: Instance, alpha: float, grid: GridSpec) -> float:
         seeds = None if plateau else _seeds(inst, alpha, n)
         if plateau:
             # one point, from the grid so that its caps hold, stands for them all
-            chunks = (next(chunks)[:1],)
+            units = (next(units)[:1],)
         elif seeds is not None:
             # a point's units sum to 1, so c_j + x @ w_j is unit @ (alpha w_j + c_j)
             values, planes = _seed_replies(inst, alpha, beta, seeds, n)
@@ -523,31 +712,16 @@ def mal_soc_value(inst: Instance, alpha: float, grid: GridSpec) -> float:
                 if value > best:  # a NaN value never enters
                     best = value
             planes = np.array(planes)
-            seeds = np.array(seeds) / n  # the floats of their grid points
             eps = MASS_TOL * max(1.0, beta)
             scale = alpha + 2.0 * (beta + eps)
             marginal = max([ak * scale + bk for ak, bk in inst.links])  # L
             rho = 4 * (m + 8) * sys.float_info.epsilon
             floor = best - (rho * (abs(best) + beta * marginal) + 4.0 * eps * marginal)
-
-            def kept(unit):
-                """The rows of unit that no plane drops, link-major; none if
-                they are all seeds, whose values are in best."""
-                # a NaN plane keeps its point: only one provably below the floor drops it
-                index = (~((planes @ unit.T).min(axis=0) < floor)).nonzero()[0]
-                if len(index) == len(unit):
-                    return unit
-                unit = np.asfortranarray(unit[index])
-                # grid points are distinct, so only as many rows as seeds can all be seeds
-                if len(unit) <= len(seeds) and (unit[:, None, :] == seeds).all(axis=2).any(axis=1).all():
-                    return unit[:0]
-                return unit
-
-            chunks = map(kept, chunks)
-        for unit in chunks:
-            if len(unit):
-                values, _ = _replies(a, b, doubled, alpha, beta, unit)
-                best = max(best, float(np.fmax.reduce(values)))
+            # a NaN plane keeps its point: only one provably below the floor drops it
+            units = _kept(chunks, lambda parts, unit: (planes @ unit.T).min(axis=0) < floor, seeds)
+        for unit in units:
+            values, _ = _replies(a, b, doubled, alpha, beta, unit)
+            best = max(best, float(np.fmax.reduce(values)))
     return best
 
 

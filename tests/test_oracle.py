@@ -1,5 +1,6 @@
 import math
 import random
+import statistics
 import sys
 import threading
 import time
@@ -16,6 +17,7 @@ from malice import (
     InvalidMass,
     InvalidRange,
     flow_cost,
+    induced_optimum,
     mal_soc_value,
     minimax_gap,
     network,
@@ -37,10 +39,14 @@ from malice.oracle import (
     DEFAULT_POINT_CAP,
     GRID_CHUNK_CELLS,
     GRID_CHUNK_ROWS,
+    _above,
+    _attacks,
+    _bowl,
     _grid_chunks,
     _link_sum,
     _replies,
     _resolution,
+    _seed_attacks,
     _seed_replies,
     _seeds,
     _unit_chunks,
@@ -290,15 +296,16 @@ def test_a_kept_grid_follows_the_chunk_layout(monkeypatch):
     assert malice.oracle._kept_grid[0] == (40, 3, GRID_CHUNK_ROWS, GRID_CHUNK_CELLS)
     # the layout a test sets is the layout it gets, kept grid or not
     monkeypatch.setattr(malice.oracle, "GRID_CHUNK_ROWS", 7)
-    assert [len(chunk) for chunk in _unit_chunks(40, 3)] == [7] * 123  # 861 points
+    assert [len(unit) for _, unit in _unit_chunks(40, 3)] == [7] * 123  # 861 points
     assert bounds() == default
     monkeypatch.setattr(malice.oracle, "GRID_CHUNK_CELLS", 17)
-    assert [len(chunk) for chunk in _unit_chunks(40, 3)] == [5] * 172 + [1]
+    assert [len(unit) for _, unit in _unit_chunks(40, 3)] == [5] * 172 + [1]
     assert bounds() == default
-    # every chunk holds the points over the resolution, link-major
-    for unit, parts in zip(_unit_chunks(40, 3), _grid_chunks(40, 3)):
-        assert unit.flags.f_contiguous
-        assert np.array_equal(unit, parts / 40)
+    # every chunk holds its points and the points over the resolution, link-major
+    for (parts, unit), expected in zip(_unit_chunks(40, 3), _grid_chunks(40, 3)):
+        assert parts.flags.f_contiguous and unit.flags.f_contiguous
+        assert np.array_equal(parts, expected)
+        assert np.array_equal(unit, expected / 40)
 
 
 def test_a_grid_above_the_chunk_budget_is_never_kept(monkeypatch):
@@ -307,7 +314,7 @@ def test_a_grid_above_the_chunk_budget_is_never_kept(monkeypatch):
     kept = malice.oracle._kept_grid
     # 1,449 points on 1,449 links: 2,099,601 cells, just above GRID_CHUNK_CELLS
     assert 1448**2 <= GRID_CHUNK_CELLS < 1449**2
-    assert sum(chunk.size for chunk in _unit_chunks(1, 1449)) == 1449**2
+    assert sum(unit.size for _, unit in _unit_chunks(1, 1449)) == 1449**2
     assert malice.oracle._kept_grid is kept
     # (10, 3) has 66 points, 198 cells: one cell over the budget is streamed
     # by both bounds, and a budget of exactly its cells keeps it
@@ -326,14 +333,18 @@ def test_grid_chunks_are_read_only():
     minimax_gap(random_instance(seed=35, m=3), 0.5, GridSpec(12))
     key, chunks = malice.oracle._kept_grid
     assert key == (12, 3, GRID_CHUNK_ROWS, GRID_CHUNK_CELLS)
-    with pytest.raises(ValueError):
-        chunks[0][0, 0] = 1.0
-    with pytest.raises(ValueError):
-        chunks[0][:, 1] *= 2.0
+    parts, unit = chunks[0]
+    for array, value in ((parts, 1), (unit, 1.0)):
+        with pytest.raises(ValueError):
+            array[0, 0] = value
+        with pytest.raises(ValueError):
+            array[:, 1] *= 2
     # a streamed chunk too
-    with pytest.raises(ValueError):
-        next(_unit_chunks(1, 1449))[0, 0] = 1.0
-    assert np.array_equal(chunks[0], next(_grid_chunks(12, 3)) / 12)
+    for array in next(_unit_chunks(1, 1449)):
+        with pytest.raises(ValueError):
+            array[0, 0] = 1
+    assert np.array_equal(parts, next(_grid_chunks(12, 3)))
+    assert np.array_equal(unit, parts / 12)
 
 
 def test_a_failed_or_stopped_enumeration_leaves_the_kept_grid(monkeypatch):
@@ -442,6 +453,8 @@ def test_mal_soc_value_equals_point_by_point_reference():
         (tight(10), 0.0, 10),
         (random_instance(seed=33, m=3), 0.6, 400),         # more than one chunk
         (random_instance(seed=35, m=2), 0.5, 5000),        # one prefix across three chunks
+        (random_instance(seed=2, m=3), 5e-324, 20),        # subnormal alphas: no seeds
+        (random_instance(seed=3, m=3), 1e-310, 20),
     ]
     for inst, alpha, n in cases:
         assert mal_soc_value(inst, alpha, GridSpec(n)) == reference_mal_soc_value(inst, alpha, n)
@@ -628,8 +641,8 @@ def _every_point(inst, alpha, grid):
     path, overflowing as the bound does, without a numpy warning."""
     a, b = np.array(inst.slopes), np.array(inst.intercepts)
     best = -math.inf
-    with np.errstate(over="ignore", invalid="ignore"):
-        for unit in _unit_chunks(_resolution(grid), inst.m):
+    with np.errstate(all="ignore"):
+        for _, unit in _unit_chunks(_resolution(grid), inst.m):
             values, _ = _replies(a, b, 2.0 * a, alpha, 1.0 - alpha, unit)
             best = max(best, float(np.fmax.reduce(values)))
     return best
@@ -677,9 +690,26 @@ def test_a_nan_row_hides_neither_bound():
     # reference's float, with no RuntimeWarning
     cases = [(validate([(0, 1), (1.5e308, 1.5e308)]), alpha, n)
              for alpha in (0.0, 0.3, 0.5, 0.9, 1.0) for n in (1, 2, 10, 30, 100)]
-    # one of whose seeds, a one-unit move onto the huge link, costs NaN
+    # seeds beside two huge links: each seed's value is finite, 0.3 for the
+    # lower bound, as neither bound charges a link that SOC leaves empty
     cases += [(validate([(9e307, 1.7e308), (0, 1), (3e307, 1.6)]), 0.7, n) for n in (5, 10)]
-    for inst, alpha, n in cases:
+    # MAL's level pinned at the largest float: the huge link's shifted
+    # intercept a x + b overflows, so its first table entry is 0 * inf = NaN
+    # and the others inf, which the upper bound makes NaN, keeping every point
+    biggest = sys.float_info.max
+    shifted = [([(1.4076731918322421e308, 7.138040301878989e307), (0, biggest)], 0.99),
+               ([(1.4412783513367957e308, 5.095178621538454e307), (0, biggest)], 0.9),
+               ([(1.188833780299879e308, 1.1872980413002903e308), (0, biggest)], 0.9)]
+    overflowed = [(validate(links), alpha, n) for links, alpha in shifted for n in (3, 10, 30)]
+    for inst, alpha, n in overflowed:
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, _, tables, _ = _bowl(inst, alpha, n)
+        assert np.isnan(tables[0]).all() and not np.isinf(tables).any()
+    # and a link whose a v + s overflows in its larger entries, with s finite
+    with np.errstate(over="ignore"):
+        _, _, tables, _ = _bowl(cases[-1][0], 0.7, 10)
+    assert np.isnan(tables[0, -1]) and not np.isnan(tables[:, 0]).any()
+    for inst, alpha, n in cases + overflowed:
         lower = reference_mal_soc_value(inst, alpha, n)
         upper = reference_soc_mal_value(inst, alpha, n)
         assert math.isfinite(lower) and math.isfinite(upper)
@@ -711,18 +741,27 @@ def test_a_nan_row_hides_neither_bound():
     assert compared > 150
 
 
-def _nearest_point(inst, alpha, n):
-    """n times MAL's selfish flow, from the scalar solver, rounded down and
-    then up on the links of the largest remainders, the first on ties."""
-    loads = wardrop_flow(inst, alpha)[0].values
+def _point_and_moves(loads, n):
+    """n times a flow's loads rounded down and then up on the links of the
+    largest remainders, the first on ties, then that point's one-unit
+    moves to the cyclically next and previous link."""
+    m = len(loads)
     total = 0.0
     for load in loads:
         total += load
     target = [load * (n / total) for load in loads]
     parts = [math.floor(share) for share in target]
-    for k in sorted(range(inst.m), key=lambda k: (parts[k] - target[k], k))[:n - sum(parts)]:
+    for k in sorted(range(m), key=lambda k: (parts[k] - target[k], k))[:n - sum(parts)]:
         parts[k] += 1
-    return parts
+    moves = []
+    for i in range(m):
+        if parts[i]:
+            for j in sorted({(i + 1) % m, (i - 1) % m}):
+                move = list(parts)
+                move[i] -= 1
+                move[j] += 1
+                moves.append(move)
+    return [parts, *moves]
 
 
 def test_seeds_are_the_nearest_point_and_its_one_unit_moves():
@@ -739,26 +778,25 @@ def test_seeds_are_the_nearest_point_and_its_one_unit_moves():
     full = 0
     for inst, alpha, n in cases:
         m = inst.m
-        rows = _seeds(inst, alpha, n)
+        x = wardrop_flow(inst, alpha)[0]
+        # the lower bound's round MAL's selfish flow, the upper bound's SOC's reply to it
+        lower = _seeds(inst, alpha, n)
+        bowl = _bowl(inst, alpha, n)
         count = 1 + (2 * m if m > 2 else m * (m - 1))
         if count >= GridSpec(n).points(m):
-            assert rows is None, (inst, alpha, n)
+            assert lower is None and bowl is None, (inst, alpha, n)
             continue
-        parts = rows[0]
-        assert parts == _nearest_point(inst, alpha, n), (inst, alpha, n)
-        moves = []
-        for i in range(m):
-            if parts[i]:
-                for j in sorted({(i + 1) % m, (i - 1) % m}):
-                    move = list(parts)
-                    move[i] -= 1
-                    move[j] += 1
-                    moves.append(move)
-        assert rows[1:] == moves
-        assert len({tuple(row) for row in rows}) == len(rows)
-        assert all(sum(row) == n and min(row) >= 0 for row in rows)
-        assert len(rows) <= count
-        full += len(rows) == count
+        if alpha == 1.0:  # SOC has no mass to round
+            assert bowl is None
+        else:
+            reply = induced_optimum(inst, x, 1.0 - alpha)[0]
+            assert bowl[0] == _point_and_moves(reply.values, n), (inst, alpha, n)
+        for rows in (lower, *([] if bowl is None else [bowl[0]])):
+            assert len({tuple(row) for row in rows}) == len(rows)
+            assert all(sum(row) == n and min(row) >= 0 for row in rows)
+            assert len(rows) <= count
+        assert lower == _point_and_moves(x.values, n), (inst, alpha, n)
+        full += len(lower) == count
     assert full > 10  # every link loaded: 2m + 1 rows, or m(m - 1) + 1 on two links
     # none at alpha = 0, as many as the grid's points, above the budget, or
     # on a flow that is empty or infinite
@@ -770,6 +808,16 @@ def test_seeds_are_the_nearest_point_and_its_one_unit_moves():
     assert _seeds(three, 0.5, 2) is None and len(_seeds(three, 0.5, 3)) > 1
     for links in ([(1e-17, 1.0), (1e-17, 1.0), (2e-17, 1.0)], [(1e-300, 1e308), (1e-300, 1.5e308), (2.0, 1.6e308)]):
         assert _seeds(validate(links), 0.5, 10) is None
+    # a subnormal alpha, whose flow's sum is so small that n over it overflows,
+    # once raised OverflowError or ValueError from math.floor
+    for seed in (2, 3):
+        assert _seeds(random_instance(seed=seed, m=3), 5e-324, 20) is None
+    # the upper bound's tables stop at GRID_CHUNK_CELLS entries: two links
+    # past resolution 2**20 - 1 get no seeds, and the lower bound's still do
+    two = random_instance(seed=92, m=2)
+    assert 2 * 2**20 == GRID_CHUNK_CELLS and min(two.slopes) > 0.0
+    assert _bowl(two, 0.5, 2**20 - 1) is not None and _bowl(two, 0.5, 2**20) is None
+    assert _seeds(two, 0.5, 2**20) is not None
 
 
 def _seed_outcome(replies, inst, alpha, n, seeds):
@@ -785,12 +833,13 @@ def _seed_outcome(replies, inst, alpha, n, seeds):
 def _batched_seed_replies(inst, alpha, beta, seeds, n):
     """The seeds' values and planes from _replies, the grid chunks' path."""
     a, b = np.array(inst.slopes), np.array(inst.intercepts)
-    with np.errstate(over="ignore", invalid="ignore"):  # as inside the bound
+    with np.errstate(all="ignore"):  # as inside the bound
         values, y = _replies(a, b, 2.0 * a, alpha, beta, np.array(seeds) / n)
         return values, alpha * (a * y) + _link_sum(y * (a * y + b))[:, None]
 
 
-def test_the_seeds_scalar_replies_are_the_batched_ones():
+def _seed_cases():
+    """(inst, alpha, n) on which the seeds' scalar paths meet the batched ones."""
     alphas = (0.1, 0.3, 0.5, 0.7, 0.9)
     cases = [(inst, alpha, n) for inst, alpha in oracle_ensemble(40) for n in (10, 100)]
     wide = [inst for inst in wide_ensemble(60, seed=11) if inst.m <= 5]
@@ -812,14 +861,22 @@ def test_the_seeds_scalar_replies_are_the_batched_ones():
         inst = validate([(rng.uniform(1e307, 1.7e308), rng.uniform(1e307, 1.7e308))
                          for _ in range(rng.choice([2, 3]))])
         cases.append((inst, rng.choice([0.3, 0.5, 0.9, rng.random()]), rng.choice([3, 5, 10])))
+    return cases
+
+
+def _seed_rows(inst, alpha, n):
+    """(rows, n): MAL's seeds, and the points of a coarse grid, together and
+    one by one, whose rows reach the huge links that the seeds avoid."""
+    grid = [list(p) for p in simplex_grid(3, inst.m)]
+    rows = [(grid, 3), *(([row], 3) for row in grid)]
+    seeds = _seeds(inst, alpha, n)
+    return rows if seeds is None else [(seeds, n), *rows]
+
+
+def test_the_seeds_scalar_replies_are_the_batched_ones():
     outcomes = Counter()
-    for inst, alpha, n in cases:
-        # MAL's seeds, and the points of a coarse grid, together and one by
-        # one, whose rows reach the huge links that the seeds avoid
-        grid = [list(p) for p in simplex_grid(3, inst.m)]
-        for rows, n in ((_seeds(inst, alpha, n), n), (grid, 3), *(([row], 3) for row in grid)):
-            if rows is None:
-                continue
+    for inst, alpha, n in _seed_cases():
+        for rows, n in _seed_rows(inst, alpha, n):
             scalar = _seed_outcome(_seed_replies, inst, alpha, n, rows)
             assert scalar == _seed_outcome(_batched_seed_replies, inst, alpha, n, rows), (inst, alpha, n, rows)
             if scalar[0] is InvalidMass:
@@ -828,6 +885,23 @@ def test_the_seeds_scalar_replies_are_the_batched_ones():
                 outcomes["inf value" if "inf" in scalar[0] else "value"] += 1
     assert outcomes["value"] > 1000 and outcomes[InvalidMass] > 30, outcomes
     assert outcomes["nan total"] > 100 and outcomes["inf value"] > 3, outcomes
+
+
+def test_the_seeds_scalar_attacks_are_the_batched_ones():
+    # the upper bound's seeds score in Python what _attacks scores in numpy
+    outcomes = Counter()
+    for inst, alpha, n in _seed_cases():
+        a, b = np.array(inst.slopes), np.array(inst.intercepts)
+        with np.errstate(over="ignore", invalid="ignore"):
+            bowl = _bowl(inst, alpha, n)
+        rows = _seed_rows(inst, alpha, n) + ([] if bowl is None else [(bowl[0], n)])
+        for rows, n in rows:
+            scalar = [value.hex() for value in _seed_attacks(inst, alpha, rows, n)]
+            with np.errstate(over="ignore", invalid="ignore"):
+                batched = [float(value).hex() for value in _attacks(a, b, alpha, np.array(rows) / n)]
+            assert scalar == batched, (inst, alpha, n, rows)
+            outcomes.update("inf" if "inf" in value else "value" for value in scalar)
+    assert outcomes["value"] > 5000 and outcomes["inf"] > 1000, outcomes
 
 
 def test_the_worst_mass_miss_is_the_one_argmax_picks():
@@ -860,12 +934,95 @@ def test_soc_mal_value_equals_point_by_point_reference(monkeypatch):
         (validate([(1, 0), (1, 0.1)]), 0.3, 4),          # tied damage on unequal links:
         (validate([(2, 0), (1, 0)]), 0.5, 6),            # the first of them is attacked
         (random_instance(seed=33, m=3), 0.6, 120),         # more than one chunk
+        (random_instance(seed=48, m=3), 0.4, 100),         # three chunks, pruned to a few rows
+        (random_instance(seed=2, m=3), 5e-324, 20),        # a subnormal alpha
     ]
+    # plateaus, and zero-slope ties that pin SOC's level, MAL's or both
+    cases += [(inst, 0.35, 20) for inst in PLATEAUS]
+    ties = [validate([(0, 1), (0, 1), (3, 0.2)]), validate([(0, 2), (1, 0.5), (0, 2), (4, 0)])]
+    cases += [(inst, alpha, 12) for inst in ties for alpha in (0.1, 0.5, 0.9)]
+    # alpha = 0, where the bowl is f itself, and alpha = 1, where SOC has no mass
+    cases += [(inst, alpha, 30) for inst in (random_instance(seed=49, m=3), PLATEAUS[0]) for alpha in (0.0, 1.0)]
     expected = [reference_soc_mal_value(inst, alpha, n) for inst, alpha, n in cases]
     assert [soc_mal_value(inst, alpha, GridSpec(n)) for inst, alpha, n in cases] == expected
     # one point per chunk: a single row is contiguous in either layout
     monkeypatch.setattr(malice.oracle, "GRID_CHUNK_ROWS", 1)
     assert [soc_mal_value(inst, alpha, GridSpec(n)) for inst, alpha, n in cases] == expected
+
+
+def _every_attack(inst, alpha, n):
+    """The upper bound over every grid point, through its one evaluation path."""
+    a, b = np.array(inst.slopes), np.array(inst.intercepts)
+    with np.errstate(all="ignore"):
+        return min(float(_attacks(a, b, alpha, unit).min()) for _, unit in _unit_chunks(n, inst.m))
+
+
+def test_the_upper_bound_evaluates_few_points_beyond_its_seeds(monkeypatch):
+    rows = []  # per bound, the grid rows it evaluates beyond its seeds
+
+    def counted(a, b, alpha, unit):
+        rows[-1] += len(unit)
+        return _attacks(a, b, alpha, unit)
+
+    rng = random.Random(50)
+    cases = [(random_instance(seed=900 + k, m=3), rng.uniform(0.05, 0.95)) for k in range(40)]
+    expected = [_every_attack(inst, alpha, 100) for inst, alpha in cases]
+    monkeypatch.setattr(malice.oracle, "_attacks", counted)
+    for (inst, alpha), value in zip(cases, expected):
+        rows.append(0)
+        assert soc_mal_value(inst, alpha, GridSpec(100)) == value, (inst, alpha)
+    # of 5,151 points; every point is evaluated where there are no seeds
+    assert statistics.median(rows) <= 30, rows
+    rows.append(0)
+    soc_mal_value(cases[0][0], 1.0, GridSpec(100))
+    assert rows[-1] == GridSpec(100).points(3)
+
+
+def test_the_bowl_drops_only_points_provably_above_the_limit(monkeypatch):
+    # bowls 2.0, 1.5, NaN and 1.0 against a limit of 1.5: only the first is
+    # above it; the one equal to it and the NaN one keep their points
+    tables = np.array([[0.0, 1.0, 2.0], [0.0, 0.5, math.nan]])
+    parts = np.array([[2, 0], [1, 1], [0, 2], [1, 0]], order="F")
+    assert _above(tables, parts, 1.5).tolist() == [True, False, False, False]
+    assert not _above(tables, parts, math.inf).any()
+    # a point never drops against its own value as best: the margin covers
+    # the bowl's rounding above the value, which does happen
+    cases = [(inst, alpha, 20) for inst, alpha in oracle_ensemble(30)]
+    cases += [(random_instance(seed=60 + m, m=m), 0.45, 8) for m in (4, 5, 6)]
+    cases += [(inst, 0.3 + 0.1 * (k % 5), 10) for k, inst in enumerate(wide_ensemble(20, seed=13)) if inst.m <= 5]
+    cases += [(validate([(1, 0)] * 3), 0.5, 20), (validate([(0, 1), (0, 1), (3, 0.2)]), 0.4, 20)]
+    above = 0
+    for inst, alpha, n in cases:
+        points = np.array(list(simplex_grid(n, inst.m)), order="F")
+        values = _attacks(np.array(inst.slopes), np.array(inst.intercepts), alpha, points / n)
+        _, _, tables, _ = _bowl(inst, alpha, n)
+        for i in _above(tables, points, values).nonzero()[0]:
+            above += 1
+            with monkeypatch.context() as patch:
+                patch.setattr(malice.oracle, "_seed_attacks", lambda *args, value=float(values[i]): [value])
+                _, best, _, limit = _bowl(inst, alpha, n)
+            assert best == values[i] and not _above(tables, points[i:i + 1], limit)[0], (inst, alpha, n, i)
+    assert above > 20
+
+
+def test_both_bounds_ignore_every_floating_point_class():
+    # a caller's errstate reaches neither bound: on all-huge links, whose
+    # replies underflow, overflow and make NaN, each bound gives the same
+    # floats and errors as under numpy's default state
+    rng = random.Random(47)
+    outcomes = Counter()
+    for _ in range(200):
+        inst = validate([(rng.uniform(1e307, 1.7e308), rng.uniform(1e307, 1.7e308))
+                         for _ in range(rng.choice([2, 3]))])
+        alpha = rng.choice([0.0, 0.3, 0.5, 0.9, 1.0, rng.random()])
+        grid = GridSpec(rng.choice([1, 2, 3, 5, 10]))
+        for bound in (mal_soc_value, soc_mal_value):
+            default = _outcome(bound, inst, alpha, grid)
+            with np.errstate(all="raise"):
+                assert _outcome(bound, inst, alpha, grid) == default, (bound, inst, alpha, grid)
+            outcomes[bound.__name__, isinstance(default, str)] += 1
+    assert outcomes["mal_soc_value", False] > 20 and outcomes["mal_soc_value", True] > 20, outcomes
+    assert outcomes["soc_mal_value", True] == 200, outcomes
 
 
 def test_mal_soc_value_runs_the_scalar_kernel_only_on_its_seeds(monkeypatch):
