@@ -66,10 +66,12 @@ def waterfill(slopes, intercepts, mass, order=None) -> tuple[float, dict[int, fl
     level from the right, with no link written.
 
     order is intercept_order(slopes, intercepts), sorted here when not
-    given.  Its first part, the positive-slope links, may be any iterable
-    in that order; it is walked once, and only as far as the fill needs.
-    intercepts is read only at the links of the order that the fill
-    reaches, so it may be any mapping from link to intercept.
+    given, into two plain lists without an instance's read-only packing
+    (the oracle's replies to shifted intercepts are sorted so).  Its first
+    part, the positive-slope links, may be any iterable in that order; it
+    is walked once, and only as far as the fill needs.  intercepts is read
+    only at the links of the order that the fill reaches, so it may be any
+    mapping from link to intercept.
     """
     positive, flat = intercept_order(slopes, intercepts) if order is None else order
     unvisited = iter(positive)

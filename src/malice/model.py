@@ -141,13 +141,13 @@ def _frozen(kind, items) -> memoryview:
     return memoryview(array(kind, items)).toreadonly()
 
 
-def intercept_order(slopes, intercepts) -> tuple[memoryview, memoryview]:
-    """The positive-slope links and the zero-slope links, each as a read-only
-    array of link indices in increasing (intercept, index) order."""
+def intercept_order(slopes, intercepts) -> tuple[list[int], list[int]]:
+    """The positive-slope links and the zero-slope links, each as a new
+    list of link indices in increasing (intercept, index) order."""
     key = intercepts.__getitem__
     links = range(len(slopes))
-    return (_frozen("i", sorted([i for i in links if slopes[i] > 0.0], key=key)),
-            _frozen("i", sorted([i for i in links if slopes[i] == 0.0], key=key)))
+    return (sorted([i for i in links if slopes[i] > 0.0], key=key),
+            sorted([i for i in links if slopes[i] == 0.0], key=key))
 
 
 def _reject(a: float, b: float):
@@ -167,8 +167,8 @@ class Instance:
     on every call: `m`, the number of links; `intercepts`, the b_i as a
     tuple; `doubled_slopes`, the slopes 2 a_i of the marginal costs
     2 a_i z + b_i as a read-only array; and `order`, intercept_order of
-    the links.  The memo of the unit solves starts empty (see the module
-    docstring).
+    the links packed in two read-only arrays.  The memo of the unit solves
+    starts empty (see the module docstring).
     """
 
     links: tuple[tuple[float, float], ...]
@@ -207,7 +207,7 @@ class Instance:
         object.__setattr__(self, "_slopes", slopes)
         object.__setattr__(self, "intercepts", intercepts)
         object.__setattr__(self, "doubled_slopes", _frozen("d", [2.0 * a for a in slopes]))
-        object.__setattr__(self, "order", intercept_order(slopes, intercepts))
+        object.__setattr__(self, "order", tuple(_frozen("i", part) for part in intercept_order(slopes, intercepts)))
         object.__setattr__(self, "_unit_wardrop", None)
         object.__setattr__(self, "_unit_optimum", None)
 

@@ -30,15 +30,18 @@ the adversary's strategy, so the cost of SOC's reply to each seed, the
 grid point nearest MAL's selfish flow and its one-unit moves, is a plane
 above h over the whole grid (Kelley's cutting planes); a dropped point's
 reply is neither computed nor mass-checked, as it cannot enter the
-bound.  The planes cannot prune a whole-grid plateau, where a zero-slope
-link below every positive-slope intercept, by a margin that covers the
-kernel's rounding, pins SOC's level at every point (see _plateau).
-There every point has the same reply, value and mass sum, bit for bit,
-so the bound evaluates one point, the grid's first: it is the float
-that every point gives, and its mass check raises the InvalidMass, with
-the message, that the first point evaluated would.  So it does at
-alpha = 0, where every point is the same input, and at alpha = 1, where
-every reply is empty and every value +0.0.  Both bounds score a point
+bound.  The planes cannot prune a pinned face, where MAL's load lifts
+every positive-slope intercept above a zero-slope link's, by a margin
+that covers the kernel's rounding, so that this link pins SOC's level
+and h is flat (see _pin_floor).  Every pinned point has the same reply,
+value and mass sum, bit for bit, so of each chunk's pinned points only
+the first is water-filled: the bound is the float that every point
+gives, and the mass check raises the InvalidMass, with the message, that
+evaluating every point would.  Where every point is pinned, a
+whole-grid plateau (see _plateau), the bound evaluates one point, the
+grid's first, and builds no seeds or planes.  So it does at alpha = 0,
+where every point is the same input, and at alpha = 1, where every
+reply is empty and every value +0.0.  Both bounds score a point
 by model.cost's rule, with nothing for a link that SOC's flow leaves
 empty; and the lower bound skips a NaN value, as a loop over points
 does.
@@ -48,16 +51,18 @@ combinatorial number system, in chunks of GRID_CHUNK_ROWS points, or
 fewer on many links so that a chunk holds at most GRID_CHUNK_CELLS
 points times links (the last one may be shorter): Python steps once per
 chunk and part, never per point, and a chunk's memory is bounded at any
-link count.  Each chunk
-is evaluated in numpy at once, less the points the bowl or the planes
-drop: the adversary's closed form directly, SOC's water-fills through
-the batched kernel `waterfill_rows`, which is bit-identical to the
-scalar one row by row.  The seeds, a handful of rows that do not come
-from the grid, are scored in Python floats with the same operations in
-the same order, SOC's replies by the scalar kernel `waterfill`, which
-costs a few microseconds a row where a batched call costs tens.  So
-each point's value, and each bound, is the float that a loop over
-single points would compute, however the grid is chunked.
+link count.  A chunk of 8,192 points holds the 5,151 of resolution 100
+on 3 links, so a pass over that grid makes one set of numpy calls, not
+three.  Each chunk is evaluated in numpy at once, less the points the
+bowl, the planes or a pinned face drop: the adversary's closed form
+directly, SOC's water-fills through the batched kernel `waterfill_rows`,
+which is bit-identical to the scalar one row by row.  The seeds, a
+handful of rows that do not come from the grid, are scored in Python
+floats with the same operations in the same order, SOC's replies by the
+scalar kernel `waterfill`, which costs a few microseconds a row where a
+batched call costs tens.  So each point's value, and each bound, is the
+float that a loop over single points would compute, however the grid is
+chunked.
 
 Chunks are link-major (Fortran order), one contiguous column per link:
 an elementwise operation with a per-link vector then runs numpy's inner
@@ -97,7 +102,7 @@ from .model import MASS_TOL, SHOWN_COUNT, Instance, check_alpha, check_integer, 
 
 DEFAULT_POINT_CAP = 2_000_000
 DEFAULT_CELL_CAP = 16_000_000  # points times links: bounds a many-link grid's memory and time
-GRID_CHUNK_ROWS = 2_048  # points per chunk: keeps a chunk of few links in cache
+GRID_CHUNK_ROWS = 8_192  # points per chunk: resolution 100 on 3 links, 5,151 points, is one chunk
 GRID_CHUNK_CELLS = 2**21  # points times links per chunk: bounds a chunk's memory on many links
 
 _kept_grid = None  # ((n, m, GRID_CHUNK_ROWS, GRID_CHUNK_CELLS), chunks) of _unit_chunks
@@ -353,16 +358,16 @@ def _seeded(m: int, n: int) -> bool:
     """Whether a grid point and its one-unit moves, 1 + 2m rows or
     m(m - 1) + 1 on fewer than three links, can seed a bound on the grid
     of resolution n on m links: they must number fewer than its points,
-    and seeds times links must stay within GRID_CHUNK_CELLS //
-    GRID_CHUNK_ROWS, one point's share of a chunk.
+    and seeds times links must stay within 1,024.
 
-    So the lower bound's planes of a chunk, its rows times the seeds, stay
-    within GRID_CHUNK_CELLS, and testing a point against them takes at
-    most 1,024 multiply-adds.  That admits up to 22 links, where the test
-    still costs less than water-filling the point.
+    So testing a point against the lower bound's planes takes at most
+    1,024 multiply-adds.  That admits up to 22 links, 45 seeds, where the
+    test still costs less than water-filling the point; and the planes of
+    a chunk, its rows times the seeds, at most 45 times GRID_CHUNK_ROWS,
+    368,640 floats, stay within GRID_CHUNK_CELLS.
     """
     count = 1 + (2 * m if m > 2 else m * (m - 1))
-    return count * m <= GRID_CHUNK_CELLS // GRID_CHUNK_ROWS and count < _capped_points(n, m)
+    return count * m <= 1_024 and count < _capped_points(n, m)
 
 
 def _rounded(loads, n: int):
@@ -525,7 +530,7 @@ def soc_mal_value(inst: Instance, alpha: float, grid: GridSpec) -> float:
     return best
 
 
-def _replies(a, b, doubled, alpha, beta, unit):
+def _replies(a, b, doubled, alpha, beta, unit, floor):
     """(values, y): SOC's exact replies y to the adversarial strategies
     alpha * unit, one per row, and their costs.
 
@@ -533,10 +538,23 @@ def _replies(a, b, doubled, alpha, beta, unit):
     _seed_replies runs the same operations on the seeds.  A reply whose
     loads miss SOC's mass beta = 1 - alpha raises InvalidMass, as a Flow of
     those loads would, rather than enter the bound.
+
+    floor is _pin_floor's, or None to water-fill every row.  A row whose
+    positive-slope shifted intercepts all exceed it is pinned, and of the
+    pinned rows only the first is water-filled: they all have its reply,
+    value and mass sum, so the rows' largest value is the same float, and
+    the first of their largest mass misses is the same total, so the mass
+    check raises the same InvalidMass, with the same message.
     """
     import numpy as np
 
     x = alpha * unit
+    if floor is not None:
+        pinned = ((a * x + b)[:, doubled > 0.0] > floor).all(axis=1)
+        if np.count_nonzero(pinned) > 1:
+            pinned[pinned.argmax()] = False  # the first pinned row stands for the others
+            x = np.asfortranarray(x[~pinned])
+    # unnamed, so the shifted intercepts are freed before the costs' temporaries
     _, y = waterfill_rows(doubled, a * x + b, beta)
     # summed link by link in index order, as a point-by-point loop and Flow
     # would; a link SOC leaves empty adds +0.0, by model.cost's rule
@@ -604,38 +622,49 @@ def _seed_replies(inst: Instance, alpha: float, beta: float, seeds, n: int):
     return values, planes
 
 
-def _plateau(inst: Instance) -> bool:
-    """Whether SOC's level is pinned at one zero-slope intercept c at
-    every grid point, so that every point has the same reply.
+def _pin_floor(inst: Instance):
+    """The float above which every positive-slope link's shifted intercept
+    pins SOC's level at a grid point, or None where no point can be
+    pinned: without a zero-slope link, or with a positive slope outside
+    [2**-500, 2**500].
 
-    The test: the instance has a zero-slope link, c is the smallest
-    zero-slope intercept, and every positive-slope link (a_k, b_k) has
-    b_k > c (1 + delta), delta = 4 (m + 2) epsilons, with a_k and b_k in
-    [2**-500, 2**500].  At each point x, waterfill_rows caps the level at
-    c and fills the shifted intercepts t_k = a_k x_k + b_k >= b_k
-    (rounding is monotone).  Its level, (beta + sum t_k / s_k) / sum 1 / s_k
-    with s_k = 2 a_k over the nonempty set of links it fills, is at least
-    their smallest t_k.  In the window every 1 / s_k and t_k / s_k and
-    every partial sum is a normal float, but a sum of t_k / s_k may
-    overflow to inf, which makes the level inf.  So the computed level is
-    at least that smallest t_k times (1 - u)**(m + 2) / (1 + u)**m
-    >= 1 - (m + 2) epsilons, with u = epsilon / 2, and the rounded
-    threshold is at least c (1 + delta)(1 - epsilon): the level exceeds c
-    (a zero or subnormal c lies below any level of at least 2**-501).
-    So every point is pinned at c: its positive-slope links load nothing,
-    the zero-slope links tied at c split beta = 1 - alpha equally, and as
-    every cost term is finite, the reply, its value and its mass sum are
-    the same floats at every point (at beta = 0, which loads nothing, too).
-    b_k == c and near-ties within delta fail the test.
+    At a point x, waterfill_rows fills beta = 1 - alpha on the doubled
+    slopes s_k = 2 a_k and the shifted intercepts t_k = a_k x_k + b_k, the
+    floats `a * x + b` of _replies, and caps its level at c, the smallest
+    zero-slope intercept.  The floor is c (1 + delta), rounded, with
+    delta = 4 (m + 2) epsilons, or the float below 2**-500 if that is
+    larger.  Let every positive-slope t_k exceed it, so t_k >= 2**-500.
+    The kernel's level, (beta + sum t_k / s_k) / sum 1 / s_k over the
+    nonempty set of links it fills, is at least their smallest t_k.  With
+    the slopes in the window every 1 / s_k and every sum of them is a
+    normal float, and so is every t_k / s_k and every sum of them unless
+    it overflows to inf, which makes the level inf.  So the computed
+    level is at least that smallest t_k times
+    (1 - u)**(m + 2) / (1 + u)**m >= 1 - (m + 2) epsilons, with
+    u = epsilon / 2, and the rounded floor is at least
+    c (1 + delta)(1 - epsilon): the level exceeds c (a zero or subnormal c
+    lies below any level of at least 2**-501).  So the point is pinned at
+    c: its positive-slope links, whose t_k exceed c, load nothing, the
+    zero-slope links tied at c split beta equally, and as every cost term
+    is finite, the reply, its value and its mass sum are the same floats
+    at every pinned point (at beta = 0, which loads nothing, too).
+    t_k == c and near-ties within delta are not pinned.
     """
-    sloped, flat = inst.order
-    if not flat:
-        return False
-    links = [inst.links[i] for i in sloped]  # in increasing intercept order
+    positive, flat = inst.order
+    a = inst.slopes
+    if not flat or not all(2.0**-500 <= a[k] <= 2.0**500 for k in positive):
+        return None
     c = inst.intercepts[flat[0]]
-    delta = 4 * (inst.m + 2) * sys.float_info.epsilon
-    return not links or (links[0][1] > c * (1.0 + delta)
-                         and all(2.0**-500 <= min(link) and max(link) <= 2.0**500 for link in links))
+    return max(c * (1.0 + 4 * (inst.m + 2) * sys.float_info.epsilon), math.nextafter(2.0**-500, 0.0))
+
+
+def _plateau(inst: Instance) -> bool:
+    """Whether every grid point is pinned (see _pin_floor), so that every
+    point has the same reply: a_k x_k + b_k >= b_k, as rounding is
+    monotone, so it is where every positive-slope b_k exceeds the floor,
+    and where every link has a zero slope."""
+    floor = _pin_floor(inst)
+    return floor is not None and all(inst.intercepts[k] > floor for k in inst.order[0])
 
 
 def mal_soc_value(inst: Instance, alpha: float, grid: GridSpec) -> float:
@@ -677,11 +706,13 @@ def mal_soc_value(inst: Instance, alpha: float, grid: GridSpec) -> float:
     3 r best + (1 + r)(2 eps + r beta) L, which M covers with room for the
     rounding of L: no dropped point could raise best, the bound is the
     float that evaluating every point gives, and a seed changes only the
-    speed, never the value.  On a whole-grid plateau (see _plateau),
-    where the planes are flat, one point, the grid's first, stands for
-    all, and no seeds or planes are built; so it does at alpha = 0, where
-    every point is the same input, x = 0.0 * unit, and at alpha = 1, where
-    every reply is empty and every value +0.0.
+    speed, never the value.  On a pinned face (see _pin_floor), where the
+    planes are flat, the first pinned point of each chunk evaluated stands
+    for the chunk's others (see _replies).  On a whole-grid plateau (see
+    _plateau) one point, the grid's first, stands for all, and no seeds or
+    planes are built; so it does at alpha = 0, where every point is the
+    same input, x = 0.0 * unit, and at alpha = 1, where every reply is
+    empty and every value +0.0.
 
     Costs overflow as IEEE arithmetic does, without a numpy warning.  A
     link that a reply leaves empty adds nothing, by model.cost's rule;
@@ -693,6 +724,7 @@ def mal_soc_value(inst: Instance, alpha: float, grid: GridSpec) -> float:
     alpha, a, b = check_alpha(alpha), np.array(inst.slopes), np.array(inst.intercepts)
     n, m = _resolution(grid), inst.m
     beta = 1.0 - alpha
+    pin = _pin_floor(inst)
     chunks = _unit_chunks(n, m)
     units = (unit for _, unit in chunks)
     best = -math.inf
@@ -720,7 +752,7 @@ def mal_soc_value(inst: Instance, alpha: float, grid: GridSpec) -> float:
             # a NaN plane keeps its point: only one provably below the floor drops it
             units = _kept(chunks, lambda parts, unit: (planes @ unit.T).min(axis=0) < floor, seeds)
         for unit in units:
-            values, _ = _replies(a, b, doubled, alpha, beta, unit)
+            values, _ = _replies(a, b, doubled, alpha, beta, unit, pin)
             best = max(best, float(np.fmax.reduce(values)))
     return best
 

@@ -34,6 +34,7 @@ from malice import (
 import malice.flows
 import malice.oracle
 from malice.flows import waterfill, waterfill_rows
+from malice.model import intercept_order
 from malice.oracle import (
     DEFAULT_CELL_CAP,
     DEFAULT_POINT_CAP,
@@ -180,9 +181,9 @@ def test_reference_simplex_grid_is_lexicographic():
 
 
 def test_grid_chunks_across_seams_and_many_links():
-    # (5000, 2): 5,001 points span three chunks.  (70, 4): 62,196 points in 31
+    # (20000, 2): 20,001 points span three chunks.  (70, 4): 62,196 points in 8
     # chunks, whose seams fall inside the blocks of every part.
-    for n, m, count in ((5000, 2, 3), (70, 4, 31)):
+    for n, m, count in ((20000, 2, 3), (70, 4, 8)):
         chunks = list(_grid_chunks(n, m))
         assert len(chunks) == count
         assert all(len(chunk) == GRID_CHUNK_ROWS for chunk in chunks[:-1])
@@ -192,7 +193,7 @@ def test_grid_chunks_across_seams_and_many_links():
     chunks = list(_grid_chunks(1, 1200))
     assert len(chunks) == 1
     assert np.array_equal(chunks[0], np.eye(1200, dtype=np.int64)[::-1])
-    # (2, 150): 11,325 points on 150 links, six chunks
+    # (2, 150): 11,325 points on 150 links, two chunks
     for n, m in ((1, 1200), (2, 150)):
         assert [tuple(row) for chunk in _grid_chunks(n, m) for row in chunk.tolist()] == list(reference_simplex_grid(n, m))
 
@@ -245,8 +246,8 @@ def test_both_bounds_are_bit_identical_however_the_grid_is_chunked(monkeypatch):
 
 
 def test_grid_chunks_bound_the_memory_of_many_links():
-    # the budget keeps 2,048 rows up to 1,024 links and gives fewer beyond
-    assert GRID_CHUNK_CELLS // 1024 == GRID_CHUNK_ROWS
+    # the budget keeps 8,192 rows up to 256 links and gives fewer beyond
+    assert GRID_CHUNK_CELLS // 256 == GRID_CHUNK_ROWS
     assert [len(chunk) for chunk in _grid_chunks(1, 2049)] == [1023, 1023, 3]
     # 2,000 points on 2,000 links: one chunk of all of them peaked at 192 MB
     inst = validate([(1.0, 0.0)] * 2000)
@@ -544,6 +545,7 @@ PLATEAUS = [
     validate([(0, 1), (2, 4), (0, 1), (0, 3)]),    # two tied at the level
     validate([(0, 2), (0, 2), (0, 5)]),            # every link flat
     validate([(0, 5)]),                            # one link
+    validate([(1, 1e300), (0, 1), (2, 1e200)]),    # intercepts past 2**500
 ]
 
 
@@ -643,7 +645,7 @@ def _every_point(inst, alpha, grid):
     best = -math.inf
     with np.errstate(all="ignore"):
         for _, unit in _unit_chunks(_resolution(grid), inst.m):
-            values, _ = _replies(a, b, 2.0 * a, alpha, 1.0 - alpha, unit)
+            values, _ = _replies(a, b, 2.0 * a, alpha, 1.0 - alpha, unit, None)
             best = max(best, float(np.fmax.reduce(values)))
     return best
 
@@ -682,6 +684,128 @@ def test_at_alpha_zero_one_point_stands_for_the_grid(monkeypatch):
         outcomes = [_outcome(mal_soc_value, inst, alpha, grid) for inst, grid in cases]
         assert [o if isinstance(o, str) else o[0] for o in outcomes[:2]] == [first, GridTooLarge]
         assert outcomes == [_outcome(_every_point, inst, alpha, grid) for inst, grid in cases]
+
+
+# pinned faces: a zero-slope link pins SOC's level at the grid points where
+# MAL's load lifts every positive-slope intercept above it, not at every point
+PINNED_FACES = [
+    (validate([(7.133, 6.306), (0, 6.467), (8.756, 6.173)]), 0.585),
+    (validate([(3.5, 0), (0, 0.17), (4, 3.1)]), 0.1),
+    (validate([(0, 1), (2, 0.5), (0, 1), (1, 0.9)]), 0.6),    # two zero-slope links tied at the level
+    (validate([(0, 0), (2, 0), (5, 1e-3)]), 0.3),             # pinned at intercept 0
+]
+
+
+def _pinned_counts(inst, alpha, n):
+    """Per chunk, its rows off the pinned face plus one if any is on it:
+    the rows that the lower bound water-fills where it evaluates every
+    point, with the face tested here on numpy's own arrays."""
+    a, b = np.array(inst.slopes), np.array(inst.intercepts)
+    floor = malice.oracle._pin_floor(inst)
+    counts = []
+    for _, unit in _unit_chunks(n, inst.m):
+        pinned = np.count_nonzero((a * (alpha * unit) + b)[:, a > 0.0].min(axis=1) > floor)
+        counts.append(len(unit) - pinned + min(pinned, 1))
+    return counts
+
+
+def test_a_pinned_face_gives_the_reference_bound_bit_for_bit(monkeypatch):
+    assert not any(malice.oracle._plateau(inst) for inst, _ in PINNED_FACES)
+    cases = [(inst, alpha, n) for inst, alpha in PINNED_FACES for n in (9, 100 if inst.m < 4 else 20)]
+    expected = [reference_mal_soc_value(inst, alpha, n).hex() for inst, alpha, n in cases]
+
+    def bounds():
+        return [mal_soc_value(inst, alpha, GridSpec(n)).hex() for inst, alpha, n in cases]
+
+    assert bounds() == expected
+    # a face across chunks of 500 rows, then every point evaluated, without seeds
+    monkeypatch.setattr(malice.oracle, "GRID_CHUNK_ROWS", 500)
+    assert bounds() == expected
+    monkeypatch.setattr(malice.oracle, "_seeds", lambda *args: None)
+    assert bounds() == expected
+    assert all(sum(_pinned_counts(inst, alpha, n)) < GridSpec(n).points(inst.m) - 1 for inst, alpha, n in cases)
+
+
+def test_a_pinned_face_water_fills_one_row(monkeypatch):
+    rows = []  # of each waterfill_rows call
+
+    def counted(slopes, intercepts, mass):
+        rows.append(len(intercepts))
+        return waterfill_rows(slopes, intercepts, mass)
+
+    monkeypatch.setattr(malice.oracle, "waterfill_rows", counted)
+    inst, alpha = PINNED_FACES[0]
+    expected = reference_mal_soc_value(inst, alpha, 100)
+    assert mal_soc_value(inst, alpha, GridSpec(100)) == expected
+    assert rows == [1]
+    # the planes keep 4,186 of the 5,151 points, all on the face
+    rows.clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(malice.oracle, "_pin_floor", lambda inst: None)
+        assert mal_soc_value(inst, alpha, GridSpec(100)) == expected
+    assert rows == [4186]
+    # the floor is 4 (m + 2) epsilons above c, exclusive, on every shifted
+    # intercept: b = floor leaves the face x_0 = 0 unpinned, its successor not
+    c = 1.0
+    floor = c * (1.0 + 4 * (3 + 2) * sys.float_info.epsilon)
+    for b, face in ((floor, False), (math.nextafter(floor, math.inf), True)):
+        inst = validate([(1, b), (0, c), (3, 0.5)])
+        assert malice.oracle._pin_floor(inst) == floor and not malice.oracle._plateau(inst)
+        rows.clear()
+        assert mal_soc_value(inst, 0.5, GridSpec(100)) == reference_mal_soc_value(inst, 0.5, 100)
+        assert (rows == [1]) is face, b
+    # without seeds every point is evaluated: a chunk water-fills its rows
+    # off the face and the first one on it
+    monkeypatch.setattr(malice.oracle, "_seeds", lambda *args: None)
+    monkeypatch.setattr(malice.oracle, "GRID_CHUNK_ROWS", 1000)
+    for inst, alpha in PINNED_FACES:
+        n = 100 if inst.m < 4 else 20
+        rows.clear()
+        assert mal_soc_value(inst, alpha, GridSpec(n)) == reference_mal_soc_value(inst, alpha, n)
+        assert rows == _pinned_counts(inst, alpha, n), inst
+
+
+def test_near_ties_of_a_pinned_face_take_the_full_path(monkeypatch):
+    # where the positive-slope link (a, b) is lifted above c, a link within
+    # delta above c and too flat to lift the level strands SOC's mass at
+    # some points and not at others, so no point is pinned and each reply is
+    # checked.  With delta = 0 the first of those points would stand for the
+    # rest, and the bound would be a float, not this InvalidMass.
+    monkeypatch.setattr(malice.oracle, "_seeds", lambda *args: None)
+    near = [
+        ([(2.0950532778719424, 0.6389194565074312), (0, 0.8348771507992095),
+          (3.782605590870151e-16, 0.8348771507992097)], 0.999),
+        ([(0.7149915959455384, 0.6507947407850923), (0, 0.8348771507992095),
+          (1.4751022917870719e-16, 0.8348771507992097)], 0.99),
+        ([(2.7833925447841414, 2.741141613084802), (0, 3.8116551675025145),
+          (9.130707190207755e-15, 3.811655167502515)], 0.99),
+    ]
+    for links, alpha in near:
+        inst = validate(links)
+        assert not malice.oracle._plateau(inst)
+        with pytest.raises(InvalidMass, match=f"^flow entries sum to 0.0, declared mass {1.0 - alpha}$"):
+            mal_soc_value(inst, alpha, GridSpec(10))
+        assert _outcome(mal_soc_value, inst, alpha, GridSpec(10)) == _outcome(_every_point, inst, alpha, GridSpec(10))
+
+
+def test_a_pinned_face_raises_the_full_paths_mass_error(monkeypatch):
+    # with no mass tolerance the face's reply, beta split over three tied
+    # zero-slope links, misses beta by an ulp, and its total is the first of
+    # the largest misses: the bound raises the InvalidMass, with the message,
+    # that evaluating every row raises, however the face is chunked
+    monkeypatch.setattr(malice.model, "MASS_TOL", 0.0)
+    monkeypatch.setattr(malice.oracle, "_seeds", lambda *args: None)
+    inst, alpha = validate([(0, 1.0), (0, 1.0), (0, 1.0), (8, 0.9), (1, 2.0)]), 0.14
+    beta = 1.0 - alpha
+    _, y = waterfill(inst.doubled_slopes, [1.0, 1.0, 1.0, 8 * alpha + 0.9, 2.0], beta)  # a point on the face
+    assert sorted(y) == [0, 1, 2]
+    face = y[0] + y[1] + y[2]
+    assert face != beta
+    for rows in (GRID_CHUNK_ROWS, 50, 7):
+        monkeypatch.setattr(malice.oracle, "GRID_CHUNK_ROWS", rows)
+        outcome = _outcome(mal_soc_value, inst, alpha, GridSpec(6))
+        assert outcome == (InvalidMass, f"flow entries sum to {face}, declared mass {beta}"), rows
+        assert outcome == _outcome(_every_point, inst, alpha, GridSpec(6)), rows
 
 
 def test_a_nan_row_hides_neither_bound():
@@ -834,7 +958,7 @@ def _batched_seed_replies(inst, alpha, beta, seeds, n):
     """The seeds' values and planes from _replies, the grid chunks' path."""
     a, b = np.array(inst.slopes), np.array(inst.intercepts)
     with np.errstate(all="ignore"):  # as inside the bound
-        values, y = _replies(a, b, 2.0 * a, alpha, beta, np.array(seeds) / n)
+        values, y = _replies(a, b, 2.0 * a, alpha, beta, np.array(seeds) / n, None)
         return values, alpha * (a * y) + _link_sum(y * (a * y + b))[:, None]
 
 
@@ -1032,6 +1156,50 @@ def test_mal_soc_value_runs_the_scalar_kernel_only_on_its_seeds(monkeypatch):
     calls = count_calls(monkeypatch, malice.flows.waterfill)
     mal_soc_value(inst, 0.5, GridSpec(30))
     assert 0 < calls["waterfill"] <= 1 + len(seeds) < GridSpec(30).points(3)
+
+
+def test_the_scalar_replies_walk_the_instance_order_of_their_intercepts(monkeypatch):
+    # SOC's scalar replies to shifted intercepts, the upper bound's and the
+    # lower bound's seeds', pass no order: the kernel sorts plain lists, with
+    # the element sequence of the read-only order an instance of the same
+    # coefficients keeps, and of a sort by (intercept, index)
+    built = []
+
+    def recorded(slopes, intercepts):
+        order = intercept_order(slopes, intercepts)
+        built.append((list(slopes), list(intercepts), order))
+        return order
+
+    monkeypatch.setattr(malice.flows, "intercept_order", recorded)
+    cases = [(inst, alpha, 30) for inst, alpha in oracle_ensemble(20)]
+    cases += [(inst, alpha, 12) for inst, alpha in PINNED_FACES]
+    cases += [(validate([(0, 1), (0, 1), (3, 0.2)]), 0.5, 12), (validate([(1, 0)] * 3), 0.5, 10)]
+    for inst, alpha, n in cases:
+        minimax_gap(inst, alpha, GridSpec(n))
+    assert len(built) > 2 * len(cases)
+    for slopes, intercepts, (positive, flat) in built:
+        assert type(positive) is list and type(flat) is list
+        kept = validate(list(zip(slopes, intercepts))).order
+        assert positive == list(kept[0]) and flat == list(kept[1]), (slopes, intercepts)
+        ranked = sorted(range(len(slopes)), key=lambda i: (intercepts[i], i))
+        assert positive == [i for i in ranked if slopes[i] > 0.0] and flat == [i for i in ranked if slopes[i] == 0.0]
+
+
+# input 15,307 of the oracle workload's seed 63: a slope of 1.9e-8 gives the
+# water-fill D0's large condition number, so bench/run.py reports the
+# workload incorrect on that seed whenever a run gets that far
+D0_ORACLE_INPUT = ([(1.9028794095987678e-08, 8.173595409832696), (4.904631393907771, 9.867588968386514),
+                    (7.300056569377668, 1.6291908307687097)], float.fromhex("0x1.280947abfcac7p-2"))
+
+
+@pytest.mark.xfail(strict=True, raises=InvalidMass, reason="D0: the solver rejects its own loads")
+@pytest.mark.parametrize("bound", [lambda inst, alpha: pure_equilibrium(inst, alpha)[1].value,
+                                   lambda inst, alpha: mal_soc_value(inst, alpha, GridSpec(100))],
+                         ids=["pure_equilibrium", "mal_soc_value"])
+def test_the_oracle_workloads_d0_input(bound):
+    links, alpha = D0_ORACLE_INPUT
+    inst = validate(links)
+    assert bound(inst, alpha) <= soc_mal_value(inst, alpha, GridSpec(100)) + 1e-9
 
 
 def test_weak_duality_convergence_and_bracketing():
