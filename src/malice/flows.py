@@ -142,17 +142,13 @@ def waterfill_rows(slopes, intercepts, mass) -> "tuple[np.ndarray, np.ndarray]":
     order): each link's column is contiguous, so that elementwise work
     on them runs over the rows and not over the few links of each row.
     Every row runs the floating-point operations of the scalar kernel in
-    the same order, so each row is bit-identical to
-    waterfill(slopes, row, mass).  Its cost is mostly numpy calls, about
-    16 per positive-slope link after the first and some 30 others,
-    whatever the batch: on 3 links a call took 35 to 60 us on 1 to 55
-    rows, 160 us on 2,048 and 400 to 600 us on 5,151 (best of 30 runs,
-    x86-64, numpy 2.4, a shared host), where the scalar kernel takes
-    about 6 us per row.  So it pays only for many rows of few links: the
-    oracle's lower bound runs it on its grid chunks and the scalar kernel
-    on its few seeds.
-    Without a zero slope nothing can pin the level, and the cap, its
-    masks and the tied links' shares are skipped.
+    the same order, so levels compare equal and loads are bit-identical to
+    waterfill(slopes, row, mass); a zero level's sign may differ where a
+    row holds -0.0, which no Instance does.  Its cost is mostly numpy
+    calls, about 16 per positive-slope link and some 30 others, whatever
+    the batch, where the scalar kernel takes about 6 us per row.  So it
+    pays only for many rows of few links: the oracle's lower bound runs it
+    on the grid rows its planes keep and the scalar kernel on its seeds.
     """
     import numpy as np  # only the batched kernel needs numpy; importing it costs more than a CLI run
 
@@ -162,7 +158,9 @@ def waterfill_rows(slopes, intercepts, mass) -> "tuple[np.ndarray, np.ndarray]":
     loads = np.zeros((rows, m), order="F")
     if mass == 0.0:
         return intercepts.min(axis=1), loads
-    positive = slopes.nonzero()[0]  # every slope but a zero one
+    flat = slopes == 0.0
+    cap = intercepts[:, flat].min(axis=1, initial=np.inf)
+    positive = np.flatnonzero(~flat)
     # per row, the positive-slope links in increasing intercept order, their
     # slopes, and their entries in by_link, the intercepts link-major (a
     # view if already so), where row r of link i is entry i * rows + r
@@ -171,45 +169,32 @@ def waterfill_rows(slopes, intercepts, mass) -> "tuple[np.ndarray, np.ndarray]":
     at *= rows
     at += np.arange(rows)[:, None]
     by_link = intercepts.ravel(order="F")
-    inv_sum = off_sum = np.zeros(rows)  # sums of 1/a and b/a over links below the level
+    inv_sum = np.zeros(rows)  # sum of 1/a over links below the level
+    off_sum = np.zeros(rows)  # sum of b/a over links below the level
+    filling = np.ones(rows, dtype=bool)
     for k in range(len(positive)):
         a = sorted_slopes[:, k]
         t = by_link.take(at[:, k])
-        if not k:
-            # every row takes its first link: 0.0 + v is v, but for the
-            # sign of a zero, which neither a comparison nor a nonzero
-            # mass plus it can tell
-            inv_sum, off_sum = 1.0 / a, t / a
-        else:
+        if k:
             # links with equal intercepts join together; a new intercept
             # that the demand already reaches stops the fill for good
-            stop = (t != previous) & (inv_sum > 0.0) & (inv_sum * t - off_sum >= mass)
-            filling = ~stop if k == 1 else filling & ~stop
-            np.add(inv_sum, 1.0 / a, out=inv_sum, where=filling)
-            np.add(off_sum, t / a, out=off_sum, where=filling)
+            filling &= (t == previous) | ~((inv_sum > 0.0) & (inv_sum * t - off_sum >= mass))
+        np.add(inv_sum, 1.0 / a, out=inv_sum, where=filling)
+        np.add(off_sum, t / a, out=off_sum, where=filling)
         previous = t
     # free the sorted slopes (a is a view of them) before the tail's
     # temporaries: a chunk of many links then peaks at the sort
     sorted_slopes = a = None
     level = np.divide(mass + off_sum, inv_sum, out=np.full(rows, np.inf), where=inv_sum > 0.0)
-    if len(positive) == m:
-        # no zero-slope link can pin the level
-        below = intercepts < level[:, None]
-        pinned = None
-    else:
-        flat = slopes == 0.0
-        cap = intercepts[:, flat].min(axis=1)
-        pinned = level > cap
-        level = np.where(pinned, cap, level)
-        below = (intercepts < level[:, None]) & ~flat
+    pinned = level > cap
+    level = np.where(pinned, cap, level)
+    below = (intercepts < level[:, None]) & ~flat
     np.subtract(level[:, None], intercepts, out=loads, where=below)
     np.divide(loads, slopes, out=loads, where=below)
     # a single loaded link carries the whole mass exactly
-    single = below.sum(axis=1) == 1
-    if pinned is not None:
-        single &= ~pinned
+    single = ~pinned & (np.count_nonzero(below, axis=1) == 1)
     np.copyto(loads, mass, where=below & single[:, None])  # its other links hold 0.0
-    if pinned is not None and pinned.any():
+    if pinned.any():
         # the zero-slope links tied at the level soak up, in equal shares,
         # what the positive-slope links cannot absorb below it
         placed = np.zeros(rows)

@@ -296,6 +296,16 @@ def test_waterfill_rows_bitwise_equal_to_scalar_on_edge_cases():
         # a mass too small to lift the level off the first intercept loads nothing
         ((1.0, 0.1, 1.0), [[1.8819520021759981, 1.0, 0.2]], 1e-17),
     ]
+    # batches with no zero slope, with only zero slopes, with equal intercepts
+    # at the first rank, and with a zero or a subnormal mass: one fill loop
+    # from zero sums and one cap over the zero-slope links serve them all
+    no_zero = ((0.5, 2.0, 7.0), [[3.0, 0.0, 1.0], [1e-310, 2.0, 2.0], [4.0, 4.0, 4.0], [0.0, 0.0, 0.0]])
+    only_zero = ((0.0, 0.0, 0.0), [[2.0, 1.0, 1.0], [0.0, 3.0, 0.0], [5e-324, 1.0, 5e-324]])
+    first_tie = ((1.0, 2.0, 0.0, 3.0), [[0.5, 0.5, 4.0, 1.0], [1.0, 1.0, 1.0, 1.0], [0.0, 0.0, 0.5, 0.0],
+                                        [2.0, 3.0, 1.0, 2.0]])
+    for slopes, rows in (no_zero, only_zero, first_tie):
+        for mass in (0.0, 5e-324, 1e-310, 0.3, 1.0, 60.0):
+            cases.append((slopes, rows, mass))
     for slopes, rows, mass in cases:
         _assert_rows_bitwise_equal_scalar(slopes, rows, mass)
     # rows that overflow: intercepts near the largest float and slopes of
@@ -322,6 +332,17 @@ def test_waterfill_rows_bitwise_equal_to_scalar_on_edge_cases():
     assert loads.tolist() == [[0.25, 0.25, 0.5]]
     _, loads = waterfill_rows((1.0, 1.0, 3.0), np.array([[0.0, 10.0, 20.0]]), 0.3)
     assert loads.tolist() == [[0.3, 0.0, 0.0]]
+    # a row holding -0.0: levels compare equal and loads are bit-identical,
+    # but a zero level's sign may differ (here -0.0 where the scalar kernel
+    # gives 0.0, at mass 0 and at a cap of signed zeros)
+    signed = [((1.0, 2.0), [[0.0, -0.0], [-0.0, 0.0]], 0.0),
+              ((0.0, 0.0, 1.0), [[0.0, -0.0, 1.0], [-0.0, 0.0, 1.0]], 0.5)]
+    for slopes, rows, mass in signed:
+        levels, loads = waterfill_rows(slopes, np.array(rows), mass)
+        for row, level, load in zip(rows, levels.tolist(), loads.tolist()):
+            ref_level, ref_loads = dense_waterfill(slopes, row, mass)
+            assert level == ref_level == 0.0, (slopes, row, mass)
+            assert bits(load) == bits(ref_loads), (slopes, row, mass)
 
 
 def _order_cases():

@@ -12,12 +12,14 @@ import numpy as np
 import pytest
 
 from malice import (
+    Flow,
     GridSpec,
     GridTooLarge,
     InvalidMass,
     InvalidRange,
     flow_cost,
     induced_optimum,
+    mal_best_response,
     mal_soc_value,
     minimax_gap,
     network,
@@ -1011,21 +1013,48 @@ def test_the_seeds_scalar_replies_are_the_batched_ones():
     assert outcomes["nan total"] > 100 and outcomes["inf value"] > 3, outcomes
 
 
+def _attack_ties():
+    """(inst, alpha, rows, n): rows whose a_k y_k tie exactly at their
+    maximum, rows of zeros, and rows whose only load is on one link."""
+    ties = validate([(2, 0.1), (1, 0.7), (2, 0.3)])  # y_0 = y_2 ties links 0 and 2
+    doubled = validate([(2, 1.0), (1, 0.0)])  # 2 y_0 = y_1 where p_1 = 2 p_0
+    flat = validate([(0, 1.0), (3, 0.5), (1, 2.0)])  # a zero slope ties at 0 with every empty link
+    rows = [
+        (ties, [[2, 0, 2], [1, 2, 1], [3, 1, 3], [1, 0, 1], [0, 4, 0], [4, 0, 0], [0, 0, 4], [0, 0, 0]], 4),
+        (ties, [[2, 4, 2], [1, 2, 1], [3, 0, 3], [0, 6, 0]], 6),
+        (doubled, [[1, 2], [2, 4], [3, 0], [0, 3], [0, 0]], 3),
+        (flat, [[4, 0, 0], [0, 4, 0], [0, 0, 4], [2, 0, 2], [0, 0, 0]], 4),
+    ]
+    return [(inst, alpha, parts, n) for inst, parts, n in rows for alpha in (0.0, 0.1, 0.25, 1 / 3, 0.5, 0.9, 1.0)]
+
+
 def test_the_seeds_scalar_attacks_are_the_batched_ones():
     # the upper bound's seeds score in Python what _attacks scores in numpy
     outcomes = Counter()
+    cases = []
     for inst, alpha, n in _seed_cases():
-        a, b = np.array(inst.slopes), np.array(inst.intercepts)
         with np.errstate(over="ignore", invalid="ignore"):
             bowl = _bowl(inst, alpha, n)
         rows = _seed_rows(inst, alpha, n) + ([] if bowl is None else [(bowl[0], n)])
-        for rows, n in rows:
-            scalar = [value.hex() for value in _seed_attacks(inst, alpha, rows, n)]
-            with np.errstate(over="ignore", invalid="ignore"):
-                batched = [float(value).hex() for value in _attacks(a, b, alpha, np.array(rows) / n)]
-            assert scalar == batched, (inst, alpha, n, rows)
-            outcomes.update("inf" if "inf" in value else "value" for value in scalar)
+        cases += [(inst, alpha, rows, n) for rows, n in rows]
+    for inst, alpha, rows, n in cases + _attack_ties():
+        a, b = np.array(inst.slopes), np.array(inst.intercepts)
+        scalar = [value.hex() for value in _seed_attacks(inst, alpha, rows, n)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            batched = [float(value).hex() for value in _attacks(a, b, alpha, np.array(rows) / n)]
+        assert scalar == batched, (inst, alpha, n, rows)
+        outcomes.update("inf" if "inf" in value else "value" for value in scalar)
     assert outcomes["value"] > 5000 and outcomes["inf"] > 1000, outcomes
+    # on ties, the first maximal link is attacked, as mal_best_response
+    # attacks it: the last one gives another float, as on ties' row
+    # [2, 0, 2] at alpha 0.25 and 0.5, and doubled's [1, 2] at 0.1
+    for inst, alpha, rows, n in _attack_ties():
+        batched = _attacks(np.array(inst.slopes), np.array(inst.intercepts), alpha, np.array(rows) / n)
+        for parts, value in zip(rows, batched.tolist()):
+            if sum(parts) == n or alpha == 1.0:  # y is a flow of mass 1 - alpha
+                y = [(1.0 - alpha) * (p / n) for p in parts]
+                expected = mal_best_response(inst, Flow(y, 1.0 - alpha), alpha).value
+                assert value.hex() == expected.hex(), (inst, alpha, parts, n)
 
 
 def test_the_worst_mass_miss_is_the_one_argmax_picks():
