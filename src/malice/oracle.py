@@ -21,9 +21,9 @@ the solver's kernel, change only its speed.
 
 The upper bound's value at y, MAL's best-response cost f(y), lies on or
 above the bowl C(x, y), SOC's cost under MAL's selfish flow x, the
-paper's optimal adversary (weak duality).  The bowl is separable, so m
-tables of n + 1 entries give each point's bowl in m lookups; the seeds
-are the grid point nearest SOC's reply to x and its one-unit moves.
+paper's optimal adversary (weak duality).  The bowl is separable, a sum
+of one convex term per link; the seeds are the grid point nearest SOC's
+reply to x and its one-unit moves.
 
 The lower bound's value at x, SOC's best-reply cost h(x), is concave in
 the adversary's strategy, so the cost of SOC's reply to each seed, the
@@ -46,26 +46,35 @@ by model.cost's rule, with nothing for a link that SOC's flow leaves
 empty; and the lower bound skips a NaN value, as a loop over points
 does.
 
-Grid points are unranked from their lexicographic positions, as in the
-combinatorial number system, in chunks of GRID_CHUNK_ROWS points, or
-fewer on many links so that a chunk holds at most GRID_CHUNK_CELLS
+Neither bound passes over the grid where it has seeds.  Each walks the
+grid depth first, one link per level and the parts in lexicographic
+order (Land and Doig's branch and bound), and enters a prefix only if
+its best completion can still be kept: the bowl's prefix plus a lower
+bound on the rest (Lagrangian, as in marginal allocation for separable
+convex costs; Ibaraki and Katoh, Resource Allocation Problems, 1988), or
+each plane's prefix plus the rest times its largest remaining
+coefficient.  On each level the parts that pass form one run, found by
+bisection, as both tests are convex in the part; a leaf is kept by the
+bound's own test.  The kept points, usually a handful, are scored in
+Python floats by the seeds' scorers, SOC's replies by the scalar kernel
+`waterfill`, and the lower bound checks their masses per chunk of
+GRID_CHUNK_ROWS ranks, as a pass over the grid's chunks would.  So a
+seeded bound imports no numpy, and its time follows the points kept,
+not the points of the grid.
+
+A grid without seeds (see _seeded, _bowl and _seeds) is evaluated in
+full.  Its points are unranked from their lexicographic positions, as
+in the combinatorial number system, in chunks of GRID_CHUNK_ROWS points,
+or fewer on many links so that a chunk holds at most GRID_CHUNK_CELLS
 points times links (the last one may be shorter): Python steps once per
 chunk and part, never per point, and a chunk's memory is bounded at any
-link count.  A chunk of 8,192 points holds the 5,151 of resolution 100
-on 3 links, so a pass over that grid makes one set of numpy calls, not
-three.  Each chunk is evaluated in numpy at once, less the points the
-bowl, the planes or a pinned face drop: the adversary's closed form
-directly, SOC's water-fills through the batched kernel `waterfill_rows`,
-whose loads are the scalar kernel's bit for bit, row by row.  Those
-drops leave few rows, a mean of 14 for the upper bound and 0.3 for the
-lower on the `oracle` benchmark's inputs, so the evaluation has one path,
-with none of its own for dense grids.  The seeds, a
-handful of rows that do not come from the grid, are scored in Python
-floats with the same operations in the same order, SOC's replies by the
-scalar kernel `waterfill`, which costs a few microseconds a row where a
-batched call costs tens.  So each point's value, and each bound, is the
-float that a loop over single points would compute, however the grid is
-chunked.
+link count.  Each chunk is evaluated in numpy at once, less the pinned
+points past each chunk's first: the adversary's closed form directly,
+SOC's water-fills through the batched kernel `waterfill_rows`, whose
+loads are the scalar kernel's bit for bit, row by row.  The Python
+scorers run the same operations in the same order.  So each point's
+value, and each bound, is the float that a loop over single points
+would compute, however the grid is walked or chunked.
 
 Chunks are link-major (Fortran order), one contiguous column per link:
 an elementwise operation with a per-link vector then runs numpy's inner
@@ -75,27 +84,21 @@ sums over links add the columns one after another in index order, as a
 loop over a single point does; numpy's own sum along a contiguous row
 adds eight or more links pairwise, which changes the last bit.
 
-Both caps are checked where the grid is built, so `simplex_grid` and
-both bounds share them: DEFAULT_POINT_CAP on the points and the
-resolution, and DEFAULT_CELL_CAP on points times links, with which a
-many-link grid's memory and time grow.
-
-A process keeps one grid for both bounds: the last one of at most
-GRID_CHUNK_CELLS cells, in read-only chunks of its parts and of them
-divided by its resolution, keyed by its size and chunk layout.  So
-`minimax_gap` enumerates its grid once, a later call at the same size
-enumerates nothing, and a larger grid is streamed by each bound and
-never kept.  A kept chunk holds the numbers that enumerating again would
-give, so the bounds stay pure functions of their arguments.
+Both caps are checked before anything else, so `simplex_grid` and both
+bounds share them: DEFAULT_POINT_CAP on the points and the resolution,
+and DEFAULT_CELL_CAP on points times links, with which a many-link
+grid's memory and time grow.
 
 numpy is imported by the functions that use it, not by this module, so
-`import malice` and every CLI subcommand but `verify` run without it.
+`import malice`, every CLI subcommand but `verify`, and `verify` on a
+grid with seeds run without it.
 """
 
 import math
 import sys
 from dataclasses import dataclass
 from functools import reduce
+from itertools import groupby
 from operator import add
 
 from .errors import GridTooLarge, InvalidRange
@@ -106,8 +109,6 @@ DEFAULT_POINT_CAP = 2_000_000
 DEFAULT_CELL_CAP = 16_000_000  # points times links: bounds a many-link grid's memory and time
 GRID_CHUNK_ROWS = 8_192  # points per chunk: resolution 100 on 3 links, 5,151 points, is one chunk
 GRID_CHUNK_CELLS = 2**21  # points times links per chunk: bounds a chunk's memory on many links
-
-_kept_grid = None  # ((n, m, GRID_CHUNK_ROWS, GRID_CHUNK_CELLS), chunks) of _unit_chunks
 
 
 @dataclass(frozen=True)
@@ -171,10 +172,16 @@ def _capped_points(n: int, m: int) -> int:
     return total
 
 
+def _chunk_rows(m: int) -> int:
+    """The points of a chunk of the grid on m links: GRID_CHUNK_ROWS, or
+    fewer, at least one, so that a chunk holds at most GRID_CHUNK_CELLS
+    points times links."""
+    return max(1, min(GRID_CHUNK_ROWS, GRID_CHUNK_CELLS // m))
+
+
 def _grid_chunks(n: int, m: int):
     """Yield the compositions of n into m nonnegative parts, lexicographically,
-    as int64 arrays of min(GRID_CHUNK_ROWS, GRID_CHUNK_CELLS // m) rows (at
-    least one), the last one of at most as many.
+    as int64 arrays of _chunk_rows(m) rows, the last one of at most as many.
 
     Each row is unranked from u, the number of points after it.  Counted
     from the end, the points whose first part leaves s for the k - 1 parts
@@ -201,7 +208,7 @@ def _grid_chunks(n: int, m: int):
     sizes = np.arange(1, n + 2)  # s + 1: the compositions of s into two parts
     for table in counts[::-1]:
         sizes = np.cumsum(sizes, out=table[1:])
-    rows = max(1, min(GRID_CHUNK_ROWS, GRID_CHUNK_CELLS // m))
+    rows = _chunk_rows(m)
     for start in range(total - 1, -1, -rows):
         u = np.arange(start, max(start - rows, -1), -1)  # the chunk's u, from start down
         parts = np.empty((len(u), m), dtype=np.int64, order="F")
@@ -225,29 +232,9 @@ def simplex_grid(n: int, m: int):
 
 def _unit_chunks(n: int, m: int):
     """Yield (parts, unit) per chunk of _grid_chunks(n, m): its parts and
-    the parts divided by n, float64, both link-major and read-only, from
-    the kept grid if it has this size and chunk layout.
-
-    A grid of at most GRID_CHUNK_CELLS cells replaces the kept one once it
-    has been yielded in full; a larger one, or one whose caller stopped or
-    raised, leaves it as it was.  The memo is read once, so a concurrent
-    call that replaces it changes nothing this one yields.
-    """
-    global _kept_grid
-    key = (n, m, GRID_CHUNK_ROWS, GRID_CHUNK_CELLS)
-    kept = _kept_grid
-    if kept is not None and kept[0] == key:
-        yield from kept[1]
-        return
-    chunks = [] if _grid_points(n, m) * m <= GRID_CHUNK_CELLS else None
+    the parts divided by n, float64 and link-major."""
     for parts in _grid_chunks(n, m):
-        unit = parts / n
-        parts.flags.writeable = unit.flags.writeable = False
-        if chunks is not None:
-            chunks.append((parts, unit))
-        yield parts, unit
-    if chunks is not None:
-        _kept_grid = (key, tuple(chunks))
+        yield parts, parts / n
 
 
 def _link_sum(values):
@@ -269,24 +256,6 @@ def _resolution(grid) -> int:
     return check_integer(resolution, InvalidRange, "grid resolution must be a positive integer", 1)
 
 
-def _kept(chunks, dropped, seeds):
-    """Yield, link-major, the rows of each chunk (parts, unit) that the
-    mask dropped(parts, unit) does not mark; a chunk whose kept rows are
-    all seeds, lists of parts whose values are already in the bound,
-    yields nothing."""
-    import numpy as np
-
-    seeds = {tuple(parts) for parts in seeds}
-    for parts, unit in chunks:
-        mask = dropped(parts, unit)
-        count = len(unit) - np.count_nonzero(mask)
-        if count:
-            # grid points are distinct, so only as many rows as seeds can all be seeds
-            index = (~mask).nonzero()[0]
-            if count > len(seeds) or not seeds.issuperset(map(tuple, parts[index].tolist())):
-                yield np.asfortranarray(unit[index])
-
-
 def _attacks(a, b, alpha, unit):
     """The costs of the SOC strategies (1 - alpha) * unit, one per row,
     under MAL's best response, as mal_best_response plays it: all of
@@ -294,8 +263,8 @@ def _attacks(a, b, alpha, unit):
     y_t != 0, as cost adds nothing for an empty link.  y * a is finite,
     as y <= 1, so argmax picks that first link.
 
-    The upper bound's evaluation path for the rows it reads from the
-    grid; _seed_attacks runs the same operations on the seeds.
+    The upper bound's evaluation path on a grid without seeds;
+    _seed_attacks runs the same operations on the rows of a seeded one.
     """
     import numpy as np
 
@@ -307,23 +276,66 @@ def _attacks(a, b, alpha, unit):
     return _link_sum(y * (a * load + b))
 
 
-def _seed_attacks(inst: Instance, alpha: float, seeds, n: int):
-    """_attacks' costs of the seeds, rows of parts of n, in Python floats:
-    the same operations in the same order, so the same floats, with t the
-    first link of the largest a_k y_k, as argmax picks it, and each
-    cost summed from link 0's term in index order, as _link_sum adds."""
+def _attack_entries(inst: Instance, alpha: float, n: int):
+    """A function of (k, p): link k's damage y a_k, term y (a_k y + b_k)
+    and attacked term at the share y = (1 - alpha)(p / n), as _attacks
+    computes them, each kept once computed."""
     a, b = inst.slopes, inst.intercepts
     beta = 1.0 - alpha
-    values = []
-    for parts in seeds:
-        y = [beta * (p / n) for p in parts]
-        damage = [yk * ak for yk, ak in zip(y, a)]
+    tables = [{} for _ in range(inst.m)]
+
+    def entry(k, p):
+        found = tables[k].get(p)
+        if found is None:
+            y = beta * (p / n)
+            ak, bk = a[k], b[k]
+            found = tables[k][p] = (y * ak, y * (ak * y + bk), y * (ak * (y + alpha * (y != 0.0)) + bk))
+        return found
+
+    return entry
+
+
+def _seed_attacks(inst: Instance, alpha: float, rows, n: int):
+    """_attacks' costs of rows of parts of n, on two links or more, in
+    Python floats, each row a slice of one point (see _slice_attacks)."""
+    entry = _attack_entries(inst, alpha, n)
+    return [_slice_attacks(entry, parts[:-2], parts[-2] + parts[-1], parts[-2], parts[-2]) for parts in rows]
+
+
+def _slice_attacks(entry, prefix, r: int, low: int, high: int) -> float:
+    """The smallest of _attacks' costs of the points prefix + [j, r - j] for
+    j in [low, high], inf if none, entry being _attack_entries'.
+
+    Each cost runs _attacks' operations in the same order, so it is the
+    same float: the attacked link t is the first of the largest damage, as
+    argmax picks it, and the terms, t's attacked, are summed from link 0's
+    in index order, as _link_sum adds them.  The prefix's largest damage,
+    its plain sum and its sum with t attacked are taken once, and each
+    point adds its last two links' terms to the one that t picks."""
+    d = len(prefix)
+    top, plain, attacked = -math.inf, 0.0, 0.0
+    entries = [entry(k, p) for k, p in enumerate(prefix)]
+    if entries:
+        damage = [e[0] for e in entries]
         t = damage.index(max(damage))
-        terms = [yk * (ak * yk + bk) for yk, ak, bk in zip(y, a, b)]
-        yt = y[t]
-        terms[t] = yt * (a[t] * (yt + alpha * (yt != 0.0)) + b[t])
-        values.append(reduce(add, terms))
-    return values
+        top = damage[t]
+        terms = [e[1] for e in entries]
+        plain = reduce(add, terms)
+        terms[t] = entries[t][2]
+        attacked = reduce(add, terms)
+    best = math.inf
+    for j in range(low, high + 1):
+        d1, plain1, attacked1 = entry(d, j)
+        d2, plain2, attacked2 = entry(d + 1, r - j)
+        if top >= d1 and top >= d2:  # the first largest damage, as argmax picks it
+            value = attacked + plain1 + plain2
+        elif d1 >= d2:
+            value = plain + attacked1 + plain2
+        else:
+            value = plain + plain1 + attacked2
+        if value < best:
+            best = value
+    return best
 
 
 def _seeded(m: int, n: int) -> bool:
@@ -332,11 +344,11 @@ def _seeded(m: int, n: int) -> bool:
     of resolution n on m links: they must number fewer than its points,
     and seeds times links must stay within 1,024.
 
-    So testing a point against the lower bound's planes takes at most
-    1,024 multiply-adds.  That admits up to 22 links, 45 seeds, where the
-    test still costs less than water-filling the point; and the planes of
-    a chunk, its rows times the seeds, at most 45 times GRID_CHUNK_ROWS,
-    368,640 floats, stay within GRID_CHUNK_CELLS.
+    So testing a point against the lower bound's planes, which the walk
+    does at every part it bisects, takes at most 1,024 multiply-adds.
+    That admits up to 22 links, 45 seeds, where the test still costs less
+    than water-filling the point; on more links the grid is evaluated in
+    full, by numpy.
     """
     count = 1 + (2 * m if m > 2 else m * (m - 1))
     return count * m <= 1_024 and count < _capped_points(n, m)
@@ -382,29 +394,42 @@ def _selfish(inst: Instance, alpha: float):
     return [written.get(k, 0.0) for k in range(inst.m)]
 
 
+def _reach(keep, most: int) -> int:
+    """The largest i in [0, most] for which keep(i) holds, keep(0) being
+    true and keep false from some i on: galloping from 0, then bisecting."""
+    good, bad = 0, most + 1
+    step = 1
+    while step < bad and keep(step):
+        good, step = step, 2 * step
+    bad = min(bad, step)
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        if keep(mid):
+            good = mid
+        else:
+            bad = mid
+    return good
+
+
 def _bowl(inst: Instance, alpha: float, n: int):
-    """(seeds, best, tables, limit) of the upper bound's pruning (see
-    soc_mal_value), or None where there are no seeds.
+    """(seeds, best, slices) of the upper bound (see soc_mal_value), or
+    None where there are no seeds.
 
     x is MAL's selfish flow of mass alpha from the scalar kernel, t its sum
     in index order and s_k = a_k x_k + b_k its shifted intercepts.  The
     seeds are the grid point nearest SOC's reply to x, the scalar kernel's
     water-fill of mass 1 - alpha on the doubled slopes and shifted
     intercepts, and its one-unit moves (see _rounded), as lists of parts
-    of n; best is the smallest of their values.  tables[k, j] is T_k at
-    the grid's float v_j, NaN where it overflowed, and limit is best + M.
-    There are no seeds where _seeded admits none, where t is not finite,
-    which an overflowed flow leaves, or where the reply has no usable sum:
-    at alpha = 1, where it is empty, or where it overflows.  Nor are there
-    any where the tables, m (n + 1) entries, would hold more cells than a
-    chunk may, GRID_CHUNK_CELLS: that is only two links past resolution
-    2**20 - 1, a line of over a million points, where two links' closed
-    form costs about what dropping its points would.
+    of n; best is the smallest of their values, and slices is
+    _bowl_slices' walk over the points whose bowl is at most best + M.
+    There are no seeds where _seeded admits none, where t is not finite, which an overflowed flow
+    leaves, or where the reply has no usable sum: at alpha = 1, where it
+    is empty, or where it overflows.  Nor are there any where a bowl term,
+    an s_k, the reply's level or best + M is not finite: there the bowl
+    bounds nothing, and every point is evaluated.
     """
-    import numpy as np
-
     m = inst.m
-    if m * (n + 1) > GRID_CHUNK_CELLS or not _seeded(m, n):
+    if not _seeded(m, n):
         return None
     a, b = inst.slopes, inst.intercepts
     x = _selfish(inst, alpha)
@@ -413,29 +438,96 @@ def _bowl(inst: Instance, alpha: float, n: int):
         return None
     shifted = [a[k] * x[k] + b[k] for k in range(m)]
     beta = 1.0 - alpha
-    _, reply = waterfill(inst.doubled_slopes, shifted, beta)
+    level, reply = waterfill(inst.doubled_slopes, shifted, beta)
     seeds = _rounded([reply.get(k, 0.0) for k in range(m)], n)
     if seeds is None:
         return None
     best = min(_seed_attacks(inst, alpha, seeds, n))
     rho = 4 * (m + 8) * sys.float_info.epsilon
     limit = best + (rho * (best + sys.float_info.min) + 2.0 * (abs(total - alpha) + rho * total) * beta * max(a))
-    v = np.arange(n + 1) / n
-    v *= beta
-    tables = np.multiply.outer(a, v)
-    tables += np.array(shifted)[:, None]
-    tables *= v
-    tables[np.isinf(tables)] = np.nan  # an entry that overflowed bounds nothing
-    return seeds, best, tables, limit
+    # each link's largest term, at v = beta, bounds its others
+    largest = [(a[k] * beta + shifted[k]) * beta for k in range(m)]
+    if not all(math.isfinite(v) for v in (*largest, level, limit)):
+        return None
+    return seeds, best, _bowl_slices(a, shifted, beta, n, level, best, limit)
 
 
-def _above(tables, parts, limit):
-    """Whether each row's bowl, its parts' table entries summed in index
-    order, is above limit: a NaN bowl is not, so it keeps its point."""
-    bowl = tables[0][parts[:, 0]]
-    for k in range(1, len(tables)):
-        bowl += tables[k][parts[:, k]]
-    return bowl > limit
+def _bowl_slices(a, s, beta: float, n: int, level: float, best: float, limit: float):
+    """Yield (prefix, r, low, high) for each slice of the walk over links
+    (see soc_mal_value) that it reaches, lexicographically: the points
+    prefix + [j, r - j] whose bowl, T_k at their parts summed in index
+    order, is at most limit have their j in [low, high], an empty run
+    where low > high.  prefix is a list that the walk goes on to change."""
+    m = len(a)
+
+    def term(k, j):
+        v = beta * (j / n)
+        return (a[k] * v + s[k]) * v
+
+    # T_k(v) >= level v + low_k for v >= 0; tails[d] sums low_k over k >= d
+    tails = [0.0] * (m + 1)
+    for k in range(m - 1, -1, -1):
+        gap = level - s[k]
+        tails[k] = tails[k + 1] + (-(gap * gap) / (4.0 * a[k]) if a[k] > 0.0 and gap > 0.0 else 0.0)
+    kappa = level * beta / n
+    if not level * beta - tails[0] <= 3.0 * best:  # a reply far from its mass: no tail bound
+        kappa, tails = 0.0, [0.0] * (m + 1)
+    parts = [0] * (m - 2)
+
+    def share(v):
+        """The share of v that the last two links' terms, as functions of a
+        real share, put on link m - 2 at their least sum: where their
+        marginal costs meet, halved so that nothing overflows."""
+        slopes = a[m - 2] / 2.0 + a[m - 1] / 2.0
+        if not slopes > 0.0:
+            return 0.0 if s[m - 2] >= s[m - 1] else v
+        return min(max((a[m - 1] / 2.0 * v + (s[m - 1] - s[m - 2]) / 4.0) / slopes, 0.0), v)
+
+    def visit(d, total, r):
+        if d == m - 2:
+            ad, sd, ae, se = a[d], s[d], a[d + 1], s[d + 1]
+
+            def key(j):  # the leaf's bowl: term(d, j) + term(d + 1, r - j)
+                v, w = beta * (j / n), beta * ((r - j) / n)
+                return total + (ad * v + sd) * v + (ae * w + se) * w
+
+            center = share(beta * (r / n))
+        elif d == m - 3:
+            def key(j):  # the last two links at their least sum, as real shares
+                v = beta * ((r - j) / n)
+                w = share(v)
+                return total + term(d, j) + ((a[d + 1] * w + s[d + 1]) * w + (a[d + 2] * (v - w) + s[d + 2]) * (v - w))
+
+            # the three links' least sum, a water-fill of their halved terms
+            _, loads = waterfill(a[d:], [sk / 2.0 for sk in s[d:]], beta * (r / n))
+            center = loads.get(0, 0.0)
+        else:
+            tail = tails[d + 1]
+
+            def key(j):
+                return total + term(d, j) + (kappa * (r - j) + tail)
+
+            gap = level - s[d]
+            center = gap / a[d] / 2.0 if a[d] > 0.0 and gap > 0.0 else 0.0
+        # the key is convex in the part, least at the floor or the ceiling of
+        # center's, which may be infinite
+        center /= beta / n
+        center = 0 if not center > 0.0 else r if center >= r else int(center)
+        if center < r and key(center + 1) < key(center):
+            center += 1
+        if key(center) > limit:
+            low, high = center, center - 1
+        else:
+            low = center - _reach(lambda i: key(center - i) <= limit, center)
+            high = center + _reach(lambda i: key(center + i) <= limit, r - center)
+        if d == m - 2:
+            yield parts, r, low, high
+            return
+        for j in range(low, high + 1):
+            parts[d] = j
+            yield from visit(d + 1, total + term(d, j), r - j)
+
+    yield from visit(0, 0.0, n)
 
 
 def soc_mal_value(inst: Instance, alpha: float, grid: GridSpec) -> float:
@@ -457,14 +549,13 @@ def soc_mal_value(inst: Instance, alpha: float, grid: GridSpec) -> float:
 
     x is MAL's selfish flow, the paper's optimal adversary, so the bowl
     touches f at the equilibrium.  Each link takes only the n + 1 values
-    v_j = (1 - alpha)(j / n), the grid's own floats, so the bowl is m
-    tables T_k[j], and a point's bowl is their entries at its parts,
-    summed in index order.  The seeds (see _bowl) are the grid point
-    nearest SOC's reply to x and its one-unit moves; best is the smallest
-    of their values.  A grid point whose bowl exceeds best + M is
-    dropped; the other points, less the seeds, are evaluated chunk by
-    chunk, and the bound is the smallest value of all evaluated.  With
-    beta = 1 - alpha, A = max_k a_k, t the sum of x in index order,
+    v_j = (1 - alpha)(j / n), the grid's own floats, and a point's bowl is
+    its terms T_k at its parts, summed in index order.  The seeds (see
+    _bowl) are the grid point nearest SOC's reply to x and its one-unit
+    moves; best is the smallest of their values.  A grid point whose bowl
+    exceeds best + M is dropped; the other points, less the seeds, are
+    evaluated, and the bound is the smallest value of all evaluated.
+    With beta = 1 - alpha, A = max_k a_k, t the sum of x in index order,
     rho = 4 (m + 8) machine epsilons and lambda the smallest normal float,
 
         M = rho (best + lambda) + 2 (|t - alpha| + rho t) beta A.
@@ -480,24 +571,57 @@ def soc_mal_value(inst: Instance, alpha: float, grid: GridSpec) -> float:
     own rounding and that of best + M, so a point whose computed bowl
     exceeds best + M has a computed value of at least best: dropping it
     cannot lower the bound, which is the float that evaluating every
-    point gives, and a seed changes only the speed, never the value.  A
-    table entry whose s_k or a_k v_j + s_k overflowed bounds nothing and
-    is made NaN; a NaN bowl, like an inf best, drops nothing.  Where there
-    are no seeds every point is evaluated.
+    point gives, and a seed changes only the speed, never the value.
+    Where a term or best + M is not finite there are no seeds, and every
+    point is evaluated.
+
+    The points are found by a walk over links (see _bowl_slices), not by
+    a pass over the grid.  A prefix with r units left is entered only
+    where its partial bowl, summed in index order as a leaf sums it, plus
+    a lower bound K(r) on the bowl of the links left, is at most best + M;
+    on the last two links the test is the leaf's bowl itself.  Where two
+    links are left, K is their least sum over real shares of beta r / n,
+    which the shares of any completion sum to up to two roundings each.
+    Where more are left, K is a Lagrangian bound (as in marginal
+    allocation for separable convex costs): with mu the level of SOC's
+    reply, which is at most every zero-slope s_k, T_k(v) >= mu v + low_k
+    for v >= 0, low_k = -(mu - s_k)**2 / (4 a_k) where a_k > 0 and
+    s_k < mu, else 0, so K(r) = kappa r plus the low_k of the links left,
+    kappa = mu beta / n.  That bound touches the bowl's minimum at the
+    reply, and the walk uses it only where mu beta + sum |low_k| <= 3 best,
+    as it is where the reply carries its mass (mu beta is at most twice
+    SOC's least cost under x, and sum |low_k| half of mu beta).
+
+    K needs no margin of its own.  Computed, it lies within 8 u of its
+    terms' sum, at most 3 best, of a lower bound on the exact bowl of
+    every completion, and the prefix's test differs from its leaves' by
+    fewer roundings than a leaf's test has: M's rounding term exceeds what
+    a leaf's test needs, about (2 m + 8) u best, by (6 m + 56) u best, more
+    than the 24 u best of K.  So a prefix that is not entered holds no
+    point whose value could be below best.  Each test is convex in the
+    part, up to rounding of the same order, so the parts that pass it form
+    one run around its least value, where the last two links' marginal
+    costs meet, where the last three's water-fill puts its share, or at
+    the reply's share; the run's ends are found by galloping and bisection
+    on the test itself, and every point of a run on the last two links is
+    evaluated.
     """
+    alpha = check_alpha(alpha)
+    n, m = _resolution(grid), inst.m
+    _capped_points(n, m)
+    bowl = _bowl(inst, alpha, n)
+    if bowl is not None:
+        _, best, slices = bowl
+        entry = _attack_entries(inst, alpha, n)
+        for prefix, r, low, high in slices:
+            best = min(best, _slice_attacks(entry, prefix, r, low, high))
+        return best
     import numpy as np
 
-    alpha, a, b = check_alpha(alpha), np.array(inst.slopes), np.array(inst.intercepts)
-    n = _resolution(grid)
-    chunks = _unit_chunks(n, inst.m)
-    units = (unit for _, unit in chunks)
+    a, b = np.array(inst.slopes), np.array(inst.intercepts)
     best = math.inf
     with np.errstate(all="ignore"):  # IEEE results, as a loop over floats gives
-        bowl = _bowl(inst, alpha, n)
-        if bowl is not None:
-            seeds, best, tables, limit = bowl
-            units = _kept(chunks, lambda parts, unit: _above(tables, parts, limit), seeds)
-        for unit in units:
+        for _, unit in _unit_chunks(n, m):
             best = min(best, float(_attacks(a, b, alpha, unit).min()))
     return best
 
@@ -506,10 +630,11 @@ def _replies(a, b, doubled, alpha, beta, unit, floor):
     """(values, y): SOC's exact replies y to the adversarial strategies
     alpha * unit, one per row, and their costs.
 
-    The lower bound's evaluation path for the rows it reads from the grid;
-    _seed_replies runs the same operations on the seeds.  A reply whose
-    loads miss SOC's mass beta = 1 - alpha raises InvalidMass, as a Flow of
-    those loads would, rather than enter the bound.
+    The lower bound's evaluation path on a grid without seeds;
+    _seed_replies runs the same operations on the rows of a seeded one.
+    A reply whose loads miss SOC's mass beta = 1 - alpha raises
+    InvalidMass, as a Flow of those loads would, rather than enter the
+    bound.
 
     floor is _pin_floor's, or None to water-fill every row.  A row whose
     positive-slope shifted intercepts all exceed it is pinned, and of the
@@ -565,10 +690,10 @@ def _worst(totals, beta: float) -> float:
     return worst
 
 
-def _seed_replies(inst: Instance, alpha: float, beta: float, seeds, n: int):
-    """(values, planes) of SOC's replies to the seeds, rows of parts of n:
-    each reply's cost and its plane row alpha a_k y_k + c (see
-    mal_soc_value), water-filled one row at a time by the scalar kernel.
+def _seed_replies(inst: Instance, alpha: float, beta: float, rows, n: int):
+    """(values, planes) of SOC's replies to rows of parts of n: each
+    reply's cost and its plane row alpha a_k y_k + c (see mal_soc_value),
+    water-filled one row at a time by the scalar kernel.
 
     Each row runs _replies' operations in the same order, so each value
     is the same float, and a mass miss raises the same InvalidMass, on
@@ -579,7 +704,7 @@ def _seed_replies(inst: Instance, alpha: float, beta: float, seeds, n: int):
     a, b = inst.slopes, inst.intercepts
     links = range(inst.m)
     values, totals, planes = [], [], []
-    for parts in seeds:
+    for parts in rows:
         x = [alpha * (p / n) for p in parts]
         _, written = waterfill(inst.doubled_slopes, [a[k] * x[k] + b[k] for k in links], beta)
         y = [written.get(k, 0.0) for k in links]
@@ -620,13 +745,18 @@ def _pin_floor(inst: Instance):
     zero-slope links tied at c split beta equally, and as every cost term
     is finite, the reply, its value and its mass sum are the same floats
     at every pinned point (at beta = 0, which loads nothing, too).
-    t_k == c and near-ties within delta are not pinned.
+    t_k == c and near-ties within delta are not pinned, but for c = 0,
+    where the floor is -inf: with beta >= 2**-53 and every t_k >= 0 the
+    level is at least beta over m 2**499, positive, so every point is
+    pinned at 0.
     """
     positive, flat = inst.order
     a = inst.slopes
     if not flat or not all(2.0**-500 <= a[k] <= 2.0**500 for k in positive):
         return None
     c = inst.intercepts[flat[0]]
+    if c == 0.0:  # a free link: every level is positive, so every point is pinned
+        return -math.inf
     return max(c * (1.0 + 4 * (inst.m + 2) * sys.float_info.epsilon), math.nextafter(2.0**-500, 0.0))
 
 
@@ -637,6 +767,96 @@ def _plateau(inst: Instance) -> bool:
     and where every link has a zero slope."""
     floor = _pin_floor(inst)
     return floor is not None and all(inst.intercepts[k] > floor for k in inst.order[0])
+
+
+def _face(inst: Instance, alpha: float, n: int, pin: float):
+    """Per link, the fewest parts of n at which its shifted intercept
+    a_k (alpha (p / n)) + b_k, the float _replies tests, exceeds pin, n + 1
+    if none does, and 0 on a zero-slope link: a point is pinned where
+    each part reaches its link's, as the intercept grows with the part."""
+    a, b = inst.slopes, inst.intercepts
+    least = [0] * inst.m
+    for k in inst.order[0]:
+        def below(j, k=k):
+            return not a[k] * (alpha * (j / n)) + b[k] > pin
+
+        least[k] = _reach(below, n) + 1 if below(0) else 0
+    return least
+
+
+def _plane_points(m: int, n: int, planes, floor: float, face, covered: bool, seeds):
+    """The grid points that the lower bound evaluates, as (rank, parts) in
+    rank order: those at which no plane lies below floor, each plane
+    summed as unit @ plane in index order, less the seeds and less each
+    pinned point but the first of its chunk's (see mal_soc_value).
+
+    face is _face's list, or None where no point is pinned; where covered,
+    a pinned seed stands for the face, and no pinned point is kept.
+    """
+    tops = [[max(row[k:]) for k in range(m)] for row in planes]  # each plane's largest coefficient from k on
+    size = _chunk_rows(m)
+    parts = [0] * m
+    kept = []
+    chunk = -1  # of the last pinned point kept
+
+    def run(d, sums, r):
+        """The parts j of link d whose bounds, each plane's largest value
+        over the completions of the prefix and j, all reach the floor:
+        each is linear in j, so it passes the floor on one side of a
+        threshold, found in closed form with one part of room for its
+        rounding."""
+        low, high = 0, r
+        for total, row, top in zip(sums, planes, tops):
+            p, q = row[d], top[d + 1]
+            base = total + q * (r / n)
+            if p == q:
+                if base < floor:
+                    return 0, -1
+            else:
+                t = (floor - base) / (p - q) * n
+                if p > q:
+                    low = max(low, r if t > r else math.ceil(t) - 1 if t > 1.0 else 0)
+                else:
+                    high = min(high, -1 if t < -1.0 else r if t > r - 1 else math.floor(t) + 1)
+        return low, high
+
+    def leaves(d, sums, r, rank, js):
+        for j in js:
+            u, w = j / n, (r - j) / n
+            if all(total + row[d] * u + row[d + 1] * w >= floor for total, row in zip(sums, planes)):
+                parts[d], parts[d + 1] = j, r - j
+                if tuple(parts) not in seeds:
+                    kept.append((rank + j, parts.copy()))
+
+    def visit(d, sums, r, rank):
+        nonlocal chunk
+        low, high = run(d, sums, r)
+        if d < m - 2:
+            left = m - d - 1
+            whole = math.comb(r + left, left)
+            for j in range(low, high + 1):
+                parts[d] = j
+                u = j / n
+                visit(d + 1, [total + row[d] * u for total, row in zip(sums, planes)], r - j,
+                      rank + whole - math.comb(r - j + left, left))
+            return
+        # the last two links: the point (..., j, r - j) has rank rank + j,
+        # its planes are the bounds at j, and its pinned points form one run
+        if face is None or not all(parts[k] >= face[k] for k in range(m - 2)):
+            leaves(d, sums, r, rank, range(low, high + 1))
+            return
+        first, last = max(low, face[d]), min(high, r - face[d + 1])
+        leaves(d, sums, r, rank, range(low, min(first, high + 1)))
+        if first <= last and not covered:
+            for start in range((rank + first) // size, (rank + last) // size + 1):
+                if start != chunk:  # the run's first point in a chunk without a pinned point yet
+                    j = max(rank + first, start * size) - rank
+                    parts[d], parts[d + 1], chunk = j, r - j, start
+                    kept.append((rank + j, parts.copy()))
+        leaves(d, sums, r, rank, range(max(last + 1, low), high + 1))
+
+    visit(0, [0.0] * len(planes), n, 0)
+    return kept
 
 
 def mal_soc_value(inst: Instance, alpha: float, grid: GridSpec) -> float:
@@ -667,23 +887,46 @@ def mal_soc_value(inst: Instance, alpha: float, grid: GridSpec) -> float:
         M = rho (|best| + beta L) + 4 eps L.
 
     A plane and a value are sums of nonnegative terms, so in any order of
-    summation (BLAS included) each is within r = (m + 8) epsilons of its
-    size; c_j rides in the matmul as a point's units, which sum to 1
-    within that.  A seed's reply passed the mass check, so it lacks at
-    most eps + r beta of beta, and filling that onto a link raises its
-    cost by at most that times L.  A point's computed reply, optimal for
-    its own mass up to rounding, may carry eps more than beta, which
-    raises its cost by at most eps times its level, below L.  So a dropped
-    point's value is at most its plane plus
-    3 r best + (1 + r)(2 eps + r beta) L, which M covers with room for the
-    rounding of L: no dropped point could raise best, the bound is the
-    float that evaluating every point gives, and a seed changes only the
-    speed, never the value.  On a pinned face (see _pin_floor), where the
-    planes are flat, the first pinned point of each chunk evaluated stands
-    for the chunk's others (see _replies).  On a whole-grid plateau (see
-    _plateau) one point, the grid's first, stands for all, and no seeds or
-    planes are built; so it does at alpha = 0, where every point is the
-    same input, x = 0.0 * unit, and at alpha = 1, where every reply is
+    summation each is within r = (m + 8) epsilons of its size; c_j rides
+    in the plane as a point's units, which sum to 1 within that.  A seed's
+    reply passed the mass check, so it lacks at most eps + r beta of beta,
+    and filling that onto a link raises its cost by at most that times L.
+    A point's computed reply, optimal for its own mass up to rounding, may
+    carry eps more than beta, which raises its cost by at most eps times
+    its level, below L.  So a dropped point's value is at most its plane
+    plus 3 r best + (1 + r)(2 eps + r beta) L, which M covers with room
+    for the rounding of L: no dropped point could raise best, the bound is
+    the float that evaluating every point gives, and a seed changes only
+    the speed, never the value.  Where a plane's coefficient or best - M
+    is not finite, the planes drop nothing, and every point is evaluated.
+
+    The points are found by a walk over links (see _plane_points), not by
+    a pass over the grid.  A plane's largest value over the completions
+    of a prefix with r units left is its partial sum, in index order as a
+    leaf sums it, plus the part j taken next times its coefficient, plus
+    (r - j) / n times its largest coefficient after that.  That too is a
+    sum of nonnegative terms, with fewer roundings than a plane: where it
+    lies below best - M, so does each completion's plane, and the walk
+    needs no margin of its own.  The bound is linear in j, so the parts
+    that pass every plane form one run, whose ends are found in closed
+    form with one part of room on each side: where a threshold rounds
+    past a part by less than one, as 7.999999999999999 for 8, the part's
+    own test decides.  A threshold further off comes from a bound nearly
+    flat in j, which moves by a few u of best - M across it, and M's room
+    of (m + 8) epsilons of best over what a dropped point needs covers
+    that.  On the last two links the bound is the leaf's plane, and each
+    point of the run off a pinned face is kept by its own test.  The kept points are
+    water-filled chunk by chunk of GRID_CHUNK_ROWS ranks, and each chunk's
+    masses are checked together, as _replies checks a chunk's.
+
+    On a pinned face (see _pin_floor), where the planes are flat, the
+    first pinned point of each chunk of GRID_CHUNK_ROWS ranks stands for
+    the chunk's others (see _replies): the walk skips the rest of a
+    slice's pinned run, and none at all where a seed is pinned, as its
+    value and mass are the face's.  On a whole-grid plateau (see
+    _plateau) one point, the grid's first, stands for all, and no seeds
+    or planes are built; so it does at alpha = 0, where every point is
+    the same input, x = 0.0 * unit, and at alpha = 1, where every reply is
     empty and every value +0.0.
 
     Costs overflow as IEEE arithmetic does, without a numpy warning.  A
@@ -691,40 +934,44 @@ def mal_soc_value(inst: Instance, alpha: float, grid: GridSpec) -> float:
     and a NaN value never enters the maximum, as in a point-by-point
     loop's `if value > best`.
     """
-    import numpy as np
-
-    alpha, a, b = check_alpha(alpha), np.array(inst.slopes), np.array(inst.intercepts)
+    alpha = check_alpha(alpha)
     n, m = _resolution(grid), inst.m
     beta = 1.0 - alpha
-    pin = _pin_floor(inst)
-    chunks = _unit_chunks(n, m)
-    units = (unit for _, unit in chunks)
+    _capped_points(n, m)
     best = -math.inf
+
+    def raised(rows):  # best and the rows' planes, after their mass check; a NaN value never enters
+        values, planes = _seed_replies(inst, alpha, beta, rows, n)
+        return max([best, *(value for value in values if value > best)]), planes
+
+    # at alpha = 0 every point is x = 0.0 * unit, the same input, and at
+    # alpha = 1 every reply is empty and every value +0.0
+    if not 0.0 < alpha < 1.0 or _plateau(inst):
+        return raised([[0] * (m - 1) + [n]])[0]  # one point, the grid's first, stands for them all
+    pin = _pin_floor(inst)
+    seeds = _seeds(inst, alpha, n)
+    if seeds is not None:
+        best, planes = raised(seeds)
+        eps = MASS_TOL * max(1.0, beta)
+        scale = alpha + 2.0 * (beta + eps)
+        marginal = max([ak * scale + bk for ak, bk in inst.links])  # L
+        rho = 4 * (m + 8) * sys.float_info.epsilon
+        floor = best - (rho * (abs(best) + beta * marginal) + 4.0 * eps * marginal)
+        if math.isfinite(floor) and all(math.isfinite(p) for row in planes for p in row):
+            face = None if pin is None else _face(inst, alpha, n, pin)
+            # a pinned seed's value and mass are the face's
+            covered = face is not None and any(all(p >= q for p, q in zip(seed, face)) for seed in seeds)
+            walk = _plane_points(m, n, planes, floor, face, covered, {tuple(parts) for parts in seeds})
+            size = _chunk_rows(m)
+            for _, rows in groupby(walk, key=lambda item: item[0] // size):
+                best, _ = raised([parts for _, parts in rows])
+            return best
+    import numpy as np
+
+    a, b = np.array(inst.slopes), np.array(inst.intercepts)
     with np.errstate(all="ignore"):  # IEEE results, as a loop over floats gives
-        doubled = 2.0 * a
-        # at alpha = 0 every point is x = 0.0 * unit, the same input, and at
-        # alpha = 1 every reply is empty and every value +0.0
-        plateau = not 0.0 < alpha < 1.0 or _plateau(inst)
-        seeds = None if plateau else _seeds(inst, alpha, n)
-        if plateau:
-            # one point, from the grid so that its caps hold, stands for them all
-            units = (next(units)[:1],)
-        elif seeds is not None:
-            # a point's units sum to 1, so c_j + x @ w_j is unit @ (alpha w_j + c_j)
-            values, planes = _seed_replies(inst, alpha, beta, seeds, n)
-            for value in values:
-                if value > best:  # a NaN value never enters
-                    best = value
-            planes = np.array(planes)
-            eps = MASS_TOL * max(1.0, beta)
-            scale = alpha + 2.0 * (beta + eps)
-            marginal = max([ak * scale + bk for ak, bk in inst.links])  # L
-            rho = 4 * (m + 8) * sys.float_info.epsilon
-            floor = best - (rho * (abs(best) + beta * marginal) + 4.0 * eps * marginal)
-            # a NaN plane keeps its point: only one provably below the floor drops it
-            units = _kept(chunks, lambda parts, unit: (planes @ unit.T).min(axis=0) < floor, seeds)
-        for unit in units:
-            values, _ = _replies(a, b, doubled, alpha, beta, unit, pin)
+        for _, unit in _unit_chunks(n, m):
+            values, _ = _replies(a, b, 2.0 * a, alpha, beta, unit, pin)
             best = max(best, float(np.fmax.reduce(values)))
     return best
 

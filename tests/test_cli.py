@@ -437,7 +437,8 @@ sys.exit("numpy loaded by " + loaded[0] if loaded else 0)
 
 def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path, pigou_file):
     # oracle and families load on first use, so that only verify pays for
-    # the oracle (and numpy) and only gen for the families
+    # the oracle and only gen for the families; verify walks a grid with
+    # seeds in Python floats, and only a grid without them loads numpy
     unused = {"malice.oracle", "malice.families", "numpy"}
     for args in (
         ["solve", "--instance", pigou_file, "--wardrop", "--mass", "1"],
@@ -447,6 +448,8 @@ def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path, pigou_file):
         ["sweep", "--instance", pigou_file, "--alphas", "0:0.5:0.25"],
         ["gen", "--family", "random", "--seed", "3", "--m", "4"],
         ["verify", "--instance", pigou_file, "--alpha", "0.5", "--grid", "10"],
+        # two points, fewer than the three seeds of two links
+        ["verify", "--instance", pigou_file, "--alpha", "0.5", "--grid", "1"],
     ):
         proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "malice", *args],
                               capture_output=True, cwd=tmp_path, env=child_env())
@@ -456,7 +459,7 @@ def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path, pigou_file):
         if args[0] == "gen":
             assert loaded == {"malice.families"}
         elif args[0] == "verify":
-            assert loaded == {"malice.oracle", "numpy"}
+            assert loaded == ({"malice.oracle", "numpy"} if args[-1] == "1" else {"malice.oracle"}), args
             doc = json.loads(proc.stdout)
             assert doc["bracket_contains_value"] is True and doc["ok"] is True
         else:

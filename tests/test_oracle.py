@@ -42,9 +42,11 @@ from malice.oracle import (
     DEFAULT_POINT_CAP,
     GRID_CHUNK_CELLS,
     GRID_CHUNK_ROWS,
-    _above,
+
     _attacks,
     _bowl,
+    _bowl_slices,
+    _plane_points,
     _grid_chunks,
     _link_sum,
     _replies,
@@ -269,35 +271,31 @@ def _bounds_hex(inst, alpha, n):
 
 
 def test_minimax_gap_enumerates_each_grid_once(monkeypatch):
-    monkeypatch.setattr(malice.oracle, "_kept_grid", None)
+    # a grid with seeds is walked, not enumerated; one without seeds is
+    # enumerated once by each bound, and the same size again gives the
+    # same floats
     calls = count_calls(monkeypatch, _grid_chunks)
-    first, second = random_instance(seed=38, m=3), random_instance(seed=39, m=3)
+    first = random_instance(seed=38, m=3)
     bounds = _bounds_hex(first, 0.5, 30)
-    assert calls["_grid_chunks"] == 1
+    assert calls["_grid_chunks"] == 0
     assert _bounds_hex(first, 0.5, 30) == bounds
-    # another instance and alpha at the same resolution and link count enumerate nothing
-    kept = _bounds_hex(second, 0.2, 30)
-    assert calls["_grid_chunks"] == 1
-    # and give the bounds that a fresh enumeration gives
-    monkeypatch.setattr(malice.oracle, "_kept_grid", None)
-    assert _bounds_hex(second, 0.2, 30) == kept
-    assert _bounds_hex(first, 0.5, 30) == bounds
+    # 23 links are past _seeded's budget of seeds times links
+    many = validate([(1 + k % 3, k % 5) for k in range(23)])
+    unseeded = _bounds_hex(many, 0.2, 2)
     assert calls["_grid_chunks"] == 2
-    # another size replaces the kept grid
-    minimax_gap(first, 0.5, GridSpec(31))
-    minimax_gap(first, 0.5, GridSpec(30))
+    assert _bounds_hex(many, 0.2, 2) == unseeded
     assert calls["_grid_chunks"] == 4
 
 
-def test_a_kept_grid_follows_the_chunk_layout(monkeypatch):
+def test_a_grid_follows_the_chunk_layout(monkeypatch):
     inst, alpha = random_instance(seed=33, m=3), 0.6
 
     def bounds():
-        return soc_mal_value(inst, alpha, GridSpec(40)).hex(), mal_soc_value(inst, alpha, GridSpec(40)).hex()
+        return [(soc_mal_value(inst, alpha, GridSpec(n)).hex(), mal_soc_value(inst, alpha, GridSpec(n)).hex())
+                for n in (1, 40)]  # resolution 1 has no seeds: 3 points, fewer than 7
 
     default = bounds()
-    assert malice.oracle._kept_grid[0] == (40, 3, GRID_CHUNK_ROWS, GRID_CHUNK_CELLS)
-    # the layout a test sets is the layout it gets, kept grid or not
+    # the layout a test sets is the layout it gets, on the walk and the dense path
     monkeypatch.setattr(malice.oracle, "GRID_CHUNK_ROWS", 7)
     assert [len(unit) for _, unit in _unit_chunks(40, 3)] == [7] * 123  # 861 points
     assert bounds() == default
@@ -311,68 +309,10 @@ def test_a_kept_grid_follows_the_chunk_layout(monkeypatch):
         assert np.array_equal(unit, expected / 40)
 
 
-def test_a_grid_above_the_chunk_budget_is_never_kept(monkeypatch):
-    inst = random_instance(seed=34, m=3)
-    minimax_gap(inst, 0.5, GridSpec(12))
-    kept = malice.oracle._kept_grid
-    # 1,449 points on 1,449 links: 2,099,601 cells, just above GRID_CHUNK_CELLS
-    assert 1448**2 <= GRID_CHUNK_CELLS < 1449**2
-    assert sum(unit.size for _, unit in _unit_chunks(1, 1449)) == 1449**2
-    assert malice.oracle._kept_grid is kept
-    # (10, 3) has 66 points, 198 cells: one cell over the budget is streamed
-    # by both bounds, and a budget of exactly its cells keeps it
-    calls = count_calls(monkeypatch, _grid_chunks)
-    monkeypatch.setattr(malice.oracle, "GRID_CHUNK_CELLS", 197)
-    streamed = _bounds_hex(inst, 0.5, 10)
-    assert calls["_grid_chunks"] == 2
-    assert malice.oracle._kept_grid is kept
-    monkeypatch.setattr(malice.oracle, "GRID_CHUNK_CELLS", 198)
-    assert _bounds_hex(inst, 0.5, 10) == streamed
-    assert calls["_grid_chunks"] == 3
-    assert malice.oracle._kept_grid[0] == (10, 3, GRID_CHUNK_ROWS, 198)
-
-
-def test_grid_chunks_are_read_only():
-    minimax_gap(random_instance(seed=35, m=3), 0.5, GridSpec(12))
-    key, chunks = malice.oracle._kept_grid
-    assert key == (12, 3, GRID_CHUNK_ROWS, GRID_CHUNK_CELLS)
-    parts, unit = chunks[0]
-    for array, value in ((parts, 1), (unit, 1.0)):
-        with pytest.raises(ValueError):
-            array[0, 0] = value
-        with pytest.raises(ValueError):
-            array[:, 1] *= 2
-    # a streamed chunk too
-    for array in next(_unit_chunks(1, 1449)):
-        with pytest.raises(ValueError):
-            array[0, 0] = 1
-    assert np.array_equal(parts, next(_grid_chunks(12, 3)))
-    assert np.array_equal(unit, parts / 12)
-
-
-def test_a_failed_or_stopped_enumeration_leaves_the_kept_grid(monkeypatch):
-    inst = random_instance(seed=36, m=3)
-    minimax_gap(inst, 0.5, GridSpec(12))
-    kept = malice.oracle._kept_grid
-    with pytest.raises(GridTooLarge):
-        minimax_gap(validate([(1.0, 0.0)]), 0.5, GridSpec(10**20))  # one cell, but the resolution is capped
-    with pytest.raises(GridTooLarge):
-        minimax_gap(validate([(1.0, 0.0)] * 8), 0.5, GridSpec(200))
-    for resolution in (-1, 0):  # no GridSpec would hold either
-        with pytest.raises(InvalidRange, match="^grid resolution must be a positive integer"):
-            minimax_gap(inst, 0.5, SimpleNamespace(resolution=resolution))
-    chunks = _unit_chunks(400, 3)  # 80,601 points in 40 chunks, of which one is read
-    next(chunks)
-    chunks.close()
-    assert malice.oracle._kept_grid is kept
-    calls = count_calls(monkeypatch, _grid_chunks)
-    minimax_gap(inst, 0.5, GridSpec(12))
-    assert calls["_grid_chunks"] == 0
-
-
 def test_threads_sharing_the_kept_grid_agree():
-    # more threads than cores, switching often, on two sizes that keep
-    # replacing each other's grid
+    # more threads than cores, switching often, on two sizes: each bound
+    # keeps its walk's state and its tables in the call, so no thread sees
+    # another's
     inst = random_instance(seed=37, m=3)
     expected = {n: _bounds_hex(inst, 0.3, n) for n in (20, 21)}
     interval = sys.getswitchinterval()
@@ -510,32 +450,20 @@ def test_mal_soc_value_equals_reference_whatever_the_seeds(monkeypatch, seeds):
 
 
 def test_the_lower_bound_water_fills_few_of_its_points(monkeypatch):
-    calls = []  # (kernel, rows) of each water-fill, in call order
-
-    def counted_rows(slopes, intercepts, mass):
-        calls.append(("waterfill_rows", len(intercepts)))
-        return waterfill_rows(slopes, intercepts, mass)
-
-    def counted(*args):
-        calls.append(("waterfill", 1))
-        return waterfill(*args)
-
     inst = random_instance(seed=44, m=3)
     assert inst.m == 3 and min(inst.slopes) > 0.0
-    scalar = 1 + len(_seeds(inst, 0.5, 100))
-    monkeypatch.setattr(malice.oracle, "waterfill_rows", counted_rows)
-    monkeypatch.setattr(malice.oracle, "waterfill", counted)
-    assert mal_soc_value(inst, 0.5, GridSpec(100)) == reference_mal_soc_value(inst, 0.5, 100)
-    # MAL's selfish flow and the seeds on the scalar kernel, with no batched
-    # call among them, then what the planes keep of 5,151 points
-    assert [kernel for kernel, _ in calls[:scalar]] == ["waterfill"] * scalar
-    assert all(kernel == "waterfill_rows" for kernel, _ in calls[scalar:])
-    assert sum(rows for _, rows in calls) < 100
+    seeds = _seeds(inst, 0.5, 100)
+    expected = reference_mal_soc_value(inst, 0.5, 100)
+    # MAL's selfish flow, the seeds and what the planes keep of 5,151
+    # points, all on the scalar kernel, without a pass over the grid
+    calls = count_calls(monkeypatch, waterfill, waterfill_rows, _grid_chunks)
+    assert mal_soc_value(inst, 0.5, GridSpec(100)) == expected
+    assert set(calls) == {"waterfill"} and 1 + len(seeds) <= calls["waterfill"] < 100, calls
     # with seeds at a vertex the planes still drop points, and the bound holds
     calls.clear()
     monkeypatch.setattr(malice.oracle, "_seeds", _vertex_seeds)
-    assert mal_soc_value(inst, 0.5, GridSpec(100)) == reference_mal_soc_value(inst, 0.5, 100)
-    assert sum(rows for _, rows in calls) < GridSpec(100).points(3)
+    assert mal_soc_value(inst, 0.5, GridSpec(100)) == expected
+    assert set(calls) == {"waterfill"} and calls["waterfill"] < GridSpec(100).points(3), calls
 
 
 # whole-grid plateaus: a zero-slope link lies below every positive-slope
@@ -548,6 +476,7 @@ PLATEAUS = [
     validate([(0, 2), (0, 2), (0, 5)]),            # every link flat
     validate([(0, 5)]),                            # one link
     validate([(1, 1e300), (0, 1), (2, 1e200)]),    # intercepts past 2**500
+    validate([(2, 0), (0, 0), (1, 0.5)]),          # a free link, tied at 0 with a sloped one
 ]
 
 
@@ -576,24 +505,21 @@ def test_a_whole_grid_plateau_gives_the_reference_bounds_bit_for_bit():
 
 
 def test_a_whole_grid_plateau_water_fills_one_row(monkeypatch):
-    rows = []  # of each waterfill_rows call
-
-    def counted(slopes, intercepts, mass):
-        rows.append(len(intercepts))
-        return waterfill_rows(slopes, intercepts, mass)
-
-    monkeypatch.setattr(malice.oracle, "waterfill_rows", counted)
     inst = PLATEAUS[0]
-    assert mal_soc_value(inst, 0.5, GridSpec(100)) == reference_mal_soc_value(inst, 0.5, 100)
-    assert rows == [1]  # not MAL's selfish flow, the seeds and 5,151 points
+    expected = reference_mal_soc_value(inst, 0.5, 100)
+    calls = count_calls(monkeypatch, waterfill, waterfill_rows)
+    assert mal_soc_value(inst, 0.5, GridSpec(100)) == expected
+    # one scalar water-fill, not MAL's selfish flow, the seeds and 5,151 points
+    assert calls == {"waterfill": 1}
     # the margin is 4 (m + 2) epsilons above c, exclusive
     c = 1.0
     threshold = c * (1.0 + 4 * (3 + 2) * sys.float_info.epsilon)
     for b, plateau in ((threshold, False), (math.nextafter(threshold, math.inf), True)):
         inst = validate([(1, b), (0, c), (3, b)])
-        rows.clear()
-        assert mal_soc_value(inst, 0.5, GridSpec(100)) == reference_mal_soc_value(inst, 0.5, 100)
-        assert (rows == [1]) is plateau, b
+        expected = reference_mal_soc_value(inst, 0.5, 100)
+        calls.clear()
+        assert mal_soc_value(inst, 0.5, GridSpec(100)) == expected
+        assert (calls == {"waterfill": 1}) is plateau, b
 
 
 def test_near_ties_take_the_full_path():
@@ -653,12 +579,6 @@ def _every_point(inst, alpha, grid):
 
 
 def test_at_alpha_zero_one_point_stands_for_the_grid(monkeypatch):
-    rows = []  # of each waterfill_rows call
-
-    def counted(slopes, intercepts, mass):
-        rows.append(len(intercepts))
-        return waterfill_rows(slopes, intercepts, mass)
-
     # at alpha = 0 every point is x = 0.0 * unit, so SOC's reply is the same
     # everywhere; at alpha = 1 every reply is empty and costs +0.0, also
     # where a link's shifted latency overflows
@@ -667,13 +587,13 @@ def test_at_alpha_zero_one_point_stands_for_the_grid(monkeypatch):
     instances += [validate([(0, 1), (1.5e308, 1.5e308)]),
                   validate([(1.1899077126981167e308, 1.5197918592478728e308),
                             (1.6683424528743423e308, 7.773237168161442e307)])]
-    monkeypatch.setattr(malice.oracle, "waterfill_rows", counted)
     for alpha in (0.0, 1.0):
         for inst in instances:
             for n in (1, 3, 20):
-                rows.clear()
-                outcome = _outcome(mal_soc_value, inst, alpha, GridSpec(n))
-                assert rows == [1], (inst, alpha, n)
+                with monkeypatch.context() as patch:
+                    calls = count_calls(patch, waterfill, waterfill_rows)
+                    outcome = _outcome(mal_soc_value, inst, alpha, GridSpec(n))
+                assert calls == {"waterfill": 1}, (inst, alpha, n)  # one point, on the scalar kernel
                 if isinstance(outcome, str):  # not a wide instance's InvalidMass
                     assert outcome == reference_mal_soc_value(inst, alpha, n).hex(), (inst, alpha, n)
                 assert outcome == _outcome(_every_point, inst, alpha, GridSpec(n)), (inst, alpha, n)
@@ -694,7 +614,7 @@ PINNED_FACES = [
     (validate([(7.133, 6.306), (0, 6.467), (8.756, 6.173)]), 0.585),
     (validate([(3.5, 0), (0, 0.17), (4, 3.1)]), 0.1),
     (validate([(0, 1), (2, 0.5), (0, 1), (1, 0.9)]), 0.6),    # two zero-slope links tied at the level
-    (validate([(0, 0), (2, 0), (5, 1e-3)]), 0.3),             # pinned at intercept 0
+    (validate([(0, 1e-9), (2, 0), (5, 1e-3)]), 0.3),          # pinned near intercept 0
 ]
 
 
@@ -728,24 +648,33 @@ def test_a_pinned_face_gives_the_reference_bound_bit_for_bit(monkeypatch):
     assert all(sum(_pinned_counts(inst, alpha, n)) < GridSpec(n).points(inst.m) - 1 for inst, alpha, n in cases)
 
 
+def _kept_rows(monkeypatch):
+    """The rows of each _seed_replies call of the lower bound after its
+    seeds': the grid points it evaluates beyond them, per chunk."""
+    calls = []
+
+    def counted(inst, alpha, beta, rows, n):
+        calls.append(len(rows))
+        return _seed_replies(inst, alpha, beta, rows, n)
+
+    monkeypatch.setattr(malice.oracle, "_seed_replies", counted)
+    return calls
+
+
 def test_a_pinned_face_water_fills_one_row(monkeypatch):
-    rows = []  # of each waterfill_rows call
-
-    def counted(slopes, intercepts, mass):
-        rows.append(len(intercepts))
-        return waterfill_rows(slopes, intercepts, mass)
-
-    monkeypatch.setattr(malice.oracle, "waterfill_rows", counted)
+    calls = _kept_rows(monkeypatch)
     inst, alpha = PINNED_FACES[0]
     expected = reference_mal_soc_value(inst, alpha, 100)
+    seeds = _seeds(inst, alpha, 100)
     assert mal_soc_value(inst, alpha, GridSpec(100)) == expected
-    assert rows == [1]
-    # the planes keep 4,186 of the 5,151 points, all on the face
-    rows.clear()
+    # a seed is on the face, so no other pinned point is water-filled
+    assert calls == [len(seeds)]
+    # the planes keep 4,186 of the 5,151 points, all on the face, three of them seeds
+    calls.clear()
     with monkeypatch.context() as patch:
         patch.setattr(malice.oracle, "_pin_floor", lambda inst: None)
         assert mal_soc_value(inst, alpha, GridSpec(100)) == expected
-    assert rows == [4186]
+    assert calls == [len(seeds), 4183]
     # the floor is 4 (m + 2) epsilons above c, exclusive, on every shifted
     # intercept: b = floor leaves the face x_0 = 0 unpinned, its successor not
     c = 1.0
@@ -753,11 +682,19 @@ def test_a_pinned_face_water_fills_one_row(monkeypatch):
     for b, face in ((floor, False), (math.nextafter(floor, math.inf), True)):
         inst = validate([(1, b), (0, c), (3, 0.5)])
         assert malice.oracle._pin_floor(inst) == floor and not malice.oracle._plateau(inst)
-        rows.clear()
-        assert mal_soc_value(inst, 0.5, GridSpec(100)) == reference_mal_soc_value(inst, 0.5, 100)
-        assert (rows == [1]) is face, b
+        expected = reference_mal_soc_value(inst, 0.5, 100)
+        calls.clear()
+        assert mal_soc_value(inst, 0.5, GridSpec(100)) == expected
+        assert (sum(calls[1:]) <= 1) is face, (b, calls)
     # without seeds every point is evaluated: a chunk water-fills its rows
     # off the face and the first one on it
+    rows = []  # of each waterfill_rows call
+
+    def batched(slopes, intercepts, mass):
+        rows.append(len(intercepts))
+        return waterfill_rows(slopes, intercepts, mass)
+
+    monkeypatch.setattr(malice.oracle, "waterfill_rows", batched)
     monkeypatch.setattr(malice.oracle, "_seeds", lambda *args: None)
     monkeypatch.setattr(malice.oracle, "GRID_CHUNK_ROWS", 1000)
     for inst, alpha in PINNED_FACES:
@@ -827,14 +764,11 @@ def test_a_nan_row_hides_neither_bound():
                ([(1.4412783513367957e308, 5.095178621538454e307), (0, biggest)], 0.9),
                ([(1.188833780299879e308, 1.1872980413002903e308), (0, biggest)], 0.9)]
     overflowed = [(validate(links), alpha, n) for links, alpha in shifted for n in (3, 10, 30)]
-    for inst, alpha, n in overflowed:
-        with np.errstate(over="ignore", invalid="ignore"):
-            _, _, tables, _ = _bowl(inst, alpha, n)
-        assert np.isnan(tables[0]).all() and not np.isinf(tables).any()
-    # and a link whose a v + s overflows in its larger entries, with s finite
-    with np.errstate(over="ignore"):
-        _, _, tables, _ = _bowl(cases[-1][0], 0.7, 10)
-    assert np.isnan(tables[0, -1]) and not np.isnan(tables[:, 0]).any()
+    # an overflowed term bounds nothing, so neither grid has seeds: the
+    # huge link's s overflows, and a v + s in the larger terms of the last
+    # case's first link, with s finite
+    for inst, alpha, n in overflowed + cases[-2:]:
+        assert _bowl(inst, alpha, n) is None, (inst, alpha, n)
     for inst, alpha, n in cases + overflowed:
         lower = reference_mal_soc_value(inst, alpha, n)
         upper = reference_soc_mal_value(inst, alpha, n)
@@ -938,12 +872,11 @@ def test_seeds_are_the_nearest_point_and_its_one_unit_moves():
     # once raised OverflowError or ValueError from math.floor
     for seed in (2, 3):
         assert _seeds(random_instance(seed=seed, m=3), 5e-324, 20) is None
-    # the upper bound's tables stop at GRID_CHUNK_CELLS entries: two links
-    # past resolution 2**20 - 1 get no seeds, and the lower bound's still do
+    # the walk reads no tables, so two links at resolution 2**20, a line of
+    # over a million points, have seeds in both bounds
     two = random_instance(seed=92, m=2)
-    assert 2 * 2**20 == GRID_CHUNK_CELLS and min(two.slopes) > 0.0
-    assert _bowl(two, 0.5, 2**20 - 1) is not None and _bowl(two, 0.5, 2**20) is None
-    assert _seeds(two, 0.5, 2**20) is not None
+    assert min(two.slopes) > 0.0
+    assert _bowl(two, 0.5, 2**20) is not None and _seeds(two, 0.5, 2**20) is not None
 
 
 def _seed_outcome(replies, inst, alpha, n, seeds):
@@ -1110,34 +1043,55 @@ def _every_attack(inst, alpha, n):
         return min(float(_attacks(a, b, alpha, unit).min()) for _, unit in _unit_chunks(n, inst.m))
 
 
+def _walked_rows(monkeypatch):
+    """Per call of the upper bound, the grid points its walk keeps: the
+    rows it scores, slice by slice."""
+    calls = []
+
+    def counted(*args):
+        calls.append(0)
+        for prefix, r, low, high in _bowl_slices(*args):
+            calls[-1] += max(high - low + 1, 0)
+            yield prefix, r, low, high
+
+    monkeypatch.setattr(malice.oracle, "_bowl_slices", counted)
+    return calls
+
+
 def test_the_upper_bound_evaluates_few_points_beyond_its_seeds(monkeypatch):
-    rows = []  # per bound, the grid rows it evaluates beyond its seeds
-
-    def counted(a, b, alpha, unit):
-        rows[-1] += len(unit)
-        return _attacks(a, b, alpha, unit)
-
     rng = random.Random(50)
     cases = [(random_instance(seed=900 + k, m=3), rng.uniform(0.05, 0.95)) for k in range(40)]
     expected = [_every_attack(inst, alpha, 100) for inst, alpha in cases]
-    monkeypatch.setattr(malice.oracle, "_attacks", counted)
+    rows = _walked_rows(monkeypatch)
+    calls = count_calls(monkeypatch, _grid_chunks)
     for (inst, alpha), value in zip(cases, expected):
-        rows.append(0)
         assert soc_mal_value(inst, alpha, GridSpec(100)) == value, (inst, alpha)
-    # of 5,151 points; every point is evaluated where there are no seeds
-    assert statistics.median(rows) <= 30, rows
-    rows.append(0)
+    # of 5,151 points, with no pass over the grid; every point is evaluated
+    # where there are no seeds, as at alpha = 1
+    assert len(rows) == len(cases) and statistics.median(rows) <= 30 and calls["_grid_chunks"] == 0, rows
     soc_mal_value(cases[0][0], 1.0, GridSpec(100))
-    assert rows[-1] == GridSpec(100).points(3)
+    assert len(rows) == len(cases) and calls["_grid_chunks"] == 1
+
+
+def _bowl_value(inst, alpha, parts, n):
+    """A point's bowl as the walk's leaf sums it: T_k at its parts, from
+    MAL's selfish flow, in index order."""
+    a, b = inst.slopes, inst.intercepts
+    x = malice.oracle._selfish(inst, alpha)
+    total = 0.0
+    for k, p in enumerate(parts):
+        v = (1.0 - alpha) * (p / n)
+        total += (a[k] * v + (a[k] * x[k] + b[k])) * v
+    return total
 
 
 def test_the_bowl_drops_only_points_provably_above_the_limit(monkeypatch):
-    # bowls 2.0, 1.5, NaN and 1.0 against a limit of 1.5: only the first is
-    # above it; the one equal to it and the NaN one keep their points
-    tables = np.array([[0.0, 1.0, 2.0], [0.0, 0.5, math.nan]])
-    parts = np.array([[2, 0], [1, 1], [0, 2], [1, 0]], order="F")
-    assert _above(tables, parts, 1.5).tolist() == [True, False, False, False]
-    assert not _above(tables, parts, math.inf).any()
+    # terms 0, 1, 2 and 0, 0.5, 1 on two links at resolution 2: bowls 1.0,
+    # 1.5 and 2.0 at (0, 2), (1, 1) and (2, 0); against a limit of 1.5 the
+    # one equal to it keeps its point and only the last is dropped
+    slices = list(_bowl_slices((0.0, 0.0), (2.0, 1.0), 1.0, 2, 1.0, 1.0, 1.5))
+    assert [(low, high) for _, _, low, high in slices] == [(0, 1)]
+    assert [(low, high) for _, _, low, high in _bowl_slices((0.0, 0.0), (2.0, 1.0), 1.0, 2, 1.0, 1.0, 0.5)] == [(0, -1)]
     # a point never drops against its own value as best: the margin covers
     # the bowl's rounding above the value, which does happen
     cases = [(inst, alpha, 20) for inst, alpha in oracle_ensemble(30)]
@@ -1146,16 +1100,87 @@ def test_the_bowl_drops_only_points_provably_above_the_limit(monkeypatch):
     cases += [(validate([(1, 0)] * 3), 0.5, 20), (validate([(0, 1), (0, 1), (3, 0.2)]), 0.4, 20)]
     above = 0
     for inst, alpha, n in cases:
-        points = np.array(list(simplex_grid(n, inst.m)), order="F")
-        values = _attacks(np.array(inst.slopes), np.array(inst.intercepts), alpha, points / n)
-        _, _, tables, _ = _bowl(inst, alpha, n)
-        for i in _above(tables, points, values).nonzero()[0]:
-            above += 1
-            with monkeypatch.context() as patch:
-                patch.setattr(malice.oracle, "_seed_attacks", lambda *args, value=float(values[i]): [value])
-                _, best, _, limit = _bowl(inst, alpha, n)
-            assert best == values[i] and not _above(tables, points[i:i + 1], limit)[0], (inst, alpha, n, i)
+        points = list(simplex_grid(n, inst.m))
+        values = _seed_attacks(inst, alpha, points, n)
+        for parts, value in zip(points, values):
+            if _bowl_value(inst, alpha, parts, n) > value:
+                above += 1
+                with monkeypatch.context() as patch:
+                    patch.setattr(malice.oracle, "_seed_attacks", lambda *args, value=value: [value])
+                    _, best, slices = _bowl(inst, alpha, n)
+                    kept = {(*prefix, j, r - j) for prefix, r, low, high in slices for j in range(low, high + 1)}
+                assert best == value and parts in kept, (inst, alpha, n, parts)
     assert above > 20
+
+
+def test_the_planes_drop_only_points_provably_below_the_floor():
+    # one plane, 1 and 0, on two links at resolution 2: values 0, 0.5 and 1
+    # at (0, 2), (1, 1) and (2, 0); against a floor of 0.5 the one equal to
+    # it keeps its point and only the first is dropped, as is a seed
+    assert _plane_points(2, 2, [[1.0, 0.0]], 0.5, None, False, set()) == [(1, [1, 1]), (2, [2, 0])]
+    assert _plane_points(2, 2, [[1.0, 0.0]], 0.5, None, False, {(2, 0)}) == [(1, [1, 1])]
+    # on three links the prefix's bound, the rest at its largest coefficient,
+    # keeps (1, 0, 1) and (1, 1, 0) at a floor of 0.5, and (2, 0, 0) at 1
+    planes = [[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]]
+    assert [parts for _, parts in _plane_points(3, 2, planes, 0.5, None, False, set())] == [[1, 0, 1], [1, 1, 0]]
+    assert _plane_points(3, 2, [[1.0, 0.0, 0.0]], 1.0, None, False, set()) == [(5, [2, 0, 0])]
+    # a floor equal to the plane at (8, 2), whose closed-form threshold
+    # rounds to 7.999999999999999: the part of room keeps the point
+    p, q = 0.11791870367106105, 0.7609624449125756
+    floor = p * (8 / 10) + q * (2 / 10)
+    assert (floor - q) / (p - q) * 10 < 8
+    assert [rank for rank, _ in _plane_points(2, 10, [[p, q]], floor, None, False, set())] == list(range(9))
+
+
+def test_the_walks_edge_cases_give_the_reference_bounds_bit_for_bit(monkeypatch):
+    walked = _walked_rows(monkeypatch)
+    cases = [
+        # flat bowls: zero-slope ties keep every one of 1,891 points
+        (validate([(0, 1)] * 3), 0.5, 60),
+        (validate([(0, 1), (0, 1), (1e-12, 1)]), 0.4, 60),
+        # exact ties, of bowls and of damage, at the ends of a slice's run
+        (validate([(1, 0)] * 3), 0.5, 30),
+        (validate([(1, 0)] * 4), 0.3, 12),
+        (validate([(2, 0.1), (1, 0.7), (2, 0.3)]), 0.5, 40),
+        (validate([(2, 1), (2, 1), (1, 1.5)]), 0.25, 40),
+        # subnormal alphas, and the largest alpha below 1, whose SOC mass is 2**-53
+        (random_instance(seed=5, m=3), 5e-324, 30),
+        (random_instance(seed=6, m=3), 1e-310, 30),
+        (random_instance(seed=7, m=3), 1.0 - 2.0**-53, 30),
+        # 4 to 6 links
+        (random_instance(seed=8, m=4), 0.6, 20),
+        (random_instance(seed=9, m=5), 0.3, 12),
+        (random_instance(seed=10, m=6), 0.8, 10),
+    ]
+    for inst, alpha, n in cases:
+        upper, lower = reference_soc_mal_value(inst, alpha, n), reference_mal_soc_value(inst, alpha, n)
+        assert soc_mal_value(inst, alpha, GridSpec(n)).hex() == upper.hex(), (inst, alpha, n)
+        assert mal_soc_value(inst, alpha, GridSpec(n)).hex() == lower.hex(), (inst, alpha, n)
+    assert walked[0] == GridSpec(60).points(3) > 1_000 and walked[1] > 100, walked
+    # 4 to 6 links at resolutions up to 100, against every point through the dense path
+    for m, n in ((4, 100), (4, 60), (5, 30), (6, 20)):
+        inst = random_instance(seed=20 + m, m=m)
+        assert soc_mal_value(inst, 0.45, GridSpec(n)) == _every_attack(inst, 0.45, n), (m, n)
+        if n < 100:
+            assert mal_soc_value(inst, 0.45, GridSpec(n)) == _every_point(inst, 0.45, GridSpec(n)), (m, n)
+    # a pinned face across both chunks of 8,646 points, 3 links at resolution
+    # 130: with seeds at a vertex no seed is on the face, so the face's first
+    # kept point in each chunk is water-filled
+    inst, alpha = PINNED_FACES[0]
+    expected = reference_mal_soc_value(inst, alpha, 130)
+    assert GridSpec(130).points(3) == 8_646 > GRID_CHUNK_ROWS
+    chunks = []  # the rows of each _seed_replies call
+
+    def recorded(inst, alpha, beta, rows, n):
+        chunks.append(rows)
+        return _seed_replies(inst, alpha, beta, rows, n)
+
+    monkeypatch.setattr(malice.oracle, "_seed_replies", recorded)
+    monkeypatch.setattr(malice.oracle, "_seeds", _vertex_seeds)
+    assert mal_soc_value(inst, alpha, GridSpec(130)) == expected
+    face = malice.oracle._face(inst, alpha, 130, malice.oracle._pin_floor(inst))
+    pinned = [sum(all(p >= q for p, q in zip(row, face)) for row in rows) for rows in chunks]
+    assert pinned == [0, 1, 1], pinned  # the seeds, then each chunk's first pinned point
 
 
 def test_both_bounds_ignore_every_floating_point_class():
